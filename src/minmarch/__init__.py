@@ -24,14 +24,7 @@ from .exceptions import (
     StationarityError,
 )
 from .marching import MarchConfig, MarchStatus, Scheme, Trajectory, march, march_error_vs_oracle
-from .newton import (
-    BatchSolveReport,
-    NewtonConfig,
-    SolveResult,
-    newton_solve,
-    reference_distribution,
-    solve_nominal,
-)
+from .newton import NewtonConfig, SolveResult, newton_solve, solve_nominal
 from .problems import (
     AdvDiffInverseProblem,
     AdvectionDiffusionModel,
@@ -43,20 +36,18 @@ from .problems import (
     make_advdiff_problem,
     synthesize_observations,
 )
-from .sensitivity import ParameterLine, SensitivityApply, ivp_rhs, post_optimality_apply
+from .sensitivity import ParameterLine, SensitivityApply, post_optimality_apply
 from .uq import (
     ConvergenceReport,
     DensityEstimate,
     MarchOutcome,
     SampleRecord,
     SampleStudy,
-    SensitivityLogRow,
     Statistic,
     StudyErrorSummary,
     fit_loglog_slope,
     kde,
     propagate_study,
-    sensitivity_log,
     silverman_bandwidth,
     summary_errors,
 )
@@ -66,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdvDiffInverseProblem",
     "AdvectionDiffusionModel",
-    "BatchSolveReport",
     "BvpSolveError",
     "ConfigError",
     "DegenerateBandwidthError",
@@ -94,13 +84,11 @@ __all__ = [
     "MarchOutcome",
     "SampleRecord",
     "SampleStudy",
-    "SensitivityLogRow",
     "Statistic",
     "StudyErrorSummary",
     "check_derivatives",
     "fd_second_derivatives",
     "fit_loglog_slope",
-    "ivp_rhs",
     "kde",
     "make_advdiff_problem",
     "march",
@@ -108,8 +96,6 @@ __all__ = [
     "newton_solve",
     "post_optimality_apply",
     "propagate_study",
-    "reference_distribution",
-    "sensitivity_log",
     "silverman_bandwidth",
     "solve_nominal",
     "summary_errors",

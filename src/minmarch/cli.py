@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .derivatives import check_derivatives
-from .exceptions import ConfigError, MinmarchError
+from .exceptions import ConfigError, DegenerateBandwidthError, MinmarchError
 from .marching import MarchConfig, Scheme, march
-from .newton import solve_nominal
+from .newton import solve_nominal, to_json_dict
 from .problems import (
     DoubleWellProblem,
     LogisticWellProblem,
@@ -41,15 +41,7 @@ from .reporting import (
     write_trajectory_csv,
 )
 from .sensitivity import ParameterLine
-from .uq import (
-    SampleStudy,
-    SensitivityLogRow,
-    kde,
-    propagate_study,
-    silverman_bandwidth,
-    summary_errors,
-)
-from .uq import _solve_result_to_dict as solve_result_dict
+from .uq import SampleStudy, kde, propagate_study, silverman_bandwidth, summary_errors
 
 PROBLEM_NAMES = ("quadratic", "cubic", "logistic1d", "advdiff")
 
@@ -347,6 +339,7 @@ def cmd_check(args) -> int:
 
 
 def _study_kde_files(study: SampleStudy, out_dir: str) -> list[str]:
+    """Write the density files that can be formed; zero-spread sources get none."""
     mask = study.valid_mask()
     if mask.sum() < 30:
         return []
@@ -355,7 +348,7 @@ def _study_kde_files(study: SampleStudy, out_dir: str) -> list[str]:
     if study.with_oracle:
         sources["oracle"] = study.oracle_minimizers()[mask]
     for N in study.N_list:
-        sources[f"N{N}"] = study.euler_finals(N)[mask]
+        sources[f"N{N}"] = study.finals(N)[mask]
 
     written = []
     for k in range(d):
@@ -368,7 +361,10 @@ def _study_kde_files(study: SampleStudy, out_dir: str) -> list[str]:
         )
         axis = np.linspace(span_lo, span_hi, 256)
         for label, col in columns.items():
-            est = kde(col, grid=(axis,))
+            try:
+                est = kde(col, grid=(axis,))
+            except DegenerateBandwidthError:
+                continue
             path = os.path.join(out_dir, f"kde_marginal_{k + 1}_{label}.csv")
             write_kde_marginal_csv(path, est)
             written.append(os.path.basename(path))
@@ -386,7 +382,10 @@ def _study_kde_files(study: SampleStudy, out_dir: str) -> list[str]:
             )
             axes.append(np.linspace(lo, hi, 101))
         for label, data in sources.items():
-            est = kde(data, grid=tuple(axes))
+            try:
+                est = kde(data, grid=tuple(axes))
+            except DegenerateBandwidthError:
+                continue
             path = os.path.join(out_dir, f"kde_joint_{label}.csv")
             write_kde_joint_csv(path, est)
             written.append(os.path.basename(path))
@@ -451,17 +450,11 @@ def cmd_study(args) -> int:
         "command": "study",
         "version": __version__,
         "config": cfg.echo(),
-        "newton": {
-            "grad_tol": study.newton_config.grad_tol,
-            "max_iters": study.newton_config.max_iters,
-            "armijo_c": study.newton_config.armijo_c,
-            "backtrack_factor": study.newton_config.backtrack_factor,
-            "max_backtracks": study.newton_config.max_backtracks,
-        },
+        "newton": to_json_dict(study.newton_config),
         "timings_sec": timings,
         "failure_counts": study.failure_counts(),
         "excluded_from_statistics": int(cfg.num_samples - study.valid_mask().sum()),
-        "nominal": solve_result_dict(study.nominal),
+        "nominal": to_json_dict(study.nominal),
         "fitted_slopes": slopes,
         "kde_files": kde_files,
     }
@@ -516,16 +509,7 @@ def cmd_trajectory(args) -> int:
         MarchConfig(N, cfg.scheme, record_trajectory=True),
     )
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
-
-    rows = []
-    if traj.rhs_values is not None:
-        rows = [
-            SensitivityLogRow(0, i, traj.times[i], float(np.linalg.norm(f)), f)
-            for i, f in enumerate(traj.rhs_values)
-        ]
-    write_sensitivity_csv(
-        os.path.join(out_dir, "sensitivity.csv"), rows, traj.states.shape[1]
-    )
+    write_sensitivity_csv(os.path.join(out_dir, "sensitivity.csv"), traj)
 
     manifest = {
         "command": "trajectory",
@@ -536,7 +520,7 @@ def cmd_trajectory(args) -> int:
         "status": traj.status.value,
         "left_basin": traj.left_basin,
         "final_state": traj.final_state.tolist(),
-        "nominal": solve_result_dict(nominal),
+        "nominal": to_json_dict(nominal),
     }
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"trajectory ({traj.status.value}) written to {out_dir}")

@@ -14,14 +14,12 @@ class ConfigError(MinmarchError):
 class IndefiniteHessianError(MinmarchError):
     """The decision-space Hessian is singular or not positive definite.
 
-    Carries the smallest eigenvalue seen at the offending point and, when
-    raised during time marching, the pseudo-time ``t`` at which it happened.
+    Carries the smallest eigenvalue seen at the offending point.
     """
 
-    def __init__(self, message: str, min_eigenvalue: float, t: float | None = None):
+    def __init__(self, message: str, min_eigenvalue: float):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
-        self.t = t
 
 
 class StationarityError(MinmarchError):

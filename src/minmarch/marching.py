@@ -19,9 +19,33 @@ class Scheme(str, enum.Enum):
     HEUN = "heun"
     RK4 = "rk4"
 
-    @property
-    def stages(self) -> int:
-        return {Scheme.FORWARD_EULER: 1, Scheme.HEUN: 2, Scheme.RK4: 4}[self]
+
+@dataclass(frozen=True)
+class Tableau:
+    """Explicit Runge-Kutta scheme in Butcher form.
+
+    Stage i of step n evaluates the right-hand side at pseudo-time
+    (n + nodes[i]) / N and at the state m_n + sum_j a_ij h k_j, where
+    ``couplings[i]`` lists only the nonzero (j, a_ij).  The step increment is
+    sum_i weights[i] k_i / denominator, summed in stage order.
+    """
+
+    nodes: tuple[float, ...]
+    couplings: tuple[tuple[tuple[int, float], ...], ...]
+    weights: tuple[int, ...]
+    denominator: int
+
+
+TABLEAUX = {
+    Scheme.FORWARD_EULER: Tableau((0.0,), ((),), (1,), 1),
+    Scheme.HEUN: Tableau((0.0, 1.0), ((), ((0, 1.0),)), (1, 1), 2),
+    Scheme.RK4: Tableau(
+        (0.0, 0.5, 0.5, 1.0),
+        ((), ((0, 0.5),), ((1, 0.5),), ((2, 1.0),)),
+        (1, 2, 2, 1),
+        6,
+    ),
+}
 
 
 class MarchStatus(str, enum.Enum):
@@ -67,100 +91,77 @@ class Trajectory:
         return self.states[-1]
 
 
-def march(
-    problem,
-    start_minimizer,
-    line: ParameterLine,
-    config: MarchConfig,
-    stationarity_tol: float = STATIONARITY_TOL,
-) -> Trajectory:
+def march(problem, start_minimizer, line: ParameterLine, config: MarchConfig) -> Trajectory:
     """March the minimizer from line.start to line.end in pseudo-time.
 
     ``start_minimizer`` must already be stationary at the starting
     parameters; the marcher refuses to repair a bad initial condition
-    silently.  Forward Euler applies exactly m_{n+1} = m_n + h f(t_n, m_n)
-    with h = 1/num_steps; the final state approximates the minimizer at
-    line.end.
+    silently.  Each of the num_steps steps of length h = 1/num_steps runs
+    the stages of the scheme's tableau; forward Euler applies exactly
+    m_{n+1} = m_n + h f(t_n, m_n).  The final state approximates the
+    minimizer at line.end.
     """
     m = as_vector(start_minimizer, "start_minimizer").copy()
     value, g = problem.objective_gradient(m, line.start)
-    if np.linalg.norm(g) > stationarity_tol * (1.0 + abs(value)):
+    if np.linalg.norm(g) > STATIONARITY_TOL * (1.0 + abs(value)):
         raise StationarityError(
             f"start_minimizer is not stationary at the line start: "
             f"||g||={np.linalg.norm(g)!r} exceeds "
-            f"{stationarity_tol!r}*(1+|J|)"
+            f"{STATIONARITY_TOL!r}*(1+|J|)"
         )
 
+    tableau = TABLEAUX[config.scheme]
     N = config.num_steps
-    scheme = config.scheme
-    times = [0.0]
+    h = 1.0 / N
+    direction = line.direction
     states = [m]
     min_eigs: list[float] = []
     rhs_log: list[np.ndarray] = []
     rhs_evals = 0
     status = MarchStatus.COMPLETED
-    left_basin = not problem.in_basin(m)
     failure_time = None
 
-    direction = line.direction
-    h = 1.0 / N
-
-    def stage(t: float, state: np.ndarray) -> tuple[np.ndarray, float]:
-        nonlocal rhs_evals
-        apply = post_optimality_apply(problem, state, line.at(t), direction)
-        rhs_evals += 1
-        return apply.result, apply.hessian_min_eigenvalue
-
     for n in range(N):
-        t_n = n / N
+        ks: list[np.ndarray] = []
+        eigs: list[float] = []
         try:
-            k1, eig = stage(t_n, m)
-            step_min_eig = eig
-            if scheme is Scheme.FORWARD_EULER:
-                increment = k1
-            elif scheme is Scheme.HEUN:
-                k2, eig = stage((n + 1) / N, m + h * k1)
-                step_min_eig = min(step_min_eig, eig)
-                increment = 0.5 * (k1 + k2)
-            else:  # RK4
-                t_mid = (n + 0.5) / N
-                k2, eig = stage(t_mid, m + 0.5 * h * k1)
-                step_min_eig = min(step_min_eig, eig)
-                k3, eig = stage(t_mid, m + 0.5 * h * k2)
-                step_min_eig = min(step_min_eig, eig)
-                k4, eig = stage((n + 1) / N, m + h * k3)
-                step_min_eig = min(step_min_eig, eig)
-                increment = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        except IndefiniteHessianError as err:
+            for c, couplings in zip(tableau.nodes, tableau.couplings):
+                state = m
+                for j, a in couplings:
+                    state = state + (a * h) * ks[j]
+                apply = post_optimality_apply(problem, state, line.at((n + c) / N), direction)
+                rhs_evals += 1
+                ks.append(apply.result)
+                eigs.append(apply.hessian_min_eigenvalue)
+        except IndefiniteHessianError:
             status = MarchStatus.ABORTED_INDEFINITE
-            failure_time = err.t if err.t is not None else t_n
-            break
         except BvpSolveError:
             status = MarchStatus.ABORTED_NONFINITE
-            failure_time = t_n
+        else:
+            increment = tableau.weights[0] * ks[0]
+            for w, k in zip(tableau.weights[1:], ks[1:]):
+                increment = increment + w * k
+            m_next = m + h * (increment / tableau.denominator)
+            if not np.all(np.isfinite(m_next)):
+                status = MarchStatus.ABORTED_NONFINITE
+        if status is not MarchStatus.COMPLETED:
+            failure_time = n / N
             break
 
-        m_next = m + h * increment
-        if not np.all(np.isfinite(m_next)):
-            status = MarchStatus.ABORTED_NONFINITE
-            failure_time = t_n
-            break
-
-        min_eigs.append(step_min_eig)
+        min_eigs.append(min(eigs))
         if config.record_trajectory:
-            rhs_log.append(k1)
+            rhs_log.append(ks[0])
         m = m_next
-        left_basin = left_basin or not problem.in_basin(m)
-        times.append((n + 1) / N)
         states.append(m)
 
+    stacked = np.vstack(states)
     return Trajectory(
-        times=np.asarray(times),
-        states=np.vstack(states),
+        times=np.arange(len(states)) / N,
+        states=stacked,
         rhs_evals=rhs_evals,
         min_eigenvalues=np.asarray(min_eigs),
         status=status,
-        left_basin=left_basin,
+        left_basin=not problem.in_basin(stacked),
         rhs_values=np.vstack(rhs_log) if rhs_log else None,
         failure_time=failure_time,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,15 @@ class SolveResult:
     converged: bool
     hessian_min_eigenvalue: float
     history: list[IterationRecord] | None = field(default=None, repr=False)
+
+
+def to_json_dict(obj) -> dict:
+    """Fields of a NewtonConfig or SolveResult for JSON; the iteration history is dropped."""
+    data = asdict(obj)
+    data.pop("history", None)
+    if "minimizer" in data:
+        data["minimizer"] = data["minimizer"].tolist()
+    return data
 
 
 def _safe_objective(problem, m, theta) -> float:
@@ -146,19 +155,14 @@ def newton_solve(
 
 
 def solve_nominal(
-    problem,
-    box: ParameterBox,
-    m0=None,
-    config: NewtonConfig = NewtonConfig(),
+    problem, box: ParameterBox, config: NewtonConfig = NewtonConfig()
 ) -> SolveResult:
-    """Solve at the nominal parameters; this anchors every subsequent march.
+    """Solve at the nominal parameters from the problem's initial guess.
 
-    Raises NominalSolveError unless the solve converged to a strict local
-    minimizer (positive definite Hessian).
+    This anchors every subsequent march.  Raises NominalSolveError unless the
+    solve converged to a strict local minimizer (positive definite Hessian).
     """
-    if m0 is None:
-        m0 = problem.initial_guess()
-    result = newton_solve(problem, box.nominal, m0, config)
+    result = newton_solve(problem, box.nominal, problem.initial_guess(), config)
     if not result.converged:
         raise NominalSolveError(
             f"nominal solve did not converge (grad_norm={result.grad_norm!r} "
@@ -171,35 +175,3 @@ def solve_nominal(
         )
     return result
 
-
-@dataclass
-class BatchSolveReport:
-    """Results of re-solving the optimization problem at many parameter samples."""
-
-    results: list[SolveResult]
-
-    @property
-    def not_converged_count(self) -> int:
-        return sum(1 for r in self.results if not r.converged)
-
-
-def reference_distribution(
-    problem,
-    samples: np.ndarray,
-    nominal_minimizer,
-    config: NewtonConfig = NewtonConfig(),
-    warm_start: bool = True,
-) -> BatchSolveReport:
-    """Newton re-solve at every sample, the brute-force reference.
-
-    With ``warm_start`` each solve starts from the nominal minimizer, which
-    keeps iterates inside the basin the study targets; otherwise each solve
-    starts from the problem's default initial guess.  Individual failures are
-    recorded per sample and never abort the batch.
-    """
-    start = as_vector(nominal_minimizer, "nominal_minimizer")
-    results = []
-    for theta in np.atleast_2d(np.asarray(samples, dtype=float)):
-        m0 = start if warm_start else problem.initial_guess()
-        results.append(newton_solve(problem, theta, m0, config))
-    return BatchSolveReport(results)

@@ -62,7 +62,12 @@ class Problem(abc.ABC):
         raise NotImplementedError
 
     def in_basin(self, m: np.ndarray) -> bool:
-        """True when m lies strictly inside basin_hint (or no hint is set)."""
+        """True when m lies strictly inside basin_hint (or no hint is set).
+
+        ``m`` is one point of shape (d,) or a stack of points of shape (n, d);
+        a stack is inside only when every point is.  The marcher checks all
+        iterates of a march in one call, so overrides must accept both.
+        """
         if self.basin_hint is None:
             return True
         lo, hi = self.basin_hint

@@ -13,8 +13,7 @@ import os
 import numpy as np
 
 from .marching import Trajectory
-from .newton import BatchSolveReport
-from .uq import DensityEstimate, SampleStudy, SensitivityLogRow, StudyErrorSummary
+from .uq import DensityEstimate, SampleStudy, StudyErrorSummary
 
 
 def fmt(value) -> str:
@@ -115,30 +114,16 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     _write_rows(path, ["t"] + [f"m_{j + 1}" for j in range(d)] + ["min_eig"], rows)
 
 
-def write_sensitivity_csv(path, rows: list[SensitivityLogRow], d: int) -> None:
+def write_sensitivity_csv(path, traj: Trajectory) -> None:
+    """Per-step right-hand side of a march recorded with record_trajectory."""
+    d = traj.states.shape[1]
     header = ["sample_index", "step", "t", "f_norm"] + [f"f_{j + 1}" for j in range(d)]
+    rhs = traj.rhs_values if traj.rhs_values is not None else []
     _write_rows(
         path,
         header,
-        ([r.sample_index, r.step, r.t, r.rhs_norm] + list(r.rhs) for r in rows),
+        ([0, i, traj.times[i], float(np.linalg.norm(f))] + list(f) for i, f in enumerate(rhs)),
     )
-
-
-def write_newton_batch_csv(path, samples: np.ndarray, report: BatchSolveReport) -> None:
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    p = samples.shape[1]
-    d = report.results[0].minimizer.size
-    header = (
-        ["sample_index"]
-        + [f"theta_{k + 1}" for k in range(p)]
-        + [f"m_{j + 1}" for j in range(d)]
-        + ["converged", "iterations", "grad_norm"]
-    )
-    rows = (
-        [i] + list(theta) + list(r.minimizer) + [r.converged, r.iterations, r.grad_norm]
-        for i, (theta, r) in enumerate(zip(samples, report.results))
-    )
-    _write_rows(path, header, rows)
 
 
 def save_study(path, study: SampleStudy) -> None:

@@ -1,4 +1,4 @@
-"""Post-optimality sensitivity operator and the minimizer-transport ODE."""
+"""Post-optimality sensitivity operator and the parameter line it is applied along."""
 
 from __future__ import annotations
 
@@ -56,10 +56,6 @@ class SensitivityApply:
     hessian_min_eigenvalue: float
     condition_estimate: float
 
-    @property
-    def definiteness_warning(self) -> bool:
-        return self.hessian_min_eigenvalue <= 0.0
-
 
 def post_optimality_apply(problem, m, theta, dtheta) -> SensitivityApply:
     """Apply D = -H^{-1} B to a parameter direction at the point (m, theta).
@@ -95,16 +91,3 @@ def post_optimality_apply(problem, m, theta, dtheta) -> SensitivityApply:
     result = vecs @ ((vecs.T @ rhs) / evals)
     return SensitivityApply(dtheta, result, min_eig, cond)
 
-
-def ivp_rhs(problem, line: ParameterLine, t: float, m) -> np.ndarray:
-    """Right-hand side of the minimizer-transport ODE at pseudo-time t.
-
-    Evaluates -H^{-1} B (end - start) at (m, theta(t)).  A definiteness
-    failure propagates with the offending t attached.
-    """
-    theta = line.at(t)
-    try:
-        return post_optimality_apply(problem, m, theta, line.direction).result
-    except IndefiniteHessianError as err:
-        err.t = t
-        raise

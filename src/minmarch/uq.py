@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import enum
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DegenerateBandwidthError
-from .marching import MarchConfig, MarchStatus, Scheme, Trajectory, march
-from .newton import NewtonConfig, SolveResult, newton_solve, solve_nominal
+from .marching import MarchConfig, MarchStatus, Scheme, march
+from .newton import NewtonConfig, SolveResult, newton_solve, solve_nominal, to_json_dict
 from .problems.base import ParameterBox
 from .sensitivity import ParameterLine
 
 SLOPE_FLOOR = 1e-13  # errors at roundoff level carry no rate information
+KDE_PADDING = 4.0  # default kde grids extend this many bandwidths past the data
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class SampleRecord:
     theta: np.ndarray
     outcomes: dict[int, MarchOutcome]
     oracle: SolveResult | None = None
-    trajectories: dict[int, Trajectory] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -53,7 +53,7 @@ class SampleStudy:
     def d(self) -> int:
         return self.nominal.minimizer.size
 
-    def euler_finals(self, N: int) -> np.ndarray:
+    def finals(self, N: int) -> np.ndarray:
         return np.vstack([r.outcomes[N].final_state for r in self.records])
 
     def oracle_minimizers(self) -> np.ndarray:
@@ -99,14 +99,8 @@ class SampleStudy:
             "N_list": [int(N) for N in self.N_list],
             "scheme": self.scheme.value,
             "with_oracle": self.with_oracle,
-            "newton_config": {
-                "grad_tol": self.newton_config.grad_tol,
-                "max_iters": self.newton_config.max_iters,
-                "armijo_c": self.newton_config.armijo_c,
-                "backtrack_factor": self.newton_config.backtrack_factor,
-                "max_backtracks": self.newton_config.max_backtracks,
-            },
-            "nominal": _solve_result_to_dict(self.nominal),
+            "newton_config": to_json_dict(self.newton_config),
+            "nominal": to_json_dict(self.nominal),
             "records": [
                 {
                     "index": r.index,
@@ -119,7 +113,7 @@ class SampleStudy:
                         }
                         for N, o in r.outcomes.items()
                     },
-                    "oracle": _solve_result_to_dict(r.oracle) if r.oracle else None,
+                    "oracle": to_json_dict(r.oracle) if r.oracle else None,
                 }
                 for r in self.records
             ],
@@ -159,26 +153,8 @@ class SampleStudy:
         )
 
 
-def _solve_result_to_dict(r: SolveResult) -> dict:
-    return {
-        "minimizer": r.minimizer.tolist(),
-        "objective": r.objective,
-        "grad_norm": r.grad_norm,
-        "iterations": r.iterations,
-        "converged": r.converged,
-        "hessian_min_eigenvalue": r.hessian_min_eigenvalue,
-    }
-
-
 def _solve_result_from_dict(data: dict) -> SolveResult:
-    return SolveResult(
-        minimizer=np.asarray(data["minimizer"], dtype=float),
-        objective=data["objective"],
-        grad_norm=data["grad_norm"],
-        iterations=data["iterations"],
-        converged=data["converged"],
-        hessian_min_eigenvalue=data["hessian_min_eigenvalue"],
-    )
+    return SolveResult(**{**data, "minimizer": np.asarray(data["minimizer"], dtype=float)})
 
 
 @dataclass(frozen=True)
@@ -190,29 +166,20 @@ class _StudyPayload:
     scheme: Scheme
     with_oracle: bool
     newton_config: NewtonConfig
-    record_trajectory: bool
 
 
 def _sample_record(payload: _StudyPayload, index: int, theta: np.ndarray) -> SampleRecord:
     line = ParameterLine(payload.nominal_theta, theta)
     outcomes = {}
-    trajectories = {} if payload.record_trajectory else None
     for N in payload.N_list:
-        traj = march(
-            payload.problem,
-            payload.start,
-            line,
-            MarchConfig(N, payload.scheme, payload.record_trajectory),
-        )
+        traj = march(payload.problem, payload.start, line, MarchConfig(N, payload.scheme))
         outcomes[N] = MarchOutcome(traj.final_state.copy(), traj.status, traj.left_basin)
-        if trajectories is not None:
-            trajectories[N] = traj
     oracle = (
         newton_solve(payload.problem, theta, payload.start, payload.newton_config)
         if payload.with_oracle
         else None
     )
-    return SampleRecord(index, theta, outcomes, oracle, trajectories)
+    return SampleRecord(index, theta, outcomes, oracle)
 
 
 _WORKER_PAYLOAD: _StudyPayload | None = None
@@ -237,9 +204,7 @@ def propagate_study(
     with_oracle: bool = True,
     scheme: Scheme = Scheme.FORWARD_EULER,
     newton_config: NewtonConfig = NewtonConfig(),
-    m0=None,
     workers: int = 1,
-    record_trajectory: bool = False,
 ) -> SampleStudy:
     """Run the full propagation: one nominal solve, then a march per sample.
 
@@ -247,14 +212,15 @@ def propagate_study(
     count in ``N_list``; with ``with_oracle`` each sample is also re-solved by
     Newton as ground truth.  Per-sample work is independent, so ``workers``
     processes may split it; results are assembled in sample order, making the
-    output independent of scheduling.
+    output independent of scheduling.  The pool uses the platform's default
+    start method; under spawn or forkserver the problem must pickle.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or any(N < 1 for N in N_list):
         raise ValueError("N_list must contain positive step counts")
     scheme = Scheme(scheme)
 
-    nominal = solve_nominal(problem, box, m0, newton_config)
+    nominal = solve_nominal(problem, box, newton_config)
     thetas = box.sample(seed, num_samples)
     payload = _StudyPayload(
         problem=problem,
@@ -264,13 +230,12 @@ def propagate_study(
         scheme=scheme,
         with_oracle=with_oracle,
         newton_config=newton_config,
-        record_trajectory=record_trajectory,
     )
 
     tasks = list(enumerate(thetas))
     if workers > 1 and num_samples > 1:
         chunk = max(1, num_samples // (workers * 8))
-        with multiprocessing.get_context("fork").Pool(
+        with multiprocessing.Pool(
             workers, initializer=_init_worker, initargs=(payload,)
         ) as pool:
             records = pool.map(_worker_task, tasks, chunksize=chunk)
@@ -330,12 +295,11 @@ def kde(
     values: np.ndarray,
     grid: tuple[np.ndarray, ...] | np.ndarray | None = None,
     num_points: int | None = None,
-    padding: float = 4.0,
 ) -> DensityEstimate:
     """Kernel density estimate of a 1d or 2d sample cloud.
 
     Bandwidths follow Silverman's rule per coordinate; two-dimensional
-    estimates use a product kernel.  The default grid extends ``padding``
+    estimates use a product kernel.  The default grid extends KDE_PADDING
     bandwidths beyond the sample range so the estimate integrates to one on
     the grid.
     """
@@ -359,8 +323,8 @@ def kde(
         pts = num_points or (401 if d == 1 else 101)
         axes = tuple(
             np.linspace(
-                values[:, k].min() - padding * bw[k],
-                values[:, k].max() + padding * bw[k],
+                values[:, k].min() - KDE_PADDING * bw[k],
+                values[:, k].max() + KDE_PADDING * bw[k],
                 pts,
             )
             for k in range(d)
@@ -398,8 +362,7 @@ class ConvergenceReport:
     ``errors`` has one row per N (columns per decision coordinate for MEAN
     and STD, a single column for PER_SAMPLE).  ``slopes`` holds least-squares
     log-log slopes of error against h, NaN where fewer than three informative
-    points remain after dropping roundoff-level errors.  ``reference_line``
-    is the O(h) guide anchored at the first step count.
+    points remain after dropping roundoff-level errors.
     """
 
     statistic: Statistic
@@ -407,8 +370,6 @@ class ConvergenceReport:
     h: np.ndarray
     errors: np.ndarray
     slopes: np.ndarray
-    excluded_count: int
-    reference_line: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -433,12 +394,11 @@ def summary_errors(study: SampleStudy) -> StudyErrorSummary:
 
     Statistics use the common subset of samples for which every march
     completed and the oracle converged, so all step counts are compared
-    against the same reference; the excluded count is reported.
+    against the same reference.
     """
     if not study.with_oracle:
         raise ValueError("summary_errors requires a study run with the oracle")
     mask = study.valid_mask()
-    excluded = int(study.num_samples - mask.sum())
     if mask.sum() < 2:
         raise ValueError("not enough valid samples to form statistics")
 
@@ -453,7 +413,7 @@ def summary_errors(study: SampleStudy) -> StudyErrorSummary:
     std_err = np.empty((len(N_list), d))
     ps_err = np.empty(len(N_list))
     for i, N in enumerate(N_list):
-        E = study.euler_finals(N)[mask]
+        E = study.finals(N)[mask]
         mean_err[i] = np.abs(E.mean(axis=0) - o_mean)
         std_err[i] = np.abs(E.std(axis=0, ddof=1) - o_std)
         ps_err[i] = np.mean(np.linalg.norm(E - oracle, axis=1))
@@ -461,11 +421,7 @@ def summary_errors(study: SampleStudy) -> StudyErrorSummary:
     def report(stat, errs):
         errs2d = errs if errs.ndim == 2 else errs[:, None]
         slopes = np.array([fit_loglog_slope(h, errs2d[:, k]) for k in range(errs2d.shape[1])])
-        ref = errs2d[0] * (h[:, None] / h[0])
-        return ConvergenceReport(
-            stat, N_list, h, errs, slopes if errs.ndim == 2 else slopes[0:1],
-            excluded, ref if errs.ndim == 2 else ref[:, 0],
-        )
+        return ConvergenceReport(stat, N_list, h, errs, slopes)
 
     return StudyErrorSummary(
         mean=report(Statistic.MEAN, mean_err),
@@ -473,44 +429,3 @@ def summary_errors(study: SampleStudy) -> StudyErrorSummary:
         per_sample=report(Statistic.PER_SAMPLE, ps_err),
     )
 
-
-# ---------------------------------------------------------------------------
-# per-step sensitivity log
-
-
-@dataclass(frozen=True)
-class SensitivityLogRow:
-    sample_index: int
-    step: int
-    t: float
-    rhs_norm: float
-    rhs: np.ndarray
-
-
-def sensitivity_log(study: SampleStudy, N: int | None = None) -> list[SensitivityLogRow]:
-    """Per-sample, per-step right-hand-side values D(m, theta(t)) (theta_end - theta_start).
-
-    Each completed step of each trajectory contributes one row; this is the
-    directional sensitivity information the marching produces as a byproduct.
-    Requires the study to have been run with record_trajectory.
-    """
-    if N is None:
-        N = max(study.N_list)
-    rows: list[SensitivityLogRow] = []
-    for rec in study.records:
-        if rec.trajectories is None:
-            raise ValueError("study was not run with record_trajectory=True")
-        traj = rec.trajectories[N]
-        if traj.rhs_values is None:
-            continue
-        for step, rhs in enumerate(traj.rhs_values):
-            rows.append(
-                SensitivityLogRow(
-                    rec.index,
-                    step,
-                    traj.times[step],
-                    float(np.linalg.norm(rhs)),
-                    rhs,
-                )
-            )
-    return rows

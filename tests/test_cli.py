@@ -111,6 +111,28 @@ class TestStudy:
         assert not (out / "errors_vs_N.csv").exists()
         assert (out / "samples.csv").exists()
 
+    def test_zero_spread_study_skips_densities(self, tmp_path):
+        # every sample equals the nominal parameters, so no minimizer spreads
+        out = tmp_path / "flat"
+        cfg = tmp_path / "flat.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "problem": "logistic1d",
+                    "box": {"nominal": [1.0, 3.0, 0.1], "relative": 0.0},
+                    "num_samples": 40,
+                    "workers": 1,
+                    "output_dir": str(out),
+                }
+            )
+        )
+        assert run(["study", "--config", str(cfg)]) == 0
+        assert (out / "samples.csv").exists()
+        assert (out / "errors_vs_N.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["kde_files"] == []
+        assert not [f for f in os.listdir(out) if f.startswith("kde_")]
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "study.json"
         cfg.write_text(

@@ -196,6 +196,41 @@ def test_march_config_validation():
         MarchConfig(4, "midpoint")
 
 
+class _SinhProblem(mm.Problem):
+    """J = (sinh m - theta)^2 / 2: m*(theta) = asinh(theta), and the rhs depends on m."""
+
+    d = 1
+    p = 1
+    basin_hint = None
+
+    def objective(self, m, theta):
+        return 0.5 * (np.sinh(m[0]) - theta[0]) ** 2
+
+    def gradient(self, m, theta):
+        return np.array([(np.sinh(m[0]) - theta[0]) * np.cosh(m[0])])
+
+    def hessian(self, m, theta):
+        s, c = np.sinh(m[0]), np.cosh(m[0])
+        return np.array([[c**2 + (s - theta[0]) * s]])
+
+    def mixed(self, m, theta):
+        return np.array([[-np.cosh(m[0])]])
+
+
+@pytest.mark.parametrize(
+    "scheme,order", [(Scheme.FORWARD_EULER, 1), (Scheme.HEUN, 2), (Scheme.RK4, 4)]
+)
+def test_tableau_convergence_order(scheme, order):
+    # a wrong tableau coupling, node or weight lowers the fitted order
+    line = ParameterLine(np.array([0.0]), np.array([3.0]))
+    N_list = [4, 8, 16, 32]
+    pairs = mm.march_error_vs_oracle(
+        _SinhProblem(), np.array([0.0]), line, N_list, np.array([np.arcsinh(3.0)]), scheme
+    )
+    slope = mm.fit_loglog_slope([1.0 / N for N in N_list], [e for _, e in pairs])
+    assert abs(slope - order) <= 0.25
+
+
 def test_higher_order_schemes_are_sharper(logistic, logistic_box):
     # same interface, visibly higher order at a fixed step count
     nominal = mm.solve_nominal(logistic, logistic_box)

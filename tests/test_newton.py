@@ -135,28 +135,26 @@ def test_newton_config_validation():
 
 
 class TestReferenceDistribution:
+    """Newton re-solves over a sample set, warm-started from the nominal
+    minimizer as the study oracle runs them."""
+
     def test_degenerate_samples_return_nominal(self, logistic, logistic_box):
         nominal = mm.solve_nominal(logistic, logistic_box)
-        samples = np.tile(THETA_LOGISTIC, (5, 1))
-        batch = mm.reference_distribution(logistic, samples, nominal.minimizer)
-        assert batch.not_converged_count == 0
-        for r in batch.results:
+        for theta in np.tile(THETA_LOGISTIC, (5, 1)):
+            r = mm.newton_solve(logistic, theta, nominal.minimizer)
+            assert r.converged
             assert np.array_equal(r.minimizer, nominal.minimizer)
             assert r.iterations == 0
 
     def test_logistic_batch_all_converge(self, logistic, logistic_box):
         nominal = mm.solve_nominal(logistic, logistic_box)
-        samples = logistic_box.sample(seed=13, count=1000)
-        batch = mm.reference_distribution(logistic, samples, nominal.minimizer)
-        assert batch.not_converged_count == 0
+        for theta in logistic_box.sample(seed=13, count=1000):
+            assert mm.newton_solve(logistic, theta, nominal.minimizer).converged
 
     def test_cold_start_uses_initial_guess(self, logistic, logistic_box):
         nominal = mm.solve_nominal(logistic, logistic_box)
-        samples = logistic_box.sample(seed=13, count=5)
-        warm = mm.reference_distribution(logistic, samples, nominal.minimizer)
-        cold = mm.reference_distribution(
-            logistic, samples, nominal.minimizer, warm_start=False
-        )
-        for a, b in zip(warm.results, cold.results):
-            assert a.converged and b.converged
-            assert np.linalg.norm(a.minimizer - b.minimizer) <= 1e-8
+        for theta in logistic_box.sample(seed=13, count=5):
+            warm = mm.newton_solve(logistic, theta, nominal.minimizer)
+            cold = mm.newton_solve(logistic, theta, logistic.initial_guess())
+            assert warm.converged and cold.converged
+            assert np.linalg.norm(warm.minimizer - cold.minimizer) <= 1e-8

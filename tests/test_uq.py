@@ -1,9 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.marching import MarchStatus
-from minmarch.uq import Statistic
+from minmarch.marching import MarchConfig, MarchStatus, Scheme
+from minmarch.uq import Statistic, _sample_record, _StudyPayload
 
 from conftest import THETA_LOGISTIC
 
@@ -101,6 +103,33 @@ class TestPropagateStudy:
                 )
             assert np.array_equal(a.oracle.minimizer, b.oracle.minimizer)
 
+    @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
+    def test_payload_survives_pickle(
+        self, name, quadratic, double_well, logistic, advdiff,
+        quadratic_box, cubic_box, logistic_box, advdiff_box,
+    ):
+        # workers started by spawn or forkserver receive the payload pickled
+        problem, box = {
+            "quadratic": (quadratic, quadratic_box),
+            "cubic": (double_well, cubic_box),
+            "logistic1d": (logistic, logistic_box),
+            "advdiff": (advdiff, advdiff_box),
+        }[name]
+        nominal = mm.solve_nominal(problem, box)
+        payload = _StudyPayload(
+            problem, box.nominal, nominal.minimizer, (1, 3), Scheme.HEUN, True, mm.NewtonConfig()
+        )
+        theta = box.sample(seed=2, count=1)[0]
+        a = _sample_record(payload, 0, theta)
+        b = _sample_record(pickle.loads(pickle.dumps(payload)), 0, theta)
+        assert a.outcomes.keys() == b.outcomes.keys()
+        for N in a.outcomes:
+            assert np.array_equal(a.outcomes[N].final_state, b.outcomes[N].final_state)
+            assert a.outcomes[N].status is b.outcomes[N].status
+            assert a.outcomes[N].left_basin == b.outcomes[N].left_basin
+        assert np.array_equal(a.oracle.minimizer, b.oracle.minimizer)
+        assert a.oracle.iterations == b.oracle.iterations
+
     def test_bad_n_list(self, logistic, logistic_box):
         with pytest.raises(ValueError):
             mm.propagate_study(logistic, logistic_box, 2, [], seed=0)
@@ -143,51 +172,42 @@ class TestSummaryErrors:
         mask = study.valid_mask()
         assert mask.all()
         errs = np.linalg.norm(
-            study.euler_finals(128) - study.oracle_minimizers(), axis=1
+            study.finals(128) - study.oracle_minimizers(), axis=1
         )
         assert errs.max() <= 5e-3
 
 
 class TestSensitivityLog:
+    """Per-step right-hand sides recorded by a march (the sensitivity log)."""
+
+    @staticmethod
+    def rhs_log(problem, box, theta, N):
+        nominal = mm.solve_nominal(problem, box)
+        line = mm.ParameterLine(box.nominal, theta)
+        config = MarchConfig(N, record_trajectory=True)
+        return mm.march(problem, nominal.minimizer, line, config).rhs_values
+
     def test_zero_direction_rows_are_zero(self, logistic):
         box = mm.ParameterBox(THETA_LOGISTIC, np.zeros(3))
-        study = mm.propagate_study(
-            logistic, box, 1, [4], seed=0, record_trajectory=True
-        )
-        rows = mm.sensitivity_log(study)
-        assert len(rows) == 4
-        for row in rows:
-            assert row.rhs_norm == 0.0
-            np.testing.assert_array_equal(row.rhs, [0.0])
+        rhs = self.rhs_log(logistic, box, THETA_LOGISTIC, 4)
+        assert rhs.shape == (4, 1)
+        assert np.all(np.linalg.norm(rhs, axis=1) == 0.0)
+        np.testing.assert_array_equal(rhs, 0.0)
 
     def test_quadratic_rows_constant(self, quadratic, quadratic_box):
-        study = mm.propagate_study(
-            quadratic, quadratic_box, 3, [4], seed=8, record_trajectory=True
-        )
-        for rec in study.records:
-            dtheta1 = rec.theta[0] - quadratic_box.nominal[0]
-            rows = [r for r in mm.sensitivity_log(study, N=4) if r.sample_index == rec.index]
-            assert len(rows) == 4
-            for row in rows:
-                assert row.rhs[0] == pytest.approx(dtheta1, rel=1e-13)
+        for theta in quadratic_box.sample(seed=8, count=3):
+            dtheta1 = theta[0] - quadratic_box.nominal[0]
+            rhs = self.rhs_log(quadratic, quadratic_box, theta, 4)
+            assert rhs.shape == (4, 1)
+            for row in rhs:
+                assert row[0] == pytest.approx(dtheta1, rel=1e-13)
 
     def test_logistic_rows_vary_smoothly(self, logistic, logistic_box):
-        study = mm.propagate_study(
-            logistic, logistic_box, 5, [16], seed=8, record_trajectory=True
-        )
-        rows = mm.sensitivity_log(study)
-        assert all(np.isfinite(r.rhs_norm) for r in rows)
-        for rec in study.records:
-            f = np.array(
-                [r.rhs[0] for r in rows if r.sample_index == rec.index]
-            )
+        for theta in logistic_box.sample(seed=8, count=5):
+            f = self.rhs_log(logistic, logistic_box, theta, 16)[:, 0]
+            assert np.all(np.isfinite(f))
             scale = 1.0 + np.max(np.abs(f))
             assert np.max(np.abs(np.diff(f))) <= 0.3 * scale
-
-    def test_requires_recorded_trajectories(self, logistic, logistic_box):
-        study = mm.propagate_study(logistic, logistic_box, 2, [2], seed=0)
-        with pytest.raises(ValueError):
-            mm.sensitivity_log(study)
 
 
 def test_study_serialization_roundtrip(tmp_path, logistic, logistic_box):
