@@ -96,12 +96,12 @@ _TOP_KEYS = {
 _BOX_KEYS = {"nominal", "relative", "half_widths"}
 _ADVDIFF_OPTION_KEYS = {"grid_cells", "beta", "m_true", "m_prior", "noise_std", "noise_seed"}
 
-# derivative-check pass thresholds; the PDE problem tolerates FD-through-solver noise
+# derivative-check pass thresholds
 CHECK_TOLERANCES = {
     "quadratic": 1e-7,
     "cubic": 1e-6,
     "logistic1d": 1e-6,
-    "advdiff": 1e-4,
+    "advdiff": 1e-6,
 }
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from ..derivatives import DEFAULT_FD_STEP, fd_jacobian, fd_second_derivatives
 from ..exceptions import BvpSolveError
 from .base import Problem, as_vector
 
@@ -131,6 +130,14 @@ class AdvectionDiffusionModel:
         out[-1] = -(alpha / kappa) * y[-1]
         return out
 
+    def apply_dA_dalpha(self, y, m, theta) -> np.ndarray:
+        kappa, v = float(m[0]), float(m[1])
+        dx = self.dx
+        out = np.zeros_like(y)
+        out[0] = (2.0 / dx + v / kappa) * y[0]
+        out[-1] = (2.0 / dx - v / kappa) * y[-1]
+        return out
+
 
 def synthesize_observations(
     model: AdvectionDiffusionModel,
@@ -154,8 +161,20 @@ class AdvDiffInverseProblem(Problem):
     with the misfit integral taken by the trapezoid rule on the solution grid.
     The gradient is exact for the discrete objective: forward sensitivities
     w_i solve A w_i = -(dA/dm_i) u, giving g_i = <u - u_obs, w_i> + beta
-    (m_i - m_prior_i).  Second derivatives come from central differences of
-    that exact gradient.
+    (m_i - m_prior_i).
+
+    Second derivatives are exact for the discrete objective too, by the
+    second-order adjoint method.  With x = (kappa, v, a, c, alpha), W the
+    trapezoid weights and subscripts for derivatives in x, three banded
+    solves with the one matrix A(m, theta) or its transpose give the state u
+    (A u = s), the sensitivities u_j (A u_j = s_j - A_j u) and the adjoint
+    lambda (A^T lambda = W (u - u_obs)).  Then for m_i in m and x_j in x
+
+        d2J/(dm_i dx_j) = u_i^T W u_j - lambda^T (A_ij u + A_i u_j + A_j u_i)
+                          + beta delta_ij,
+
+    where A_ij is nonzero only in the two boundary diagonal entries, through
+    +-v alpha / kappa, and s_ij = 0 because the source does not depend on m.
     """
 
     d = 2
@@ -167,7 +186,6 @@ class AdvDiffInverseProblem(Problem):
         u_obs: np.ndarray,
         m_prior,
         beta: float,
-        fd_step: float = DEFAULT_FD_STEP,
         basin_hint=(np.array([0.005, -0.5]), np.array([0.5, 1.5])),
     ):
         u_obs = np.asarray(u_obs, dtype=float)
@@ -179,7 +197,6 @@ class AdvDiffInverseProblem(Problem):
         self.u_obs = u_obs
         self.m_prior = as_vector(m_prior, "m_prior")
         self.beta = float(beta)
-        self.fd_step = float(fd_step)
         self.basin_hint = basin_hint
         # trapezoid weights, including dx
         w = np.full(model.grid_cells + 1, model.dx)
@@ -220,14 +237,48 @@ class AdvDiffInverseProblem(Problem):
         return self.objective_gradient(m, theta)[1]
 
     def hessian(self, m, theta):
-        H_raw = fd_jacobian(lambda mm: self.gradient(mm, theta), np.asarray(m, float), self.fd_step)
-        return 0.5 * (H_raw + H_raw.T)
+        return self.hessian_and_mixed(m, theta)[0]
 
     def mixed(self, m, theta):
-        return fd_jacobian(lambda tt: self.gradient(m, tt), np.asarray(theta, float), self.fd_step)
+        return self.hessian_and_mixed(m, theta)[1]
 
     def hessian_and_mixed(self, m, theta):
-        return fd_second_derivatives(self.gradient, m, theta, self.fd_step)
+        model = self.model
+        kappa, v = float(m[0]), float(m[1])
+        a, c, alpha = (float(t) for t in theta)
+        u = model.solve(m, theta)
+        lower, diag, upper = model._bands(kappa, v, alpha)
+        dA = (model.apply_dA_dkappa, model.apply_dA_dv, model.apply_dA_dalpha)
+        bump = model.source(1.0, c)
+        rhs = np.column_stack(
+            [
+                -dA[0](u, m, theta),
+                -dA[1](u, m, theta),
+                bump,
+                400.0 * a * (model.nodes - c) * bump,
+                -dA[2](u, m, theta),
+            ]
+        )
+        U = model._solve_system(lower, diag, upper, rhs)
+        # A^T has the off-diagonal bands swapped
+        lam = model._solve_system(upper, diag, lower, self._trap * (u - self.u_obs))
+
+        # P[k, j] = lambda^T A_k u_j; rows a and c stay zero since A does not
+        # depend on them
+        P = np.zeros((5, 5))
+        P[[0, 1, 4]] = [lam @ op(U, m, theta) for op in dA]
+        # lambda^T A_ij u: only the boundary diagonal terms +-v alpha / kappa
+        # have second derivatives
+        q = lam[0] * u[0] - lam[-1] * u[-1]
+        curvature = q * np.array(
+            [
+                [2.0 * v * alpha / kappa**3, -alpha / kappa**2, 0.0, 0.0, -v / kappa**2],
+                [-alpha / kappa**2, 0.0, 0.0, 0.0, 1.0 / kappa],
+            ]
+        )
+        F = U[:, :2].T @ (self._trap[:, None] * U) - P[:2] - P[:, :2].T - curvature
+        H = F[:, :2] + self.beta * np.eye(2)
+        return 0.5 * (H + H.T), F[:, 2:]
 
     def initial_guess(self):
         return self.m_prior.copy()

@@ -119,8 +119,10 @@ class ParameterBox:
         return self.nominal + self.half_widths
 
     def contains(self, theta) -> bool:
+        # compared with the rounded bounds, not |theta - nominal| <= half_widths:
+        # that form rejects draws of ``sample`` that round past a tiny half-width
         theta = np.asarray(theta, dtype=float)
-        return bool(np.all(np.abs(theta - self.nominal) <= self.half_widths))
+        return bool(np.all((self.lower <= theta) & (theta <= self.upper)))
 
     def require_member(self, theta) -> np.ndarray:
         """Validate membership, naming the first violating coordinate."""
@@ -129,7 +131,7 @@ class ParameterBox:
             raise ValueError(
                 f"theta has length {theta.size}, expected {self.p}"
             )
-        outside = np.abs(theta - self.nominal) > self.half_widths
+        outside = (theta < self.lower) | (theta > self.upper)
         if np.any(outside):
             k = int(np.argmax(outside))
             raise ValueError(

@@ -7,6 +7,29 @@ THETA_LOGISTIC = np.array([1.0, 3.0, 0.1])
 THETA_ADVDIFF = np.array([10.0, 0.05, 1.0])
 
 
+def objective_second_differences(problem, m, theta, step=1e-5):
+    """Hessian and mixed derivative from 4-point second differences of J alone.
+
+    No gradient is involved, so this is an oracle independent of both the
+    problem's second derivatives and its gradient.
+    """
+
+    def d2(i_kind, i, j_kind, j):
+        def shifted(si, sj):
+            mm_, th_ = m.copy(), theta.copy()
+            (mm_ if i_kind == "m" else th_)[i] += si * step
+            (mm_ if j_kind == "m" else th_)[j] += sj * step
+            return problem.objective(mm_, th_)
+
+        return (
+            shifted(+1, +1) - shifted(+1, -1) - shifted(-1, +1) + shifted(-1, -1)
+        ) / (4.0 * step**2)
+
+    H = np.array([[d2("m", i, "m", j) for j in range(m.size)] for i in range(m.size)])
+    B = np.array([[d2("m", i, "t", j) for j in range(theta.size)] for i in range(m.size)])
+    return H, B
+
+
 @pytest.fixture(scope="session")
 def quadratic():
     return mm.QuadraticProblem()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import minmarch as mm
+import minmarch.problems.advdiff as advdiff_module
+from minmarch.derivatives import _max_rel_error
 from minmarch.problems.advdiff import AdvectionDiffusionModel
 
-from conftest import THETA_ADVDIFF
+from conftest import THETA_ADVDIFF, objective_second_differences
 
 M_TRUE = np.array([0.05, 0.4])
 
@@ -96,6 +98,80 @@ def test_gradient_fd_at_random_points(advdiff, advdiff_box):
         g_fd = fd_gradient(lambda mm_: advdiff.objective(mm_, theta), m)
         denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(g_fd)))
         assert np.max(np.abs(g - g_fd) / denom) <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "index, method",
+    [(0, "apply_dA_dkappa"), (1, "apply_dA_dv"), (2, "apply_dA_dalpha")],
+    ids=["kappa", "v", "alpha"],
+)
+def test_dA_operators_match_differences_of_apply_operator(index, method):
+    """Each dA operator equals central differences of A y in its coefficient."""
+    model = AdvectionDiffusionModel(64)
+    coeffs = np.array([0.05, 0.4, 1.0])  # kappa, v, alpha
+    y = np.random.default_rng(9).normal(size=65)
+
+    def operator_at(step):
+        kappa, v, alpha = coeffs + step * np.eye(3)[index]
+        return model.apply_operator(y, (kappa, v), (0.0, 0.0, alpha))
+
+    h = 1e-6
+    diff = (operator_at(h) - operator_at(-h)) / (2.0 * h)
+    exact = getattr(model, method)(y, coeffs[:2], (0.0, 0.0, coeffs[2]))
+    np.testing.assert_allclose(exact, diff, rtol=1e-7, atol=1e-8 * np.max(np.abs(diff)))
+
+
+def test_exact_second_derivatives_match_fd_off_truth(advdiff, advdiff_box):
+    """Exact H and B match FD of the exact gradient where the data misfit is nonzero.
+
+    At the truth point the residual and the adjoint vanish, so only points
+    away from it check the adjoint terms.
+    """
+    rng = np.random.default_rng(23)
+    lo, hi = advdiff.basin_hint
+    for _ in range(12):
+        m = rng.uniform(lo, hi)
+        theta = advdiff_box.nominal + advdiff_box.half_widths * rng.uniform(-1, 1, 3)
+        H, B = advdiff.hessian_and_mixed(m, theta)
+        H_fd, B_fd = mm.fd_second_derivatives(advdiff.gradient, m, theta)
+        assert _max_rel_error(H, H_fd) <= 1e-5
+        assert _max_rel_error(B, B_fd) <= 1e-5
+
+
+def test_exact_second_derivatives_vs_pure_objective_differences(advdiff):
+    m = np.array([0.06, 0.32])
+    H_oracle, B_oracle = objective_second_differences(advdiff, m, THETA_ADVDIFF)
+    H, B = advdiff.hessian_and_mixed(m, THETA_ADVDIFF)
+    np.testing.assert_allclose(H, H_oracle, rtol=1e-4, atol=1e-6)
+    np.testing.assert_allclose(B, B_oracle, rtol=1e-4, atol=1e-6)
+
+
+def test_hessian_and_mixed_agree_with_single_evaluators(advdiff):
+    m, theta = np.array([0.06, 0.32]), np.array([9.0, 0.055, 1.1])
+    H, B = advdiff.hessian_and_mixed(m, theta)
+    assert np.array_equal(advdiff.hessian(m, theta), H)
+    assert np.array_equal(advdiff.mixed(m, theta), B)
+    assert np.array_equal(H, H.T)
+
+
+def test_hessian_and_mixed_makes_three_solves(advdiff, monkeypatch):
+    """State, sensitivities and adjoint: one banded solve each, one matrix."""
+    matrices = []
+    solve_banded = advdiff_module.solve_banded
+
+    def counting_solve(l_and_u, ab, rhs):
+        matrices.append(ab.copy())
+        return solve_banded(l_and_u, ab, rhs)
+
+    monkeypatch.setattr(advdiff_module, "solve_banded", counting_solve)
+    advdiff.hessian_and_mixed(np.array([0.06, 0.32]), THETA_ADVDIFF)
+    assert len(matrices) == 3
+    forward, sensitivities, adjoint = matrices
+    assert np.array_equal(forward, sensitivities)
+    # the adjoint solves with A^T: same diagonal, off-diagonal bands swapped
+    assert np.array_equal(adjoint[1], forward[1])
+    assert np.array_equal(adjoint[0, 1:], forward[2, :-1])
+    assert np.array_equal(adjoint[2, :-1], forward[0, 1:])
 
 
 def test_large_regularization_pulls_to_prior():

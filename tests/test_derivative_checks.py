@@ -4,7 +4,7 @@ import pytest
 import minmarch as mm
 from minmarch.derivatives import fd_gradient, fd_jacobian
 
-from conftest import THETA_ADVDIFF, THETA_LOGISTIC
+from conftest import THETA_ADVDIFF, THETA_LOGISTIC, objective_second_differences
 
 
 def test_quadratic_check_is_exact_to_roundoff(quadratic):
@@ -20,7 +20,7 @@ def test_logistic_check(logistic):
 
 def test_advdiff_check_at_truth(advdiff):
     report = mm.check_derivatives(advdiff, np.array([0.05, 0.4]), THETA_ADVDIFF)
-    assert report.worst() <= 1e-4
+    assert report.worst() <= 1e-6
 
 
 def test_fd_step_validation(quadratic):
@@ -53,21 +53,7 @@ def test_fd_second_derivatives_advdiff_vs_pure_objective_differences(advdiff):
     # oracle: 4-point second differences of J alone, no gradient involved
     m = np.array([0.06, 0.32])
     theta = THETA_ADVDIFF.copy()
-    step = 1e-5
-
-    def d2(i_kind, i, j_kind, j):
-        def shifted(si, sj):
-            mm_, th_ = m.copy(), theta.copy()
-            (mm_ if i_kind == "m" else th_)[i] += si * step
-            (mm_ if j_kind == "m" else th_)[j] += sj * step
-            return advdiff.objective(mm_, th_)
-
-        return (
-            shifted(+1, +1) - shifted(+1, -1) - shifted(-1, +1) + shifted(-1, -1)
-        ) / (4.0 * step**2)
-
-    H_oracle = np.array([[d2("m", i, "m", j) for j in range(2)] for i in range(2)])
-    B_oracle = np.array([[d2("m", i, "t", j) for j in range(3)] for i in range(2)])
+    H_oracle, B_oracle = objective_second_differences(advdiff, m, theta)
 
     H, B = mm.fd_second_derivatives(advdiff.gradient, m, theta)
     np.testing.assert_allclose(H, H_oracle, rtol=1e-4, atol=1e-6)
