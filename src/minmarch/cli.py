@@ -453,6 +453,7 @@ def cmd_study(args) -> int:
         "newton": to_json_dict(study.newton_config),
         "timings_sec": timings,
         "failure_counts": study.failure_counts(),
+        "counters": study.counters,
         "excluded_from_statistics": int(cfg.num_samples - study.valid_mask().sum()),
         "nominal": to_json_dict(study.nominal),
         "fitted_slopes": slopes,

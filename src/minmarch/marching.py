@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import BvpSolveError, IndefiniteHessianError, StationarityError
+from .exceptions import StationarityError
 from .problems.base import as_vector
 from .sensitivity import ParameterLine, post_optimality_apply
 
@@ -91,18 +91,64 @@ class Trajectory:
         return self.states[-1]
 
 
-def march(problem, start_minimizer, line: ParameterLine, config: MarchConfig) -> Trajectory:
-    """March the minimizer from line.start to line.end in pseudo-time.
+@dataclass
+class BlockMarch:
+    """Marches of S samples taken in lockstep; index s on any axis is sample s.
 
-    ``start_minimizer`` must already be stationary at the starting
-    parameters; the marcher refuses to repair a bad initial condition
-    silently.  Each of the num_steps steps of length h = 1/num_steps runs
-    the stages of the scheme's tableau; forward Euler applies exactly
-    m_{n+1} = m_n + h f(t_n, m_n).  The final state approximates the
-    minimizer at line.end.
+    ``states`` (N+1, S, d) holds the iterates; from the step where a sample's
+    march aborts on, its row repeats the last good state.  ``steps_done``
+    counts each sample's completed steps, so an aborted march failed at
+    pseudo-time steps_done / N.  ``min_eigenvalues`` (N, S) and
+    ``rhs_values`` (N, S, d) are NaN past a sample's completed steps.
+    ``rhs_evals`` counts the stage evaluations made for each sample.
     """
-    m = as_vector(start_minimizer, "start_minimizer").copy()
-    value, g = problem.objective_gradient(m, line.start)
+
+    num_steps: int
+    states: np.ndarray
+    steps_done: np.ndarray
+    statuses: list[MarchStatus]
+    rhs_evals: np.ndarray
+    min_eigenvalues: np.ndarray
+    left_basin: np.ndarray
+    rhs_values: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def finals(self) -> np.ndarray:
+        return self.states[-1]
+
+    def trajectory(self, s: int) -> Trajectory:
+        """Sample s's march on its own."""
+        n = int(self.steps_done[s])
+        status = self.statuses[s]
+        rhs = self.rhs_values
+        return Trajectory(
+            times=np.arange(n + 1) / self.num_steps,
+            states=self.states[: n + 1, s].copy(),
+            rhs_evals=int(self.rhs_evals[s]),
+            min_eigenvalues=self.min_eigenvalues[:n, s].copy(),
+            status=status,
+            left_basin=bool(self.left_basin[s]),
+            rhs_values=rhs[:n, s].copy() if rhs is not None and n else None,
+            failure_time=None if status is MarchStatus.COMPLETED else n / self.num_steps,
+        )
+
+
+def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchConfig) -> BlockMarch:
+    """March the minimizer from lines.start to each row of lines.end in lockstep.
+
+    ``lines.end`` is a stack (S, p) of sampled parameters; all S marches
+    start from ``start_minimizer``, which must already be stationary at
+    lines.start: the marcher refuses to repair a bad initial condition
+    silently.  Each of the num_steps steps of length h = 1/num_steps runs the
+    stages of the scheme's tableau on the samples still marching; forward
+    Euler applies exactly m_{n+1} = m_n + h f(t_n, m_n).  A sample whose
+    Hessian turns indefinite (ABORTED_INDEFINITE) or whose right-hand side
+    or next state is non-finite (ABORTED_NONFINITE) stops at its last good
+    state and is not evaluated again; the others march on.  Every operation
+    is row-wise, so a sample's march does not depend on its blockmates.
+    """
+    m0 = as_vector(start_minimizer, "start_minimizer")
+    value, g = problem.objective_gradient(m0, lines.start)
     if np.linalg.norm(g) > STATIONARITY_TOL * (1.0 + abs(value)):
         raise StationarityError(
             f"start_minimizer is not stationary at the line start: "
@@ -113,58 +159,80 @@ def march(problem, start_minimizer, line: ParameterLine, config: MarchConfig) ->
     tableau = TABLEAUX[config.scheme]
     N = config.num_steps
     h = 1.0 / N
-    direction = line.direction
-    states = [m]
-    min_eigs: list[float] = []
-    rhs_log: list[np.ndarray] = []
-    rhs_evals = 0
-    status = MarchStatus.COMPLETED
-    failure_time = None
+    direction = lines.direction
+    S, d = direction.shape[0], m0.size
+    states = np.empty((N + 1, S, d))
+    states[0] = m0
+    steps_done = np.full(S, N)
+    statuses = [MarchStatus.COMPLETED] * S
+    rhs_evals = np.zeros(S, dtype=int)
+    min_eigs = np.full((N, S), np.nan)
+    rhs_log = np.full((N, S, d), np.nan) if config.record_trajectory else None
+    marching = np.arange(S)  # samples not aborted yet
+
+    def abort(rows, status, n):
+        for s in rows:
+            statuses[s] = status
+        steps_done[rows] = n
 
     for n in range(N):
-        ks: list[np.ndarray] = []
-        eigs: list[float] = []
-        try:
-            for c, couplings in zip(tableau.nodes, tableau.couplings):
-                state = m
-                for j, a in couplings:
-                    state = state + (a * h) * ks[j]
-                apply = post_optimality_apply(problem, state, line.at((n + c) / N), direction)
-                rhs_evals += 1
-                ks.append(apply.result)
-                eigs.append(apply.hessian_min_eigenvalue)
-        except IndefiniteHessianError:
-            status = MarchStatus.ABORTED_INDEFINITE
-        except BvpSolveError:
-            status = MarchStatus.ABORTED_NONFINITE
-        else:
-            increment = tableau.weights[0] * ks[0]
-            for w, k in zip(tableau.weights[1:], ks[1:]):
-                increment = increment + w * k
-            m_next = m + h * (increment / tableau.denominator)
-            if not np.all(np.isfinite(m_next)):
-                status = MarchStatus.ABORTED_NONFINITE
-        if status is not MarchStatus.COMPLETED:
-            failure_time = n / N
-            break
+        states[n + 1] = states[n]
+        m = states[n, marching]
+        ks = np.empty((len(tableau.nodes), marching.size, d))
+        step_min = np.full(marching.size, np.inf)
+        live = np.arange(marching.size)  # positions in `marching` still healthy this step
+        for i, (c, couplings) in enumerate(zip(tableau.nodes, tableau.couplings)):
+            if not live.size:
+                break
+            rows = marching[live]
+            state = m[live]
+            for j, a in couplings:
+                state = state + (a * h) * ks[j, live]
+            apply = post_optimality_apply(
+                problem, state, lines.at((n + c) / N)[rows], direction[rows]
+            )
+            rhs_evals[rows] += 1
+            ks[i, live] = apply.result
+            step_min[live] = np.minimum(step_min[live], apply.hessian_min_eigenvalue)
+            nonfinite = apply.definite & ~np.isfinite(apply.result).all(axis=1)
+            abort(rows[~apply.definite], MarchStatus.ABORTED_INDEFINITE, n)
+            abort(rows[nonfinite], MarchStatus.ABORTED_NONFINITE, n)
+            live = live[apply.definite & ~nonfinite]
 
-        min_eigs.append(min(eigs))
-        if config.record_trajectory:
-            rhs_log.append(ks[0])
-        m = m_next
-        states.append(m)
+        increment = tableau.weights[0] * ks[0, live]
+        for w, k in zip(tableau.weights[1:], ks[1:]):
+            increment = increment + w * k[live]
+        m_next = m[live] + h * (increment / tableau.denominator)
+        finite = np.isfinite(m_next).all(axis=1)
+        abort(marching[live[~finite]], MarchStatus.ABORTED_NONFINITE, n)
+        live = live[finite]
+        rows = marching[live]
+        states[n + 1, rows] = m_next[finite]
+        min_eigs[n, rows] = step_min[live]
+        if rhs_log is not None:
+            rhs_log[n, rows] = ks[0, live]
+        marching = rows
 
-    stacked = np.vstack(states)
-    return Trajectory(
-        times=np.arange(len(states)) / N,
-        states=stacked,
+    return BlockMarch(
+        num_steps=N,
+        states=states,
+        steps_done=steps_done,
+        statuses=statuses,
         rhs_evals=rhs_evals,
-        min_eigenvalues=np.asarray(min_eigs),
-        status=status,
-        left_basin=not problem.in_basin(stacked),
-        rhs_values=np.vstack(rhs_log) if rhs_log else None,
-        failure_time=failure_time,
+        min_eigenvalues=min_eigs,
+        left_basin=~problem.in_basin(states),
+        rhs_values=rhs_log,
     )
+
+
+def march(problem, start_minimizer, line: ParameterLine, config: MarchConfig) -> Trajectory:
+    """March the minimizer from line.start to line.end in pseudo-time.
+
+    The single-sample case of ``march_block``; the final state approximates
+    the minimizer at line.end.
+    """
+    lines = ParameterLine(line.start, line.end[None])
+    return march_block(problem, start_minimizer, lines, config).trajectory(0)
 
 
 def march_error_vs_oracle(

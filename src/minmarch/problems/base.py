@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import BvpSolveError
+
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-d float array of length >= 1."""
@@ -57,21 +59,45 @@ class Problem(abc.ABC):
         """Hessian and mixed derivative together; override when they share work."""
         return self.hessian(m, theta), self.mixed(m, theta)
 
+    def hessian_and_mixed_stack(self, M, Theta) -> tuple[np.ndarray, np.ndarray]:
+        """Hessians (S, d, d) and mixed derivatives (S, d, p) of S points at once.
+
+        Row s is ``hessian_and_mixed(M[s], Theta[s])`` for M of shape (S, d)
+        and Theta of shape (S, p).  A row whose evaluation raises
+        BvpSolveError comes back as NaN, so one failed point does not stop
+        the others.  This default loops over the rows; problems with
+        closed-form derivatives override it with broadcasting formulas.
+        """
+        S, d = M.shape
+        H = np.empty((S, d, d))
+        B = np.empty((S, d, Theta.shape[1]))
+        for s in range(S):
+            try:
+                H[s], B[s] = self.hessian_and_mixed(M[s], Theta[s])
+            except BvpSolveError:
+                H[s] = B[s] = np.nan
+        return H, B
+
     def initial_guess(self) -> np.ndarray:
         """Default starting point for the nominal solve."""
         raise NotImplementedError
 
-    def in_basin(self, m: np.ndarray) -> bool:
-        """True when m lies strictly inside basin_hint (or no hint is set).
+    def in_basin(self, m: np.ndarray):
+        """Whether points lie strictly inside basin_hint (always, when no hint is set).
 
-        ``m`` is one point of shape (d,) or a stack of points of shape (n, d);
-        a stack is inside only when every point is.  The marcher checks all
-        iterates of a march in one call, so overrides must accept both.
+        ``m`` is one point (d,), the iterates of one march (n, d), or the
+        iterates of S marches (n, S, d).  The first two give one bool, inside
+        only when every point is; a stack of marches gives a bool array of
+        shape (S,), one answer per march.  The marcher checks all iterates of
+        a block of marches in one call, so overrides must accept all three.
         """
+        m = np.asarray(m)
         if self.basin_hint is None:
-            return True
-        lo, hi = self.basin_hint
-        return bool(np.all(m > lo) and np.all(m < hi))
+            inside = np.ones(m.shape[:-1], dtype=bool)
+        else:
+            lo, hi = self.basin_hint
+            inside = np.all((m > lo) & (m < hi), axis=-1)
+        return inside.all(axis=0) if m.ndim == 3 else bool(inside.all())
 
 
 @dataclass(frozen=True)

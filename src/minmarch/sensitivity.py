@@ -15,15 +15,23 @@ _SINGULAR_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class ParameterLine:
-    """Straight segment from a nominal parameter vector to a sampled one."""
+    """Straight segments from a nominal parameter vector to sampled ones.
+
+    ``end`` is one sampled vector (p,) or a stack of them (S, p), one segment
+    per row, all starting at ``start``.
+    """
 
     start: np.ndarray
     end: np.ndarray
 
     def __post_init__(self):
         start = as_vector(self.start, "start")
-        end = as_vector(self.end, "end")
-        if start.shape != end.shape:
+        end = np.asarray(self.end, dtype=float)
+        if end.ndim == 2:
+            as_vector(end.ravel(), "end")
+        else:
+            end = as_vector(end, "end")
+        if end.shape[-1] != start.size:
             raise ValueError("start and end must have the same length")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
@@ -33,11 +41,11 @@ class ParameterLine:
         return self.end - self.start
 
     def at(self, t: float) -> np.ndarray:
-        """Point on the segment at pseudo-time t; endpoints are returned exactly."""
+        """Point on each segment at pseudo-time t; endpoints are returned exactly."""
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t={t!r} outside [0, 1]")
         if t == 0.0:
-            return self.start.copy()
+            return np.broadcast_to(self.start, self.end.shape).copy()
         if t == 1.0:
             return self.end.copy()
         return self.start + t * (self.end - self.start)
@@ -49,45 +57,66 @@ class SensitivityApply:
 
     ``result`` solves H result = -B direction.  The smallest Hessian
     eigenvalue and a condition estimate are recorded at the evaluation point.
+    For a stack of points every field has one row per point, and
+    ``definite`` marks the rows whose Hessian is positive definite; a single
+    point with an indefinite Hessian raises instead.
     """
 
     direction: np.ndarray
     result: np.ndarray
-    hessian_min_eigenvalue: float
-    condition_estimate: float
+    hessian_min_eigenvalue: float | np.ndarray
+    condition_estimate: float | np.ndarray
+    definite: bool | np.ndarray = True
 
 
 def post_optimality_apply(problem, m, theta, dtheta) -> SensitivityApply:
     """Apply D = -H^{-1} B to a parameter direction at the point (m, theta).
 
-    Uses a dense symmetric eigendecomposition, which doubles as the
-    definiteness diagnostic.  Raises IndefiniteHessianError when the Hessian
-    is singular or not positive definite: continuing there would track a
-    stationary point that is not a local minimizer.
+    ``m``, ``theta`` and ``dtheta`` are one point, (d,), (p,) and (p,), or S
+    points stacked row-wise, (S, d), (S, p) and (S, p); every operation is
+    row-wise, so a row's result does not depend on its stack.  A dense
+    symmetric eigendecomposition per row doubles as the definiteness
+    diagnostic.  A singular or indefinite Hessian raises
+    IndefiniteHessianError for a single point and clears ``definite`` for a
+    stacked row: continuing there would track a stationary point that is not
+    a local minimizer.  Rows with non-finite derivatives get a non-finite
+    result.
     """
-    m = np.asarray(m, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    dtheta = np.asarray(dtheta, dtype=float)
+    single = np.ndim(m) == 1
+    M = np.atleast_2d(np.asarray(m, dtype=float))
+    Theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    dTheta = np.atleast_2d(np.asarray(dtheta, dtype=float))
 
-    H, B = problem.hessian_and_mixed(m, theta)
-    rhs = -(B @ dtheta)
+    H, B = problem.hessian_and_mixed_stack(M, Theta)
+    rhs = -(B @ dTheta[..., None])[..., 0]
 
-    if H.shape == (1, 1):
-        h = H[0, 0]
-        if h <= 0.0:
-            raise IndefiniteHessianError(
-                f"Hessian is not positive definite (eigenvalue {h!r})", h
+    # rows with a zero eigenvalue divide by it; they are flagged below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if H.shape[1] == 1:
+            min_eig = H[:, 0, 0]
+            indefinite = min_eig <= 0.0
+            result = rhs / H[:, 0]
+            cond = np.ones_like(min_eig)
+        else:
+            # eigh reads one triangle and has no defined result for non-finite
+            # input, so those rows stay NaN
+            finite = np.isfinite(H).all(axis=(1, 2))
+            evals = np.full(H.shape[:2], np.nan)
+            vecs = np.full(H.shape, np.nan)
+            evals[finite], vecs[finite] = np.linalg.eigh(H[finite])
+            min_eig = evals[:, 0]
+            indefinite = (min_eig <= 0.0) | (
+                min_eig <= _SINGULAR_RTOL * np.abs(evals[:, -1])
             )
-        return SensitivityApply(dtheta, rhs / h, h, 1.0)
+            cond = evals[:, -1] / min_eig
+            coords = (vecs.swapaxes(1, 2) @ rhs[..., None])[..., 0] / evals
+            result = (vecs @ coords[..., None])[..., 0]
 
-    evals, vecs = np.linalg.eigh(H)
-    min_eig = float(evals[0])
-    if min_eig <= 0.0 or min_eig <= _SINGULAR_RTOL * abs(float(evals[-1])):
+    if not single:
+        return SensitivityApply(dTheta, result, min_eig, cond, ~indefinite)
+    if indefinite[0]:
         raise IndefiniteHessianError(
-            f"Hessian is singular or indefinite (min eigenvalue {min_eig!r})",
-            min_eig,
+            f"Hessian is singular or not positive definite (min eigenvalue {min_eig[0]!r})",
+            float(min_eig[0]),
         )
-    cond = float(evals[-1] / evals[0])
-    result = vecs @ ((vecs.T @ rhs) / evals)
-    return SensitivityApply(dtheta, result, min_eig, cond)
-
+    return SensitivityApply(dTheta[0], result[0], float(min_eig[0]), float(cond[0]))

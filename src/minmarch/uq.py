@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import enum
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import DegenerateBandwidthError
-from .marching import MarchConfig, MarchStatus, Scheme, march
+from .marching import MarchConfig, MarchStatus, Scheme, march_block
 from .newton import NewtonConfig, SolveResult, newton_solve, solve_nominal, to_json_dict
 from .problems.base import ParameterBox
 from .sensitivity import ParameterLine
@@ -48,6 +48,8 @@ class SampleStudy:
     newton_config: NewtonConfig
     nominal: SolveResult
     records: list[SampleRecord]
+    # work done by the run that produced the study; not part of study.json
+    counters: dict = field(default_factory=dict, compare=False)
 
     @property
     def d(self) -> int:
@@ -168,18 +170,34 @@ class _StudyPayload:
     newton_config: NewtonConfig
 
 
-def _sample_record(payload: _StudyPayload, index: int, theta: np.ndarray) -> SampleRecord:
-    line = ParameterLine(payload.nominal_theta, theta)
-    outcomes = {}
+def _propagate_block(payload: _StudyPayload, task) -> tuple[list[SampleRecord], int]:
+    """Records of one contiguous block of samples, and the RHS evaluations it made.
+
+    ``task`` is (index of the first sample, thetas of shape (S, p)).  The
+    block is marched in lockstep once per step count; the Newton oracle runs
+    per sample.
+    """
+    first, thetas = task
+    lines = ParameterLine(payload.nominal_theta, thetas)
+    outcomes: list[dict[int, MarchOutcome]] = [{} for _ in thetas]
+    rhs_evals = 0
     for N in payload.N_list:
-        traj = march(payload.problem, payload.start, line, MarchConfig(N, payload.scheme))
-        outcomes[N] = MarchOutcome(traj.final_state.copy(), traj.status, traj.left_basin)
-    oracle = (
-        newton_solve(payload.problem, theta, payload.start, payload.newton_config)
-        if payload.with_oracle
-        else None
-    )
-    return SampleRecord(index, theta, outcomes, oracle)
+        block = march_block(payload.problem, payload.start, lines, MarchConfig(N, payload.scheme))
+        rhs_evals += int(block.rhs_evals.sum())
+        # copies, so the block's iterates are freed before the next step count
+        for s, by_N in enumerate(outcomes):
+            by_N[N] = MarchOutcome(
+                block.finals[s].copy(), block.statuses[s], bool(block.left_basin[s])
+            )
+    records = []
+    for s, (theta, by_N) in enumerate(zip(thetas, outcomes)):
+        oracle = (
+            newton_solve(payload.problem, theta, payload.start, payload.newton_config)
+            if payload.with_oracle
+            else None
+        )
+        records.append(SampleRecord(first + s, theta, by_N, oracle))
+    return records, rhs_evals
 
 
 _WORKER_PAYLOAD: _StudyPayload | None = None
@@ -190,9 +208,8 @@ def _init_worker(payload):
     _WORKER_PAYLOAD = payload
 
 
-def _worker_task(args):
-    index, theta = args
-    return _sample_record(_WORKER_PAYLOAD, index, theta)
+def _worker_task(task):
+    return _propagate_block(_WORKER_PAYLOAD, task)
 
 
 def propagate_study(
@@ -210,10 +227,15 @@ def propagate_study(
 
     Every sample marches from the single nominal minimizer with each step
     count in ``N_list``; with ``with_oracle`` each sample is also re-solved by
-    Newton as ground truth.  Per-sample work is independent, so ``workers``
-    processes may split it; results are assembled in sample order, making the
-    output independent of scheduling.  The pool uses the platform's default
-    start method; under spawn or forkserver the problem must pickle.
+    Newton as ground truth.  Samples are marched in lockstep in contiguous
+    blocks: one block with one worker, ``workers * 8`` blocks spread over a
+    pool of ``workers`` processes otherwise.  A sample's march does not depend
+    on its block, and records are assembled in sample order, so the output
+    is independent of the worker count and of scheduling.  The pool uses the
+    platform's default start method; under spawn or forkserver the problem
+    must pickle.  ``SampleStudy.counters`` reports the RHS evaluations (stage
+    evaluations summed over samples and step counts), the number of sample
+    blocks and the total oracle iterations.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or any(N < 1 for N in N_list):
@@ -232,16 +254,24 @@ def propagate_study(
         newton_config=newton_config,
     )
 
-    tasks = list(enumerate(thetas))
     if workers > 1 and num_samples > 1:
-        chunk = max(1, num_samples // (workers * 8))
+        blocks = workers * 8
+        bounds = [num_samples * k // blocks for k in range(blocks + 1)]
+        tasks = [(a, thetas[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with multiprocessing.Pool(
             workers, initializer=_init_worker, initargs=(payload,)
         ) as pool:
-            records = pool.map(_worker_task, tasks, chunksize=chunk)
+            results = pool.map(_worker_task, tasks, chunksize=1)
     else:
-        records = [_sample_record(payload, i, th) for i, th in tasks]
+        tasks = [(0, thetas)]
+        results = [_propagate_block(payload, tasks[0])]
 
+    records = [rec for block_records, _ in results for rec in block_records]
+    counters = {
+        "rhs_evaluations": sum(evals for _, evals in results),
+        "march_blocks": len(tasks),
+        "oracle_iterations": sum(r.oracle.iterations for r in records if r.oracle),
+    }
     return SampleStudy(
         box=box,
         seed=seed,
@@ -252,6 +282,7 @@ def propagate_study(
         newton_config=newton_config,
         nominal=nominal,
         records=records,
+        counters=counters,
     )
 
 

@@ -88,6 +88,21 @@ class TestStudy:
             assert float(row["N1_m_1"]) == pytest.approx(float(row["theta_1"]), abs=1e-12)
             assert float(row["oracle_m_1"]) == pytest.approx(float(row["theta_1"]), abs=1e-12)
 
+    @pytest.mark.parametrize("workers,blocks", [(1, 1), (2, 16)])
+    def test_manifest_counters(self, tmp_path, workers, blocks):
+        out = tmp_path / "counted"
+        args = ["study", "--problem", "logistic1d", "--samples", "40", "--out", str(out)]
+        assert run(args + ["--workers", str(workers)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        counters = manifest["counters"]
+        assert set(counters) == {"rhs_evaluations", "march_blocks", "oracle_iterations"}
+        # forward Euler with N = 1, 2, 4, 8, 16: 31 evaluations per sample
+        assert counters["rhs_evaluations"] == 31 * 40
+        assert counters["march_blocks"] == blocks
+        records = json.loads((out / "study.json").read_text())["records"]
+        assert counters["oracle_iterations"] == sum(r["oracle"]["iterations"] for r in records)
+        assert counters["oracle_iterations"] > 0
+
     def test_zero_samples_rejected(self, tmp_path, capsys):
         assert (
             run(["study", "--problem", "quadratic", "--samples", "0", "--out", str(tmp_path / "x")])

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.marching import MarchConfig, MarchStatus, Scheme
+from minmarch.marching import MarchConfig, MarchStatus, Scheme, march_block
 from minmarch.sensitivity import ParameterLine
 
-from conftest import THETA_LOGISTIC
+from conftest import THETA_LOGISTIC, FragileProblem
 
 
 def test_zero_direction_trajectory_is_constant(logistic, logistic_box):
@@ -244,3 +244,139 @@ def test_higher_order_schemes_are_sharper(logistic, logistic_box):
             errs[scheme] = np.linalg.norm(traj.final_state - oracle.minimizer)
         assert errs[Scheme.HEUN] <= 0.1 * errs[Scheme.FORWARD_EULER]
         assert errs[Scheme.RK4] <= 0.01 * errs[Scheme.HEUN]
+
+
+def _assert_same_march(a, b):
+    """Two Trajectory objects agree bit for bit."""
+    assert a.status is b.status
+    assert a.failure_time == b.failure_time
+    assert a.left_basin == b.left_basin
+    assert a.rhs_evals == b.rhs_evals
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.min_eigenvalues, b.min_eigenvalues)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
+def test_block_march_equals_single_marches(
+    name, scheme, quadratic, double_well, logistic, advdiff,
+    quadratic_box, cubic_box, logistic_box, advdiff_box,
+):
+    # every kernel operation is row-wise, so a sample's march cannot depend
+    # on the block it is marched in
+    problem, box, count, N_list = {
+        "quadratic": (quadratic, quadratic_box, 20, (1, 3, 8)),
+        "cubic": (double_well, cubic_box, 20, (1, 3, 8)),
+        "logistic1d": (logistic, logistic_box, 40, (1, 3, 8)),
+        "advdiff": (advdiff, advdiff_box, 3, (1, 3)),
+    }[name]
+    start = mm.solve_nominal(problem, box).minimizer
+    thetas = box.sample(seed=13, count=count)
+    for N in N_list:
+        config = MarchConfig(N, scheme)
+        block = march_block(problem, start, ParameterLine(box.nominal, thetas), config)
+        for s, theta in enumerate(thetas):
+            single = mm.march(problem, start, ParameterLine(box.nominal, theta), config)
+            _assert_same_march(block.trajectory(s), single)
+            assert np.array_equal(block.finals[s], single.final_state)
+            assert block.statuses[s] is single.status
+            assert block.left_basin[s] == single.left_basin
+
+
+class _FragileWithPole(FragileProblem):
+    """FragileProblem whose mixed derivative is infinite for theta_1 >= 2."""
+
+    def mixed(self, m, theta):
+        return np.array([[np.inf if theta[0] >= 2.0 else m[0]]])
+
+
+@pytest.mark.parametrize(
+    "scheme,failure_steps",
+    [
+        (Scheme.FORWARD_EULER, [None, 2, 4, 3, None, 5]),
+        (Scheme.HEUN, [None, 1, 3, 2, None, 4]),
+        (Scheme.RK4, [None, 1, 3, 2, None, 4]),
+    ],
+)
+def test_mixed_block_abort_accounting(scheme, failure_steps):
+    # theta_1(t) = 1 + t (end - 1) crosses zero at t = 1 / (1 - end) for a
+    # negative end: 0.25, 0.5 and 0.625 here, and reaches the pole at 2 at
+    # t = 1/3 for the end 4; the ends 0.5 and 1.5 stay healthy.  A step
+    # fails when one of its stages, at pseudo-times (n + c) / N, gets there:
+    # Heun and RK4 evaluate at (n + 1) / N, so they fail a step earlier.
+    problem = _FragileWithPole()
+    start, theta_bar = np.array([0.0]), np.array([1.0])
+    ends = np.array([[0.5], [-3.0], [-1.0], [4.0], [1.5], [-0.6]])
+    statuses = [
+        MarchStatus.COMPLETED,
+        MarchStatus.ABORTED_INDEFINITE,
+        MarchStatus.ABORTED_INDEFINITE,
+        MarchStatus.ABORTED_NONFINITE,
+        MarchStatus.COMPLETED,
+        MarchStatus.ABORTED_INDEFINITE,
+    ]
+    N = 8
+    config = MarchConfig(N, scheme)
+    block = march_block(problem, start, ParameterLine(theta_bar, ends), config)
+
+    for s, (status, step) in enumerate(zip(statuses, failure_steps)):
+        traj = block.trajectory(s)
+        single = mm.march(problem, start, ParameterLine(theta_bar, ends[s]), config)
+        _assert_same_march(traj, single)
+        assert traj.status is status
+        assert traj.failure_time == (None if step is None else step / N)
+        done = N if step is None else step
+        assert block.steps_done[s] == done
+        assert traj.min_eigenvalues.shape == (done,)
+        # the row stays frozen at its last good state
+        assert np.array_equal(block.states[done:, s], np.repeat(traj.states[-1:], N + 1 - done, 0))
+        assert np.all(np.isnan(block.min_eigenvalues[done:, s]))
+
+    # failing rows neither stop nor perturb their blockmates
+    healthy = [0, 4]
+    alone = march_block(problem, start, ParameterLine(theta_bar, ends[healthy]), config)
+    for k, s in enumerate(healthy):
+        _assert_same_march(block.trajectory(s), alone.trajectory(k))
+
+
+class _BowlWithSolverFailure(mm.Problem):
+    """J = |m - theta_1 (1, 1)|^2 / 2, whose second derivatives fail for theta_1 > 1.5."""
+
+    d = 2
+    p = 1
+    basin_hint = None
+
+    def objective(self, m, theta):
+        return 0.5 * float(np.sum((m - theta[0]) ** 2))
+
+    def gradient(self, m, theta):
+        return m - theta[0]
+
+    def hessian(self, m, theta):
+        if theta[0] > 1.5:
+            raise mm.BvpSolveError("solver breakdown")
+        return np.eye(2)
+
+    def mixed(self, m, theta):
+        return -np.ones((2, 1))
+
+
+def test_block_row_solver_failure_aborts_only_that_row():
+    # theta_1(t) = 1 + t (end - 1) exceeds 1.5 past t = 0.25 for the end 3, so
+    # the step from t = 3/8 fails
+    problem = _BowlWithSolverFailure()
+    start, theta_bar = np.array([1.0, 1.0]), np.array([1.0])
+    ends = np.array([[0.5], [3.0], [1.4]])
+    config = MarchConfig(8)
+    block = march_block(problem, start, ParameterLine(theta_bar, ends), config)
+    assert block.statuses == [
+        MarchStatus.COMPLETED, MarchStatus.ABORTED_NONFINITE, MarchStatus.COMPLETED
+    ]
+    assert block.trajectory(1).failure_time == 3 / 8
+    np.testing.assert_allclose(block.finals[[0, 2]], [[0.5, 0.5], [1.4, 1.4]], rtol=1e-14)
+    # frozen after three good steps of 2 h each
+    np.testing.assert_allclose(block.finals[1], [1.75, 1.75], rtol=1e-14)
+    for s, end in enumerate(ends):
+        single = mm.march(problem, start, ParameterLine(theta_bar, end), config)
+        _assert_same_march(block.trajectory(s), single)

@@ -1,11 +1,12 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import minmarch as mm
 from minmarch.marching import MarchConfig, MarchStatus, Scheme
-from minmarch.uq import Statistic, _sample_record, _StudyPayload
+from minmarch.uq import Statistic, _propagate_block, _StudyPayload
 
 from conftest import THETA_LOGISTIC
 
@@ -103,6 +104,39 @@ class TestPropagateStudy:
                 )
             assert np.array_equal(a.oracle.minimizer, b.oracle.minimizer)
 
+    @pytest.mark.parametrize("name", ["logistic1d", "fragile"])
+    def test_blocks_do_not_change_records(self, name, logistic, logistic_box, fragile_problem):
+        # one block (1 worker), 16 blocks (2 workers) and two hand-made
+        # partitions all give the same finals, statuses and oracles; the
+        # fragile box has aborted marches and unconverged oracles
+        problem, box = {
+            "logistic1d": (logistic, logistic_box),
+            "fragile": (fragile_problem, mm.ParameterBox(np.array([1.0]), np.array([1.5]))),
+        }[name]
+        args = (problem, box, 37, [1, 3, 8], 4)
+        serial = mm.propagate_study(*args, scheme=Scheme.HEUN, workers=1)
+        parallel = mm.propagate_study(*args, scheme=Scheme.HEUN, workers=2)
+        assert serial.counters["march_blocks"] == 1
+        assert parallel.counters["march_blocks"] == 16
+        if name == "fragile":
+            assert serial.failure_counts()["march_aborted"][8] > 0
+        expected = serial.to_dict()
+        assert parallel.to_dict() == expected
+        assert {**parallel.counters, "march_blocks": 1} == serial.counters
+
+        payload = _StudyPayload(
+            problem, box.nominal, serial.nominal.minimizer, (1, 3, 8), Scheme.HEUN, True,
+            mm.NewtonConfig(),
+        )
+        thetas = box.sample(4, 37)
+        for cut in ([0, 1, 37], [0, 20, 29, 37]):
+            records = [
+                rec
+                for a, b in zip(cut[:-1], cut[1:])
+                for rec in _propagate_block(payload, (a, thetas[a:b]))[0]
+            ]
+            assert replace(serial, records=records).to_dict() == expected
+
     @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
     def test_payload_survives_pickle(
         self, name, quadratic, double_well, logistic, advdiff,
@@ -119,9 +153,9 @@ class TestPropagateStudy:
         payload = _StudyPayload(
             problem, box.nominal, nominal.minimizer, (1, 3), Scheme.HEUN, True, mm.NewtonConfig()
         )
-        theta = box.sample(seed=2, count=1)[0]
-        a = _sample_record(payload, 0, theta)
-        b = _sample_record(pickle.loads(pickle.dumps(payload)), 0, theta)
+        task = (0, box.sample(seed=2, count=1))
+        (a,), _ = _propagate_block(payload, task)
+        (b,), _ = _propagate_block(pickle.loads(pickle.dumps(payload)), task)
         assert a.outcomes.keys() == b.outcomes.keys()
         for N in a.outcomes:
             assert np.array_equal(a.outcomes[N].final_state, b.outcomes[N].final_state)
