@@ -11,12 +11,44 @@ uncertain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from ..exceptions import BvpSolveError
 from .base import Problem, as_vector
+
+_GTSV = get_lapack_funcs(("gtsv",), (np.empty(0),))[0]
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """x with A x = rhs for the tridiagonal A with these three bands.
+
+    Calls LAPACK gtsv, the routine ``solve_banded((1, 1), ...)`` calls, so
+    the result is the same bit for bit without its argument handling.
+    Non-finite input raises ValueError, as ``check_finite`` does there, and a
+    zero pivot raises BvpSolveError.
+    """
+    for band in (lower, diag, upper, rhs):
+        if not np.isfinite(band).all():
+            raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = _GTSV(lower, diag, upper, rhs)
+    if info > 0:
+        raise BvpSolveError(f"singular system (zero pivot in row {info})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
+
+
+def _powers(x, exponent):
+    """x ** exponent by Python's float power, entry by entry for an array.
+
+    numpy's array power differs from it in the last bit for some inputs.
+    """
+    if np.ndim(x) == 0:
+        return x**exponent
+    return np.array([t**exponent for t in x.ravel().tolist()]).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -25,6 +57,11 @@ class AdvectionDiffusionModel:
 
     Robin conditions are imposed through ghost nodes eliminated with the
     centered derivative, which keeps the boundary rows second order.
+
+    ``source``, ``_bands`` and the ``_dA_*`` kernels also serve S points at
+    once: their coefficients are then (S, 1) columns instead of floats, and
+    ``source`` returns (S, n+1).  The kernels always act on a stack of
+    vectors, (S, n+1, k); the public ``apply_dA_*`` call them at one point.
     """
 
     grid_cells: int = 200
@@ -33,43 +70,42 @@ class AdvectionDiffusionModel:
         if self.grid_cells < 16:
             raise ValueError("grid_cells must be >= 16")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.grid_cells + 1)
+        nodes = np.linspace(0.0, 1.0, self.grid_cells + 1)
+        nodes.flags.writeable = False
+        return nodes
 
     @property
     def dx(self) -> float:
         return 1.0 / self.grid_cells
 
-    def source(self, a: float, c: float) -> np.ndarray:
-        x = self.nodes
-        return a * np.exp(-200.0 * (x - c) ** 2)
+    def source(self, a, c) -> np.ndarray:
+        return a * np.exp(-200.0 * (self.nodes - c) ** 2)
 
-    def _bands(self, kappa: float, v: float, alpha: float):
+    def _bands(self, kappa, v, alpha):
+        """Sub-, main and super-diagonal of A, as ``_solve_tridiagonal`` takes them.
+
+        For (S, 1) coefficient columns these are the bands of one matrix of
+        size S (n+1) with the S systems side by side and zero coupling
+        entries between consecutive systems.  gtsv's elimination factor is 0
+        at a zero coupling, so it never pivots across systems, and each
+        system's solution equals its own solve's bit for bit.  The adjoint
+        solve swaps the off-diagonal bands, which transposes every system.
+        """
         n = self.grid_cells
         dx = self.dx
-        diag = np.full(n + 1, 2.0 * kappa / dx**2)
-        lower = np.full(n, -kappa / dx**2 - v / (2.0 * dx))
-        upper = np.full(n, -kappa / dx**2 + v / (2.0 * dx))
-        diag[0] += 2.0 * alpha / dx + v * alpha / kappa
-        diag[n] += 2.0 * alpha / dx - v * alpha / kappa
-        upper[0] = -2.0 * kappa / dx**2
-        lower[n - 1] = -2.0 * kappa / dx**2
-        return lower, diag, upper
-
-    def _solve_system(self, lower, diag, upper, rhs) -> np.ndarray:
-        n = self.grid_cells
-        ab = np.zeros((3, n + 1))
-        ab[0, 1:] = upper
-        ab[1, :] = diag
-        ab[2, :-1] = lower
-        try:
-            return solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as err:
-            dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-            raise BvpSolveError(
-                f"singular system (condition estimate {np.linalg.cond(dense):.3e})"
-            ) from err
+        shape = np.shape(kappa)[:-1] + (n + 1,)
+        diag = np.full(shape, 2.0 * kappa / dx**2)
+        lower = np.full(shape, -kappa / dx**2 - v / (2.0 * dx))
+        upper = np.full(shape, -kappa / dx**2 + v / (2.0 * dx))
+        diag[..., :1] += 2.0 * alpha / dx + v * alpha / kappa
+        diag[..., n:] += 2.0 * alpha / dx - v * alpha / kappa
+        upper[..., :1] = -2.0 * kappa / dx**2
+        lower[..., n - 1 : n] = -2.0 * kappa / dx**2
+        # the last entry of a system's off-diagonal couples it to the next one
+        lower[..., n] = upper[..., n] = 0.0
+        return lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1]
 
     def solve(
         self,
@@ -87,8 +123,7 @@ class AdvectionDiffusionModel:
         """
         kappa, v = float(m[0]), float(m[1])
         a, c, alpha = (float(t) for t in theta)
-        if kappa <= 0.0:
-            raise BvpSolveError(f"diffusion coefficient must be positive, got {kappa!r}")
+        _require_positive_kappa(kappa)
         n = self.grid_cells
         dx = self.dx
         lower, diag, upper = self._bands(kappa, v, alpha)
@@ -98,7 +133,7 @@ class AdvectionDiffusionModel:
             rhs = rhs.copy()
             rhs[0] -= 2.0 * r0 / dx + v * r0 / kappa
             rhs[n] += 2.0 * r1 / dx - v * r1 / kappa
-        return self._solve_system(lower, diag, upper, rhs)
+        return _solve_tridiagonal(lower, diag, upper, rhs)
 
     def apply_operator(self, y, m, theta) -> np.ndarray:
         """A(m, theta) y, for residual checks."""
@@ -111,32 +146,49 @@ class AdvectionDiffusionModel:
         return out
 
     def apply_dA_dkappa(self, y, m, theta) -> np.ndarray:
-        kappa, v = float(m[0]), float(m[1])
-        alpha = float(theta[2])
-        dx = self.dx
-        out = np.empty_like(y)
-        out[1:-1] = -(y[:-2] - 2.0 * y[1:-1] + y[2:]) / dx**2
-        out[0] = (2.0 / dx**2 - v * alpha / kappa**2) * y[0] - 2.0 / dx**2 * y[1]
-        out[-1] = -2.0 / dx**2 * y[-2] + (2.0 / dx**2 + v * alpha / kappa**2) * y[-1]
-        return out
+        return self._at_point(self._dA_dkappa, y, m, theta)
 
     def apply_dA_dv(self, y, m, theta) -> np.ndarray:
-        kappa = float(m[0])
-        alpha = float(theta[2])
-        dx = self.dx
-        out = np.empty_like(y)
-        out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dx)
-        out[0] = (alpha / kappa) * y[0]
-        out[-1] = -(alpha / kappa) * y[-1]
-        return out
+        return self._at_point(self._dA_dv, y, m, theta)
 
     def apply_dA_dalpha(self, y, m, theta) -> np.ndarray:
-        kappa, v = float(m[0]), float(m[1])
+        return self._at_point(self._dA_dalpha, y, m, theta)
+
+    @staticmethod
+    def _at_point(kernel, y, m, theta):
+        """A ``_dA_*`` kernel at one point, for y of shape (n+1,) or (n+1, k)."""
+        y = np.asarray(y, dtype=float)
+        out = kernel(y.reshape(1, y.shape[0], -1), float(m[0]), float(m[1]), float(theta[2]))
+        return out.reshape(y.shape)
+
+    def _dA_dkappa(self, y, kappa, v, alpha):
+        dx = self.dx
+        boundary = v * alpha / _powers(kappa, 2)
+        out = np.empty_like(y)
+        out[:, 1:-1] = -(y[:, :-2] - 2.0 * y[:, 1:-1] + y[:, 2:]) / dx**2
+        out[:, 0] = (2.0 / dx**2 - boundary) * y[:, 0] - 2.0 / dx**2 * y[:, 1]
+        out[:, -1] = -2.0 / dx**2 * y[:, -2] + (2.0 / dx**2 + boundary) * y[:, -1]
+        return out
+
+    def _dA_dv(self, y, kappa, v, alpha):
+        dx = self.dx
+        out = np.empty_like(y)
+        out[:, 1:-1] = (y[:, 2:] - y[:, :-2]) / (2.0 * dx)
+        out[:, 0] = (alpha / kappa) * y[:, 0]
+        out[:, -1] = -(alpha / kappa) * y[:, -1]
+        return out
+
+    def _dA_dalpha(self, y, kappa, v, alpha):
         dx = self.dx
         out = np.zeros_like(y)
-        out[0] = (2.0 / dx + v / kappa) * y[0]
-        out[-1] = (2.0 / dx - v / kappa) * y[-1]
+        out[:, 0] = (2.0 / dx + v / kappa) * y[:, 0]
+        out[:, -1] = (2.0 / dx - v / kappa) * y[:, -1]
         return out
+
+
+def _require_positive_kappa(kappa: float) -> None:
+    if kappa <= 0.0:
+        raise BvpSolveError(f"diffusion coefficient must be positive, got {kappa!r}")
 
 
 def synthesize_observations(
@@ -175,6 +227,12 @@ class AdvDiffInverseProblem(Problem):
 
     where A_ij is nonzero only in the two boundary diagonal entries, through
     +-v alpha / kappa, and s_ij = 0 because the source does not depend on m.
+
+    ``hessian_and_mixed_stack`` evaluates a block of S points with the same
+    three solves, each one LAPACK gtsv call on the block-diagonal matrix of
+    the S systems side by side; the dot products are stacked matmuls, so
+    every row equals its single-point value bit for bit.
+    ``hessian_and_mixed`` is its S = 1 call.
     """
 
     d = 2
@@ -229,7 +287,7 @@ class AdvDiffInverseProblem(Problem):
                 self.model.apply_dA_dv(u, m, theta),
             ]
         )
-        w = self.model._solve_system(lower, diag, upper, rhs)
+        w = _solve_tridiagonal(lower, diag, upper, rhs)
         g = (self._trap * r) @ w + self.beta * dm
         return value, g
 
@@ -243,42 +301,70 @@ class AdvDiffInverseProblem(Problem):
         return self.hessian_and_mixed(m, theta)[1]
 
     def hessian_and_mixed(self, m, theta):
-        model = self.model
-        kappa, v = float(m[0]), float(m[1])
-        a, c, alpha = (float(t) for t in theta)
-        u = model.solve(m, theta)
-        lower, diag, upper = model._bands(kappa, v, alpha)
-        dA = (model.apply_dA_dkappa, model.apply_dA_dv, model.apply_dA_dalpha)
-        bump = model.source(1.0, c)
-        rhs = np.column_stack(
-            [
-                -dA[0](u, m, theta),
-                -dA[1](u, m, theta),
-                bump,
-                400.0 * a * (model.nodes - c) * bump,
-                -dA[2](u, m, theta),
-            ]
+        _require_positive_kappa(float(m[0]))
+        H, B = self._second_derivatives(
+            np.asarray(m, dtype=float)[None], np.asarray(theta, dtype=float)[None]
         )
-        U = model._solve_system(lower, diag, upper, rhs)
-        # A^T has the off-diagonal bands swapped
-        lam = model._solve_system(upper, diag, lower, self._trap * (u - self.u_obs))
+        return H[0], B[0]
 
-        # P[k, j] = lambda^T A_k u_j; rows a and c stay zero since A does not
-        # depend on them
-        P = np.zeros((5, 5))
-        P[[0, 1, 4]] = [lam @ op(U, m, theta) for op in dA]
+    def hessian_and_mixed_stack(self, M, Theta):
+        """S points in three stacked solves; a row with kappa <= 0 or a singular system is NaN."""
+        H = np.full((M.shape[0], self.d, self.d), np.nan)
+        B = np.full((M.shape[0], self.d, self.p), np.nan)
+        # a NaN kappa is kept, so that its solve rejects it as a single point's would
+        rows = ~(M[:, 0] <= 0.0)
+        if rows.any():
+            try:
+                H[rows], B[rows] = self._second_derivatives(M[rows], Theta[rows])
+            except BvpSolveError:
+                # rare: find the singular system by solving row by row
+                return super().hessian_and_mixed_stack(M, Theta)
+        return H, B
+
+    def _second_derivatives(self, M, Theta):
+        """H (S, 2, 2) and B (S, 2, 3) at S points with kappa > 0, by three stacked solves."""
+        model = self.model
+        kappa, v = M.T[:, :, None]
+        a, c, alpha = Theta.T[:, :, None]
+        lower, diag, upper = model._bands(kappa, v, alpha)
+        # source(a, c) is a * bump exactly, since bump = 1.0 * exp(...)
+        bump = model.source(1.0, c)
+        u = _solve_tridiagonal(lower, diag, upper, (a * bump).ravel()).reshape(bump.shape)
+        dA = (model._dA_dkappa, model._dA_dv, model._dA_dalpha)
+        rhs = np.concatenate(
+            [
+                -dA[0](u[..., None], kappa, v, alpha),
+                -dA[1](u[..., None], kappa, v, alpha),
+                bump[..., None],
+                (400.0 * a * (model.nodes - c) * bump)[..., None],
+                -dA[2](u[..., None], kappa, v, alpha),
+            ],
+            axis=-1,
+        )
+        U = _solve_tridiagonal(lower, diag, upper, rhs.reshape(-1, 5)).reshape(rhs.shape)
+        # A^T has the off-diagonal bands swapped
+        adjoint_rhs = (self._trap * (u - self.u_obs)).ravel()
+        lam = _solve_tridiagonal(upper, diag, lower, adjoint_rhs).reshape(u.shape)
+
+        # P[:, k, j] = lambda^T A_k u_j; rows a and c stay zero since A does
+        # not depend on them
+        P = np.zeros((M.shape[0], 5, 5))
+        for k, op in zip((0, 1, 4), dA):
+            P[:, k] = (lam[:, None] @ op(U, kappa, v, alpha))[:, 0]
         # lambda^T A_ij u: only the boundary diagonal terms +-v alpha / kappa
         # have second derivatives
-        q = lam[0] * u[0] - lam[-1] * u[-1]
-        curvature = q * np.array(
-            [
-                [2.0 * v * alpha / kappa**3, -alpha / kappa**2, 0.0, 0.0, -v / kappa**2],
-                [-alpha / kappa**2, 0.0, 0.0, 0.0, 1.0 / kappa],
-            ]
-        )
-        F = U[:, :2].T @ (self._trap[:, None] * U) - P[:2] - P[:, :2].T - curvature
-        H = F[:, :2] + self.beta * np.eye(2)
-        return 0.5 * (H + H.T), F[:, 2:]
+        kappa, v, alpha = kappa[:, 0], v[:, 0], alpha[:, 0]
+        kappa2 = _powers(kappa, 2)
+        curvature = np.zeros((M.shape[0], 2, 5))
+        curvature[:, 0, 0] = 2.0 * v * alpha / _powers(kappa, 3)
+        curvature[:, 0, 1] = curvature[:, 1, 0] = -alpha / kappa2
+        curvature[:, 0, 4] = -v / kappa2
+        curvature[:, 1, 4] = 1.0 / kappa
+        curvature *= (lam[:, 0] * u[:, 0] - lam[:, -1] * u[:, -1])[:, None, None]
+        UT = U[:, :, :2].swapaxes(1, 2)
+        F = UT @ (self._trap[:, None] * U) - P[:, :2] - P[:, :, :2].swapaxes(1, 2) - curvature
+        H = F[:, :, :2] + self.beta * np.eye(2)
+        return 0.5 * (H + H.swapaxes(1, 2)), F[:, :, 2:]
 
     def initial_guess(self):
         return self.m_prior.copy()

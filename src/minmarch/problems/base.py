@@ -65,8 +65,9 @@ class Problem(abc.ABC):
         Row s is ``hessian_and_mixed(M[s], Theta[s])`` for M of shape (S, d)
         and Theta of shape (S, p).  A row whose evaluation raises
         BvpSolveError comes back as NaN, so one failed point does not stop
-        the others.  This default loops over the rows; problems with
-        closed-form derivatives override it with broadcasting formulas.
+        the others.  This default loops over the rows.  The closed-form
+        problems override it with broadcasting formulas, and advdiff with
+        three block-diagonal tridiagonal solves for the whole stack.
         """
         S, d = M.shape
         H = np.empty((S, d, d))

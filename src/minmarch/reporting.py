@@ -35,6 +35,19 @@ def _write_rows(path, header, rows):
             writer.writerow([fmt(v) for v in row])
 
 
+def _write_float_rows(path, header, rows):
+    """``_write_rows`` for rows of Python floats only, one ``%`` format per row.
+
+    ``"%.17g" % x`` is ``fmt(x)`` for every float, nan and inf included, so
+    the bytes are the same; skipping the per-cell calls and csv.writer makes
+    a density grid several times faster to write.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
+
+
 def samples_header(p: int, d: int, N_list) -> list[str]:
     header = ["sample_index"] + [f"theta_{k + 1}" for k in range(p)]
     for N in N_list:
@@ -86,23 +99,23 @@ def write_errors_csv(path, summary: StudyErrorSummary) -> None:
 def write_kde_marginal_csv(path, estimate: DensityEstimate) -> None:
     if estimate.dimension != 1:
         raise ValueError("marginal writer expects a 1-d estimate")
-    _write_rows(
+    _write_float_rows(
         path,
         ["x", "density"],
-        zip(estimate.axes[0], estimate.density),
+        zip(estimate.axes[0].tolist(), estimate.density.tolist()),
     )
 
 
 def write_kde_joint_csv(path, estimate: DensityEstimate) -> None:
     if estimate.dimension != 2:
         raise ValueError("joint writer expects a 2-d estimate")
-    xs, ys = estimate.axes
+    xs, ys = (axis.tolist() for axis in estimate.axes)
     rows = (
-        (xs[i], ys[j], estimate.density[i, j])
-        for i in range(xs.size)
-        for j in range(ys.size)
+        (x, y, value)
+        for x, values_at_x in zip(xs, estimate.density.tolist())
+        for y, value in zip(ys, values_at_x)
     )
-    _write_rows(path, ["x", "y", "density"], rows)
+    _write_float_rows(path, ["x", "y", "density"], rows)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -127,8 +140,10 @@ def write_sensitivity_csv(path, traj: Trajectory) -> None:
 
 
 def save_study(path, study: SampleStudy) -> None:
+    # json.dumps encodes in C; json.dump's chunked encoder runs in Python
+    # and writes the same bytes several times slower
     with open(path, "w") as fh:
-        json.dump(study.to_dict(), fh)
+        fh.write(json.dumps(study.to_dict()))
 
 
 def load_study(path) -> SampleStudy:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import minmarch as mm
 import minmarch.problems.advdiff as advdiff_module
@@ -154,24 +155,113 @@ def test_hessian_and_mixed_agree_with_single_evaluators(advdiff):
     assert np.array_equal(H, H.T)
 
 
+def counting_solves(monkeypatch):
+    """Record the bands of every tridiagonal solve the advdiff module makes."""
+    bands = []
+    solve = advdiff_module._solve_tridiagonal
+
+    def counting_solve(lower, diag, upper, rhs):
+        bands.append((lower.copy(), diag.copy(), upper.copy()))
+        return solve(lower, diag, upper, rhs)
+
+    monkeypatch.setattr(advdiff_module, "_solve_tridiagonal", counting_solve)
+    return bands
+
+
 def test_hessian_and_mixed_makes_three_solves(advdiff, monkeypatch):
-    """State, sensitivities and adjoint: one banded solve each, one matrix."""
-    matrices = []
-    solve_banded = advdiff_module.solve_banded
-
-    def counting_solve(l_and_u, ab, rhs):
-        matrices.append(ab.copy())
-        return solve_banded(l_and_u, ab, rhs)
-
-    monkeypatch.setattr(advdiff_module, "solve_banded", counting_solve)
+    """State, sensitivities and adjoint: one tridiagonal solve each, one matrix."""
+    bands = counting_solves(monkeypatch)
     advdiff.hessian_and_mixed(np.array([0.06, 0.32]), THETA_ADVDIFF)
-    assert len(matrices) == 3
-    forward, sensitivities, adjoint = matrices
-    assert np.array_equal(forward, sensitivities)
+    assert len(bands) == 3
+    forward, sensitivities, adjoint = bands
+    assert all(np.array_equal(f, s) for f, s in zip(forward, sensitivities))
     # the adjoint solves with A^T: same diagonal, off-diagonal bands swapped
-    assert np.array_equal(adjoint[1], forward[1])
-    assert np.array_equal(adjoint[0, 1:], forward[2, :-1])
-    assert np.array_equal(adjoint[2, :-1], forward[0, 1:])
+    lower, diag, upper = forward
+    assert np.array_equal(adjoint[1], diag)
+    assert np.array_equal(adjoint[0], upper)
+    assert np.array_equal(adjoint[2], lower)
+
+
+def random_stack(problem, box, S, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = problem.basin_hint
+    M = rng.uniform(lo, hi, (S, 2))
+    Theta = box.nominal + box.half_widths * rng.uniform(-1.0, 1.0, (S, 3))
+    return M, Theta
+
+
+@pytest.mark.parametrize("S", [1, 7, 50])
+def test_stack_makes_three_solves(advdiff, advdiff_box, monkeypatch, S):
+    M, Theta = random_stack(advdiff, advdiff_box, S, seed=S)
+    bands = counting_solves(monkeypatch)
+    advdiff.hessian_and_mixed_stack(M, Theta)
+    assert len(bands) == 3
+    assert all(diag.size == S * (advdiff.model.grid_cells + 1) for _, diag, _ in bands)
+
+
+@pytest.mark.parametrize("S", [1, 7, 50])
+def test_stack_equals_row_loop_bit_for_bit(advdiff, advdiff_box, S):
+    """The stacked solves reproduce the base-class loop over single points exactly."""
+    M, Theta = random_stack(advdiff, advdiff_box, S, seed=100 + S)
+    H, B = advdiff.hessian_and_mixed_stack(M, Theta)
+    H_loop, B_loop = mm.Problem.hessian_and_mixed_stack(advdiff, M, Theta)
+    differing = np.count_nonzero(H != H_loop) + np.count_nonzero(B != B_loop)
+    assert differing == 0, f"{differing} of {H.size + B.size} cells differ"
+
+
+def assert_only_row_is_nan(problem, M, Theta, bad):
+    H, B = problem.hessian_and_mixed_stack(M, Theta)
+    assert np.isnan(H[bad]).all() and np.isnan(B[bad]).all()
+    for s in range(len(M)):
+        if s != bad:
+            H_s, B_s = problem.hessian_and_mixed(M[s], Theta[s])
+            assert np.array_equal(H[s], H_s) and np.array_equal(B[s], B_s)
+
+
+def test_stack_row_with_nonpositive_kappa_is_nan(advdiff, advdiff_box):
+    M, Theta = random_stack(advdiff, advdiff_box, 5, seed=3)
+    M[2, 0] = -0.01
+    with pytest.raises(mm.BvpSolveError):
+        advdiff.hessian_and_mixed(M[2], Theta[2])
+    assert_only_row_is_nan(advdiff, M, Theta, bad=2)
+
+
+def test_stack_row_with_singular_system_is_nan(monkeypatch):
+    """On 16 cells, kappa = 1/16, v = -2 and alpha = 0 give an exactly zero last pivot.
+
+    The sub-diagonal -kappa/dx^2 - v/(2 dx) is then 0 except in the last
+    row, and elimination leaves 64 alpha = 0 in the last diagonal entry.
+    """
+    problem = mm.make_advdiff_problem(grid_cells=16)
+    box = mm.ParameterBox.relative(THETA_ADVDIFF, 0.2)
+    M, Theta = random_stack(problem, box, 4, seed=5)
+    M[1], Theta[1] = (0.0625, -2.0), (10.0, 0.05, 0.0)
+    for single in (problem.hessian_and_mixed, problem.objective_gradient, problem.model.solve):
+        with pytest.raises(mm.BvpSolveError):
+            single(M[1], Theta[1])
+    bands = counting_solves(monkeypatch)
+    assert_only_row_is_nan(problem, M, Theta, bad=1)
+    # the stacked state solve fails, so each row is solved on its own
+    assert len(bands) > 3
+
+
+@pytest.mark.parametrize("columns", [None, 1, 5])
+def test_tridiagonal_solve_matches_solve_banded(columns):
+    rng = np.random.default_rng(columns or 0)
+    n = 40
+    lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
+    diag = rng.uniform(-4.0, 4.0, n)
+    rhs = rng.normal(size=(n,) if columns is None else (n, columns))
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    x = advdiff_module._solve_tridiagonal(lower, diag, upper, rhs)
+    assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
+    for k, band in enumerate((lower, diag, upper, rhs)):
+        args = [lower, diag, upper, rhs]
+        args[k] = band.copy()
+        args[k].flat[3] = np.nan
+        with pytest.raises(ValueError):
+            advdiff_module._solve_tridiagonal(*args)
 
 
 def test_large_regularization_pulls_to_prior():

@@ -87,6 +87,40 @@ def test_kde_csv_schemas(tmp_path):
         reporting.write_kde_joint_csv(tmp_path / "x.csv", est1)
 
 
+def test_kde_writers_match_the_general_row_writer(tmp_path):
+    """The float-row fast path writes the bytes the fmt/csv.writer path writes."""
+    rng = np.random.default_rng(4)
+    xs, ys = rng.normal(size=7), rng.normal(size=5)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-310, 0.1]
+    density = rng.uniform(0.0, 1.0, (7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+    density.flat[: len(special)] = special
+    joint = mm.DensityEstimate(2, (xs, ys), density, np.ones(2))
+    marginal = mm.DensityEstimate(1, (xs,), density[:, 0], np.ones(1))
+
+    reporting.write_kde_joint_csv(tmp_path / "joint.csv", joint)
+    reporting._write_rows(
+        tmp_path / "joint_ref.csv",
+        ["x", "y", "density"],
+        ((xs[i], ys[j], density[i, j]) for i in range(7) for j in range(5)),
+    )
+    reporting.write_kde_marginal_csv(tmp_path / "marginal.csv", marginal)
+    reporting._write_rows(tmp_path / "marginal_ref.csv", ["x", "density"], zip(xs, density[:, 0]))
+    for name in ("joint", "marginal"):
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}_ref.csv").read_bytes()
+        assert b",nan\n" in written
+    assert b",-inf\n" in (tmp_path / "joint.csv").read_bytes()
+
+
+def test_study_json_round_trips(tmp_path, small_study):
+    path = tmp_path / "study.json"
+    reporting.save_study(path, small_study)
+    loaded = reporting.load_study(path)
+    assert loaded.to_dict() == small_study.to_dict()
+    with open(path) as fh:
+        assert fh.read() == json.dumps(small_study.to_dict())
+
+
 def test_trajectory_csv_schema(tmp_path, logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     line = ParameterLine(THETA_LOGISTIC, np.array([1.2, 2.8, 0.12]))
