@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exceptions import BvpSolveError, NominalSolveError
-from .problems.base import ParameterBox, as_vector
+from .exceptions import NominalSolveError
+from .problems.base import ParameterBox, as_vector, dot_rows
 
 
 @dataclass(frozen=True)
@@ -65,17 +64,6 @@ def to_json_dict(obj) -> dict:
     return data
 
 
-def _safe_objective(problem, m, theta) -> float:
-    """Objective value, with evaluation failures treated as +inf for line search."""
-    try:
-        value = problem.objective(m, theta)
-    except (BvpSolveError, FloatingPointError, OverflowError):
-        return math.inf
-    if not math.isfinite(value):
-        return math.inf
-    return value
-
-
 def newton_solve(
     problem,
     theta,
@@ -83,75 +71,139 @@ def newton_solve(
     config: NewtonConfig = NewtonConfig(),
     record_history: bool = False,
 ) -> SolveResult:
-    """Minimize J(., theta) by damped Newton iteration.
+    """Minimize J(., theta) from m0 by damped Newton iteration.
 
+    The S = 1 call of ``newton_solve_block``, which re-solves a stack of
+    parameter vectors in lockstep; see there for the method.
+    """
+    theta = np.asarray(theta, dtype=float)
+    return newton_solve_block(problem, theta[None], as_vector(m0, "m0"), config, record_history)[0]
+
+
+def newton_solve_block(
+    problem,
+    Theta,
+    m0,
+    config: NewtonConfig = NewtonConfig(),
+    record_history: bool = False,
+) -> list[SolveResult]:
+    """Minimize J(., Theta[s]) for each row s of Theta (S, p), in lockstep.
+
+    Every row starts from ``m0``, one point (d,) or one per row (S, d).
     Search directions solve H p = -g; when H is not positive definite the
     step falls back to steepest descent so the iteration remains a descent
     method far from the minimizer.  Step lengths come from Armijo
-    backtracking on J.  Convergence requires both the relative gradient test
-    ||g|| <= grad_tol (1 + |J|) and a positive definite Hessian at the final
-    iterate.
+    backtracking on J.  When the predicted decrease is below roundoff on J
+    the Armijo test cannot measure progress, so the unit step is taken iff
+    it contracts the gradient norm (a polish step).  A row converges when
+    both ||g|| <= grad_tol (1 + |J|) and its Hessian is positive definite;
+    it fails when that test holds with an indefinite Hessian, after
+    ``max_iters`` steps, when no step length is accepted, or when its
+    derivatives cannot be evaluated.
+
+    Each iteration makes one ``problem.derivatives`` call, at the unit
+    steps of all rows still iterating, and one ``values`` call per further
+    backtracking round on the rows still searching.  The derivatives at an
+    accepted unit step serve the next iteration; only the start and the
+    iterates reached by a shorter step are evaluated anew.  A row that
+    stops keeps its last iterate and is not evaluated again.  Every
+    operation is row-wise, so a row's result does not depend on its block.
     """
-    theta = np.asarray(theta, dtype=float)
-    m = as_vector(m0, "m0").copy()
-    history: list[IterationRecord] | None = [] if record_history else None
+    Theta = np.asarray(Theta, dtype=float)
+    S = Theta.shape[0]
+    m0 = np.asarray(m0, dtype=float)
+    M = np.array(np.broadcast_to(m0, (S, m0.shape[-1])))
+    if not np.isfinite(M).all():
+        raise ValueError("m0 contains non-finite entries")
+    value, grad_norm, min_eig = np.full((3, S), np.nan)
+    iterations = np.zeros(S, dtype=int)
+    converged = np.zeros(S, dtype=bool)
+    histories = [[] for _ in range(S)] if record_history else None
 
-    iterations = 0
-    while True:
-        value, g = problem.objective_gradient(m, theta)
-        grad_norm = float(np.linalg.norm(g))
-        H = problem.hessian(m, theta)
-        evals, vecs = np.linalg.eigh(H)
-        min_eig = float(evals[0])
+    def record(rows, *columns):
+        if histories is not None:
+            for row, *fields in zip(rows.tolist(), *(np.asarray(c).tolist() for c in columns)):
+                histories[row].append(IterationRecord(*fields))
 
-        if grad_norm <= config.grad_tol * (1.0 + abs(value)):
-            if history is not None:
-                history.append(IterationRecord(value, grad_norm, min_eig))
-            return SolveResult(
-                m, value, grad_norm, iterations, min_eig > 0.0, min_eig, history
-            )
-        if iterations >= config.max_iters:
-            if history is not None:
-                history.append(IterationRecord(value, grad_norm, min_eig))
-            return SolveResult(m, value, grad_norm, iterations, False, min_eig, history)
+    # derivatives at each row's current iterate, valid where ``known``: a
+    # unit step evaluates them at its trial point, which the next iteration
+    # reuses where that point becomes the iterate
+    J_at = np.full(S, np.nan)
+    g_at = np.full(M.shape, np.nan)
+    H_at = np.full(M.shape + M.shape[1:], np.nan)
+    known = np.zeros(S, dtype=bool)
 
-        if min_eig > 0.0:
-            p = -(vecs @ ((vecs.T @ g) / evals))
-        else:
-            p = -g
-        slope = float(g @ p)
+    def evaluate(rows, points):
+        J_at[rows], g_at[rows], H_at[rows], _ = problem.derivatives(points, Theta[rows])
 
-        # When the achievable decrease sits below roundoff on J, the Armijo
-        # test cannot measure progress; accept the unit step iff it contracts
-        # the gradient norm, which stays measurable down to machine precision.
-        polish = abs(slope) <= 8.0 * np.finfo(float).eps * (1.0 + abs(value))
-        alpha = 1.0
-        accepted = False
-        if polish:
-            try:
-                trial_grad = problem.gradient(m + p, theta)
-            except BvpSolveError:
-                accepted = False
-            else:
-                accepted = float(np.linalg.norm(trial_grad)) < grad_norm
-        else:
-            for _ in range(config.max_backtracks):
-                trial = _safe_objective(problem, m + alpha * p, theta)
-                if trial <= value + config.armijo_c * alpha * slope:
-                    accepted = True
-                    break
-                alpha *= config.backtrack_factor
-        if history is not None:
-            history.append(
-                IterationRecord(
-                    value, grad_norm, min_eig, alpha if accepted else None, slope, polish
-                )
-            )
-        if not accepted:
-            return SolveResult(m, value, grad_norm, iterations, False, min_eig, history)
+    active = np.arange(S)  # rows still iterating
+    while active.size:
+        unknown = active[~known[active]]
+        if unknown.size:
+            evaluate(unknown, M[unknown])
+        J, g, H = J_at[active], g_at[active], H_at[active]
+        norm = np.sqrt(dot_rows(g, g))
+        evaluable = np.isfinite(J) & np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
+        evals = np.full(g.shape, np.nan)
+        vecs = np.full(H.shape, np.nan)
+        evals[evaluable], vecs[evaluable] = np.linalg.eigh(H[evaluable])
+        value[active], grad_norm[active], min_eig[active] = J, norm, evals[:, 0]
 
-        m = m + alpha * p
-        iterations += 1
+        small = norm <= config.grad_tol * (1.0 + np.abs(J))
+        converged[active[small]] = evals[small, 0] > 0.0
+        stop = small | ~evaluable | (iterations[active] >= config.max_iters)
+        record(active[stop], J[stop], norm[stop], evals[stop, 0])
+        go = np.flatnonzero(~stop)
+        if not go.size:
+            break
+        rows, m, J, g, norm = active[go], M[active[go]], J[go], g[go], norm[go]
+        evals, vecs = evals[go], vecs[go]
+
+        p = -g
+        newton = evals[:, 0] > 0.0
+        coords = (vecs[newton].swapaxes(1, 2) @ g[newton][..., None])[..., 0] / evals[newton]
+        p[newton] = -(vecs[newton] @ coords[..., None])[..., 0]
+        slope = dot_rows(g, p)
+        polish = np.abs(slope) <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(J))
+
+        alpha = np.ones(go.size)
+        accepted = np.zeros(go.size, dtype=bool)
+        evaluate(rows, m + p)  # every unit step; a polish step needs its gradient
+        trial_g = g_at[rows[polish]]
+        accepted[polish] = np.sqrt(dot_rows(trial_g, trial_g)) < norm[polish]
+        searching = np.flatnonzero(~polish)
+        trial = J_at[rows[searching]]
+        for k in range(config.max_backtracks):
+            if not searching.size:
+                break
+            a = alpha[searching]
+            if k:
+                points = m[searching] + a[:, None] * p[searching]
+                trial = problem.values(points, Theta[rows[searching]])
+            ok = trial <= J[searching] + config.armijo_c * a * slope[searching]
+            accepted[searching[ok]] = True
+            searching = searching[~ok]
+            alpha[searching] *= config.backtrack_factor
+
+        step = np.where(accepted, alpha, None)
+        record(rows, J, norm, evals[:, 0], step, slope, polish)
+        M[rows[accepted]] = m[accepted] + alpha[accepted, None] * p[accepted]
+        iterations[rows[accepted]] += 1
+        known[rows] = accepted & (alpha == 1.0)
+        active = rows[accepted]
+
+    return [
+        SolveResult(
+            M[s].copy(),
+            float(value[s]),
+            float(grad_norm[s]),
+            int(iterations[s]),
+            bool(converged[s]),
+            float(min_eig[s]),
+            histories[s] if histories is not None else None,
+        )
+        for s in range(S)
+    ]
 
 
 def solve_nominal(

@@ -17,9 +17,12 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from ..exceptions import BvpSolveError
-from .base import Problem, as_vector
+from .base import Problem, as_vector, dot_rows
 
 _GTSV = get_lapack_funcs(("gtsv",), (np.empty(0),))[0]
+# rows per stacked solve: an evaluation holds a few (rows, grid_cells + 1, 5)
+# float arrays at once, about 50 kB per row on the default grid
+STACK_ROWS = 256
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
@@ -39,6 +42,12 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gtsv")
     return x
+
+
+def _flat(bands):
+    """Padded bands, (n+1,) or (S, n+1), as the bands of one tridiagonal matrix."""
+    lower, diag, upper = bands
+    return lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1]
 
 
 def _powers(x, exponent):
@@ -84,14 +93,16 @@ class AdvectionDiffusionModel:
         return a * np.exp(-200.0 * (self.nodes - c) ** 2)
 
     def _bands(self, kappa, v, alpha):
-        """Sub-, main and super-diagonal of A, as ``_solve_tridiagonal`` takes them.
+        """Sub-, main and super-diagonal of A, each padded to n+1 entries.
 
-        For (S, 1) coefficient columns these are the bands of one matrix of
-        size S (n+1) with the S systems side by side and zero coupling
-        entries between consecutive systems.  gtsv's elimination factor is 0
-        at a zero coupling, so it never pivots across systems, and each
-        system's solution equals its own solve's bit for bit.  The adjoint
-        solve swaps the off-diagonal bands, which transposes every system.
+        The last entry of each off-diagonal is 0; ``_flat`` drops it.  For
+        (S, 1) coefficient columns the bands are (S, n+1), and flattened they
+        are those of one matrix of size S (n+1) with the S systems side by
+        side and these zeros as the coupling entries between consecutive
+        systems.  gtsv's elimination factor is 0 at a zero coupling, so it
+        never pivots across systems, and each system's solution equals its
+        own solve's bit for bit.  The adjoint solve swaps the off-diagonal
+        bands, which transposes every system.
         """
         n = self.grid_cells
         dx = self.dx
@@ -105,7 +116,7 @@ class AdvectionDiffusionModel:
         lower[..., n - 1 : n] = -2.0 * kappa / dx**2
         # the last entry of a system's off-diagonal couples it to the next one
         lower[..., n] = upper[..., n] = 0.0
-        return lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1]
+        return lower, diag, upper
 
     def solve(
         self,
@@ -126,7 +137,7 @@ class AdvectionDiffusionModel:
         _require_positive_kappa(kappa)
         n = self.grid_cells
         dx = self.dx
-        lower, diag, upper = self._bands(kappa, v, alpha)
+        lower, diag, upper = _flat(self._bands(kappa, v, alpha))
         rhs = self.source(a, c) if source_values is None else np.array(source_values, dtype=float)
         r0, r1 = robin_data
         if r0 != 0.0 or r1 != 0.0:
@@ -139,7 +150,7 @@ class AdvectionDiffusionModel:
         """A(m, theta) y, for residual checks."""
         kappa, v = float(m[0]), float(m[1])
         alpha = float(theta[2])
-        lower, diag, upper = self._bands(kappa, v, alpha)
+        lower, diag, upper = _flat(self._bands(kappa, v, alpha))
         out = diag * y
         out[1:] += lower * y[:-1]
         out[:-1] += upper * y[1:]
@@ -211,16 +222,13 @@ class AdvDiffInverseProblem(Problem):
 
     J(m, theta) = 0.5 * integral (u - u_obs)^2 dx + 0.5 * beta ||m - m_prior||^2
     with the misfit integral taken by the trapezoid rule on the solution grid.
-    The gradient is exact for the discrete objective: forward sensitivities
-    w_i solve A w_i = -(dA/dm_i) u, giving g_i = <u - u_obs, w_i> + beta
-    (m_i - m_prior_i).
-
-    Second derivatives are exact for the discrete objective too, by the
-    second-order adjoint method.  With x = (kappa, v, a, c, alpha), W the
-    trapezoid weights and subscripts for derivatives in x, three banded
-    solves with the one matrix A(m, theta) or its transpose give the state u
-    (A u = s), the sensitivities u_j (A u_j = s_j - A_j u) and the adjoint
-    lambda (A^T lambda = W (u - u_obs)).  Then for m_i in m and x_j in x
+    All derivatives are exact for the discrete objective.  With
+    x = (kappa, v, a, c, alpha), W the trapezoid weights and subscripts for
+    derivatives in x, three banded solves with the one matrix A(m, theta) or
+    its transpose give the state u (A u = s), the sensitivities u_j
+    (A u_j = s_j - A_j u) and the adjoint lambda (A^T lambda = W (u - u_obs)).
+    The gradient is g_i = u_i^T W (u - u_obs) + beta (m_i - m_prior_i), and
+    by the second-order adjoint method, for m_i in m and x_j in x,
 
         d2J/(dm_i dx_j) = u_i^T W u_j - lambda^T (A_ij u + A_i u_j + A_j u_i)
                           + beta delta_ij,
@@ -228,11 +236,11 @@ class AdvDiffInverseProblem(Problem):
     where A_ij is nonzero only in the two boundary diagonal entries, through
     +-v alpha / kappa, and s_ij = 0 because the source does not depend on m.
 
-    ``hessian_and_mixed_stack`` evaluates a block of S points with the same
-    three solves, each one LAPACK gtsv call on the block-diagonal matrix of
-    the S systems side by side; the dot products are stacked matmuls, so
-    every row equals its single-point value bit for bit.
-    ``hessian_and_mixed`` is its S = 1 call.
+    ``derivatives`` evaluates a stack of S points with these three solves,
+    and ``values`` with the state solve alone; each is one LAPACK gtsv call
+    on the block-diagonal matrix of the S systems side by side, and the dot
+    products are stacked matmuls, so every row equals its S = 1 value bit
+    for bit.
     """
 
     d = 2
@@ -262,71 +270,74 @@ class AdvDiffInverseProblem(Problem):
         w[-1] *= 0.5
         self._trap = w
 
-    def _misfit_and_residual(self, u):
-        r = u - self.u_obs
-        return 0.5 * float(self._trap @ r**2), r
+    def values(self, M, Theta):
+        """J at S points from one stacked state solve; +inf where it cannot be evaluated."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            J = self._evaluate(self._values, M, Theta, [((), np.inf)])[0]
+        J[~np.isfinite(J)] = np.inf
+        return J
 
-    def objective(self, m, theta):
-        u = self.model.solve(m, theta)
-        misfit, _ = self._misfit_and_residual(u)
-        dm = np.asarray(m, dtype=float) - self.m_prior
-        return misfit + 0.5 * self.beta * float(dm @ dm)
+    def derivatives(self, M, Theta):
+        """J, g, H and B at S points from three stacked solves; NaN rows where they fail."""
+        d, p = self.d, self.p
+        fills = [((), np.nan), ((d,), np.nan), ((d, d), np.nan), ((d, p), np.nan)]
+        return tuple(self._evaluate(self._derivatives, M, Theta, fills))
 
-    def objective_gradient(self, m, theta):
-        u = self.model.solve(m, theta)
-        misfit, r = self._misfit_and_residual(u)
-        dm = np.asarray(m, dtype=float) - self.m_prior
-        value = misfit + 0.5 * self.beta * float(dm @ dm)
+    def _evaluate(self, kernel, M, Theta, fills):
+        """``kernel`` on the rows whose systems can be solved; the other rows keep their fill.
 
-        kappa, v = float(m[0]), float(m[1])
-        alpha = float(theta[2])
-        lower, diag, upper = self.model._bands(kappa, v, alpha)
-        rhs = -np.column_stack(
-            [
-                self.model.apply_dA_dkappa(u, m, theta),
-                self.model.apply_dA_dv(u, m, theta),
-            ]
-        )
-        w = _solve_tridiagonal(lower, diag, upper, rhs)
-        g = (self._trap * r) @ w + self.beta * dm
-        return value, g
+        A row is left out when kappa <= 0 or a coefficient, a band entry or
+        the source is not finite.  ``kernel(M, Theta, bands)`` gets the rows
+        left in and their bands, each (S, n+1), and returns one array per
+        entry of ``fills``, which gives that output's shape past the row axis
+        and its value for the rows left out.  It gets at most STACK_ROWS rows
+        at a time.  If a stacked solve meets a zero pivot, its rows are
+        solved one at a time, so that only the singular row is left out.
+        """
+        M = np.asarray(M, dtype=float)
+        Theta = np.asarray(Theta, dtype=float)
+        outs = [np.full((M.shape[0],) + shape, fill) for shape, fill in fills]
+        with np.errstate(all="ignore"):
+            bands = self.model._bands(M[:, :1], M[:, 1:], Theta[:, 2:])
+        solvable = (M[:, 0] > 0.0) & np.isfinite(Theta).all(axis=1)
+        for band in bands:
+            solvable &= np.isfinite(band).all(axis=1)
 
-    def gradient(self, m, theta):
-        return self.objective_gradient(m, theta)[1]
+        def fill(rows):
+            for out, value in zip(outs, kernel(M[rows], Theta[rows], [b[rows] for b in bands])):
+                out[rows] = value
 
-    def hessian(self, m, theta):
-        return self.hessian_and_mixed(m, theta)[0]
-
-    def mixed(self, m, theta):
-        return self.hessian_and_mixed(m, theta)[1]
-
-    def hessian_and_mixed(self, m, theta):
-        _require_positive_kappa(float(m[0]))
-        H, B = self._second_derivatives(
-            np.asarray(m, dtype=float)[None], np.asarray(theta, dtype=float)[None]
-        )
-        return H[0], B[0]
-
-    def hessian_and_mixed_stack(self, M, Theta):
-        """S points in three stacked solves; a row with kappa <= 0 or a singular system is NaN."""
-        H = np.full((M.shape[0], self.d, self.d), np.nan)
-        B = np.full((M.shape[0], self.d, self.p), np.nan)
-        # a NaN kappa is kept, so that its solve rejects it as a single point's would
-        rows = ~(M[:, 0] <= 0.0)
-        if rows.any():
+        solvable = np.flatnonzero(solvable)
+        for start in range(0, solvable.size, STACK_ROWS):
+            rows = solvable[start : start + STACK_ROWS]
             try:
-                H[rows], B[rows] = self._second_derivatives(M[rows], Theta[rows])
+                fill(rows)
             except BvpSolveError:
-                # rare: find the singular system by solving row by row
-                return super().hessian_and_mixed_stack(M, Theta)
-        return H, B
+                for s in rows:
+                    try:
+                        fill(slice(s, s + 1))
+                    except BvpSolveError:
+                        pass
+        return outs
 
-    def _second_derivatives(self, M, Theta):
-        """H (S, 2, 2) and B (S, 2, 3) at S points with kappa > 0, by three stacked solves."""
+    def _objective(self, u, M):
+        """J of S rows from their states, with the reductions of one-point dot products."""
+        r = u - self.u_obs
+        dm = M - self.m_prior
+        return 0.5 * dot_rows(r**2, self._trap) + 0.5 * self.beta * dot_rows(dm, dm)
+
+    def _values(self, M, Theta, bands):
+        lower, diag, upper = _flat(bands)
+        a, c = Theta[:, :1], Theta[:, 1:2]
+        u = _solve_tridiagonal(lower, diag, upper, self.model.source(a, c).ravel())
+        return (self._objective(u.reshape(a.shape[0], -1), M),)
+
+    def _derivatives(self, M, Theta, bands):
+        """J, g, H and B of S solvable rows by three stacked solves."""
         model = self.model
         kappa, v = M.T[:, :, None]
         a, c, alpha = Theta.T[:, :, None]
-        lower, diag, upper = model._bands(kappa, v, alpha)
+        lower, diag, upper = _flat(bands)
         # source(a, c) is a * bump exactly, since bump = 1.0 * exp(...)
         bump = model.source(1.0, c)
         u = _solve_tridiagonal(lower, diag, upper, (a * bump).ravel()).reshape(bump.shape)
@@ -343,9 +354,13 @@ class AdvDiffInverseProblem(Problem):
         )
         U = _solve_tridiagonal(lower, diag, upper, rhs.reshape(-1, 5)).reshape(rhs.shape)
         # A^T has the off-diagonal bands swapped
-        adjoint_rhs = (self._trap * (u - self.u_obs)).ravel()
-        lam = _solve_tridiagonal(upper, diag, lower, adjoint_rhs).reshape(u.shape)
+        residual = u - self.u_obs
+        lam = _solve_tridiagonal(upper, diag, lower, (self._trap * residual).ravel())
+        lam = lam.reshape(u.shape)
 
+        # u_m = U[..., :2] are the sensitivities of u to m, so
+        # g = u_m^T W (u - u_obs) + beta (m - m_prior)
+        g = ((self._trap * residual)[:, None] @ U[:, :, :2])[:, 0] + self.beta * (M - self.m_prior)
         # P[:, k, j] = lambda^T A_k u_j; rows a and c stay zero since A does
         # not depend on them
         P = np.zeros((M.shape[0], 5, 5))
@@ -364,7 +379,7 @@ class AdvDiffInverseProblem(Problem):
         UT = U[:, :, :2].swapaxes(1, 2)
         F = UT @ (self._trap[:, None] * U) - P[:, :2] - P[:, :, :2].swapaxes(1, 2) - curvature
         H = F[:, :, :2] + self.beta * np.eye(2)
-        return 0.5 * (H + H.swapaxes(1, 2)), F[:, :, 2:]
+        return self._objective(u, M), g, 0.5 * (H + H.swapaxes(1, 2)), F[:, :, 2:]
 
     def initial_guess(self):
         return self.m_prior.copy()

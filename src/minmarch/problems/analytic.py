@@ -11,32 +11,25 @@ from .base import Problem
 
 
 class _ClosedFormProblem(Problem):
-    """Problem with d = 1 whose second derivatives are written once, as one formula.
+    """Problem with d = 1 whose objective and derivatives are written once, as formulas.
 
-    ``_second_derivatives(m, theta)`` accepts one point, (1,) and (p,), or a
-    stack, (S, 1) and (S, p), and returns the Hessian entry and the tuple of
-    mixed-derivative entries, as scalars or as arrays of shape (S,).  A
-    single point is evaluated on scalars, which keeps the Newton oracle's
-    many single-point calls cheap.
+    ``_formulas(x, t)`` takes the decision variable x of shape (S,) and the
+    tuple t of the p parameter columns, each (S,), and returns J, the
+    gradient, the Hessian entry and the tuple of mixed-derivative entries,
+    all of shape (S,).  ``values`` keeps J only; the Newton oracle calls it
+    for its rare second and later backtracking steps alone.
     """
 
     @abc.abstractmethod
-    def _second_derivatives(self, m, theta):
-        """(d2J/dm2, (d2J/(dm dtheta_k) for each k)) at one point or a stack."""
+    def _formulas(self, x, t):
+        """(J, dJ/dm, d2J/dm2, (d2J/(dm dtheta_k) for each k)) at S points."""
 
-    def hessian_and_mixed(self, m, theta):
-        h, b = self._second_derivatives(np.asarray(m), np.asarray(theta))
-        return np.array([[h]]), np.array([b])
+    def values(self, M, Theta):
+        return self._formulas(M[:, 0], tuple(Theta.T))[0]
 
-    def hessian_and_mixed_stack(self, M, Theta):
-        h, b = self._second_derivatives(M, Theta)
-        return h[:, None, None], np.stack(b, axis=-1)[:, None, :]
-
-    def hessian(self, m, theta):
-        return self.hessian_and_mixed(m, theta)[0]
-
-    def mixed(self, m, theta):
-        return self.hessian_and_mixed(m, theta)[1]
+    def derivatives(self, M, Theta):
+        J, g, h, b = self._formulas(M[:, 0], tuple(Theta.T))
+        return J, g[:, None], h[:, None, None], np.stack(b, -1)[:, None]
 
 
 class QuadraticProblem(_ClosedFormProblem):
@@ -50,15 +43,9 @@ class QuadraticProblem(_ClosedFormProblem):
     p = 1
     basin_hint = None
 
-    def objective(self, m, theta):
-        return 0.5 * (m[0] - theta[0]) ** 2
-
-    def gradient(self, m, theta):
-        return np.array([m[0] - theta[0]])
-
-    def _second_derivatives(self, m, theta):
-        one = np.ones_like(m[..., 0])
-        return one, (-one,)
+    def _formulas(self, x, t):
+        one = np.ones_like(x)
+        return 0.5 * (x - t[0]) ** 2, x - t[0], one, (-one,)
 
     def initial_guess(self):
         return np.array([0.0])
@@ -81,45 +68,34 @@ class DoubleWellProblem(_ClosedFormProblem):
     basin_hint = (np.array([0.5]), np.array([1.0]))
 
     @staticmethod
-    def _check_theta(theta):
-        # one parameter vector (2,) or a stack of them (S, 2)
-        theta = np.reshape(theta, (-1, 2))
-        bad = ~((theta[:, 0] < 0.5) & (0.5 < theta[:, 1]))
+    def _check_theta(t):
+        """The parameter columns (t1, t2), once every row has t1 < 0.5 < t2."""
+        t1, t2 = t
+        bad = ~((t1 < 0.5) & (0.5 < t2))
         if np.any(bad):
-            t1, t2 = theta[np.argmax(bad)]
-            raise ValueError(f"requires theta_1 < 0.5 < theta_2, got {t1!r}, {t2!r}")
+            s = np.argmax(bad)
+            raise ValueError(f"requires theta_1 < 0.5 < theta_2, got {t1[s]!r}, {t2[s]!r}")
+        return t1, t2
 
-    def objective(self, m, theta):
+    def _formulas(self, x, t):
+        t1, t2 = self._check_theta(t)
         # antiderivative of (m-t1)(m-0.5)(m-t2), constant of integration zero
-        self._check_theta(theta)
-        t1, t2 = theta
-        x = m[0]
-        return (
+        J = (
             x**4 / 4.0
             - (t1 + t2 + 0.5) * x**3 / 3.0
             + (0.5 * (t1 + t2) + t1 * t2) * x**2 / 2.0
             - 0.5 * t1 * t2 * x
         )
-
-    def gradient(self, m, theta):
-        self._check_theta(theta)
-        t1, t2 = theta
-        x = m[0]
-        return np.array([(x - t1) * (x - 0.5) * (x - t2)])
-
-    def _second_derivatives(self, m, theta):
-        self._check_theta(theta)
-        t1, t2 = theta.T
-        x = m[..., 0]
+        g = (x - t1) * (x - 0.5) * (x - t2)
         h = (x - 0.5) * (x - t2) + (x - t1) * (x - t2) + (x - t1) * (x - 0.5)
-        return h, (-(x - 0.5) * (x - t2), -(x - t1) * (x - 0.5))
+        return J, g, h, (-(x - 0.5) * (x - t2), -(x - t1) * (x - 0.5))
 
     def initial_guess(self):
         return np.array([0.8])
 
     def minimizer(self, theta) -> np.ndarray:
         """Closed-form argmin in the upper well."""
-        self._check_theta(theta)
+        self._check_theta(np.reshape(theta, (2, 1)))
         return np.array([theta[1]])
 
 
@@ -135,25 +111,15 @@ class LogisticWellProblem(_ClosedFormProblem):
     p = 3
     basin_hint = (np.array([0.0]), np.array([3.0]))
 
-    def objective(self, m, theta):
-        t1, t2, t3 = theta
-        x = m[0]
-        return t1 * expit(-t2 * x) + t3 * x**2
-
-    def gradient(self, m, theta):
-        t1, t2, t3 = theta
-        x = m[0]
-        s = expit(t2 * x) * expit(-t2 * x)
-        return np.array([-t1 * t2 * s + 2.0 * t3 * x])
-
-    def _second_derivatives(self, m, theta):
-        t1, t2, t3 = theta.T
-        x = m[..., 0]
+    def _formulas(self, x, t):
+        t1, t2, t3 = t
         sp = expit(t2 * x)
         sm = expit(-t2 * x)
         s = sp * sm
+        J = t1 * sm + t3 * x**2
+        g = -t1 * t2 * s + 2.0 * t3 * x
         h = t1 * t2**2 * sp * sm * (sp - sm) + 2.0 * t3
-        return h, (-t2 * s, -t1 * s * (1.0 - t2 * x * (sp - sm)), 2.0 * x)
+        return J, g, h, (-t2 * s, -t1 * s * (1.0 - t2 * x * (sp - sm)), 2.0 * x)
 
     def initial_guess(self):
         return np.array([0.5])

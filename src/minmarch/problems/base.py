@@ -23,12 +23,30 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 class Problem(abc.ABC):
     """Optimization problem whose objective depends on uncertain parameters.
 
-    Concrete problems evaluate the objective J(m, theta), its gradient in the
-    decision variable m, the Hessian in m, and the mixed second derivative
-    once in m and once in theta.  ``d`` and ``p`` are the lengths of m and
-    theta.  ``basin_hint``, when set, is an open box in decision space inside
-    which the minimizer is assumed unique for all admissible parameters; it
-    is diagnostic only and never enforced.
+    ``d`` and ``p`` are the lengths of the decision variable m and of the
+    parameters theta.  A concrete problem implements two methods on stacks
+    of S points, M of shape (S, d) and Theta of shape (S, p), row s being
+    the point (M[s], Theta[s]):
+
+    - ``values(M, Theta)``: the objective J, shape (S,);
+    - ``derivatives(M, Theta)``: J, the gradient in m, the Hessian in m and
+      the mixed second derivative once in m and once in theta, of shapes
+      (S,), (S, d), (S, d, d) and (S, d, p).
+
+    A row the problem cannot evaluate (a failed PDE solve, say) is +inf in
+    ``values``, so that a line search backtracks from it, and NaN in every
+    output of ``derivatives``; the other rows are unaffected.  Every
+    operation must be row-wise, so that a row's value does not depend on
+    its stack.
+
+    ``objective``, ``gradient``, ``objective_gradient``, ``hessian``,
+    ``mixed`` and ``hessian_and_mixed`` are the S = 1 calls of these two
+    methods at one point, m of shape (d,) and theta of shape (p,); they
+    raise BvpSolveError where the objective is not finite.
+
+    ``basin_hint``, when set, is an open box in decision space inside which
+    the minimizer is assumed unique for all admissible parameters; it is
+    diagnostic only and never enforced.
     """
 
     d: int
@@ -36,48 +54,44 @@ class Problem(abc.ABC):
     basin_hint: tuple[np.ndarray, np.ndarray] | None = None
 
     @abc.abstractmethod
-    def objective(self, m: np.ndarray, theta: np.ndarray) -> float:
-        """J(m, theta)."""
+    def values(self, M: np.ndarray, Theta: np.ndarray) -> np.ndarray:
+        """J at S points, shape (S,); +inf where it cannot be evaluated."""
 
     @abc.abstractmethod
-    def gradient(self, m: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """dJ/dm, shape (d,)."""
+    def derivatives(self, M: np.ndarray, Theta: np.ndarray):
+        """(J, dJ/dm, d2J/dm2, d2J/(dm dtheta)) at S points; NaN rows where they fail."""
 
-    @abc.abstractmethod
-    def hessian(self, m: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """d2J/dm2, shape (d, d), symmetric."""
-
-    @abc.abstractmethod
-    def mixed(self, m: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """d2J/(dm dtheta), shape (d, p)."""
+    def objective(self, m, theta) -> float:
+        """J(m, theta) at one point."""
+        J = self.values(*_point(m, theta))[0]
+        _require_finite(J, m, theta)
+        return float(J)
 
     def objective_gradient(self, m, theta) -> tuple[float, np.ndarray]:
-        """J and dJ/dm together; override when they share work."""
-        return self.objective(m, theta), self.gradient(m, theta)
+        """J and dJ/dm, shape (d,), at one point."""
+        J, g, _, _ = self._derivatives_at(m, theta)
+        return J, g
+
+    def gradient(self, m, theta) -> np.ndarray:
+        """dJ/dm at one point, shape (d,)."""
+        return self._derivatives_at(m, theta)[1]
+
+    def hessian(self, m, theta) -> np.ndarray:
+        """d2J/dm2 at one point, shape (d, d), symmetric."""
+        return self._derivatives_at(m, theta)[2]
+
+    def mixed(self, m, theta) -> np.ndarray:
+        """d2J/(dm dtheta) at one point, shape (d, p)."""
+        return self._derivatives_at(m, theta)[3]
 
     def hessian_and_mixed(self, m, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Hessian and mixed derivative together; override when they share work."""
-        return self.hessian(m, theta), self.mixed(m, theta)
+        """Hessian and mixed derivative at one point."""
+        return self._derivatives_at(m, theta)[2:]
 
-    def hessian_and_mixed_stack(self, M, Theta) -> tuple[np.ndarray, np.ndarray]:
-        """Hessians (S, d, d) and mixed derivatives (S, d, p) of S points at once.
-
-        Row s is ``hessian_and_mixed(M[s], Theta[s])`` for M of shape (S, d)
-        and Theta of shape (S, p).  A row whose evaluation raises
-        BvpSolveError comes back as NaN, so one failed point does not stop
-        the others.  This default loops over the rows.  The closed-form
-        problems override it with broadcasting formulas, and advdiff with
-        three block-diagonal tridiagonal solves for the whole stack.
-        """
-        S, d = M.shape
-        H = np.empty((S, d, d))
-        B = np.empty((S, d, Theta.shape[1]))
-        for s in range(S):
-            try:
-                H[s], B[s] = self.hessian_and_mixed(M[s], Theta[s])
-            except BvpSolveError:
-                H[s] = B[s] = np.nan
-        return H, B
+    def _derivatives_at(self, m, theta):
+        J, g, H, B = self.derivatives(*_point(m, theta))
+        _require_finite(J[0], m, theta)
+        return float(J[0]), g[0], H[0], B[0]
 
     def initial_guess(self) -> np.ndarray:
         """Default starting point for the nominal solve."""
@@ -99,6 +113,25 @@ class Problem(abc.ABC):
             lo, hi = self.basin_hint
             inside = np.all((m > lo) & (m < hi), axis=-1)
         return inside.all(axis=0) if m.ndim == 3 else bool(inside.all())
+
+
+def dot_rows(X, y) -> np.ndarray:
+    """Row-wise dot products of X (S, n) with y (S, n) or (n,).
+
+    A stacked matmul gives each row the result of the one-point ``x @ y``
+    exactly, where an axis sum or ``X @ y`` may round differently.
+    """
+    return (X[:, None, :] @ y[..., None])[:, 0, 0]
+
+
+def _point(m, theta) -> tuple[np.ndarray, np.ndarray]:
+    """One point as a stack of one: M (1, d) and Theta (1, p)."""
+    return np.asarray(m, dtype=float)[None], np.asarray(theta, dtype=float)[None]
+
+
+def _require_finite(J, m, theta) -> None:
+    if not np.isfinite(J):
+        raise BvpSolveError(f"objective cannot be evaluated at m={m!r}, theta={theta!r}")
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def post_optimality_apply(problem, m, theta, dtheta) -> SensitivityApply:
     Theta = np.atleast_2d(np.asarray(theta, dtype=float))
     dTheta = np.atleast_2d(np.asarray(dtheta, dtype=float))
 
-    H, B = problem.hessian_and_mixed_stack(M, Theta)
+    _, _, H, B = problem.derivatives(M, Theta)
     rhs = -(B @ dTheta[..., None])[..., 0]
 
     # rows with a zero eigenvalue divide by it; they are flagged below

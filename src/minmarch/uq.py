@@ -10,7 +10,7 @@ import numpy as np
 
 from .exceptions import DegenerateBandwidthError
 from .marching import MarchConfig, MarchStatus, Scheme, march_block
-from .newton import NewtonConfig, SolveResult, newton_solve, solve_nominal, to_json_dict
+from .newton import NewtonConfig, SolveResult, newton_solve_block, solve_nominal, to_json_dict
 from .problems.base import ParameterBox
 from .sensitivity import ParameterLine
 
@@ -174,8 +174,8 @@ def _propagate_block(payload: _StudyPayload, task) -> tuple[list[SampleRecord], 
     """Records of one contiguous block of samples, and the RHS evaluations it made.
 
     ``task`` is (index of the first sample, thetas of shape (S, p)).  The
-    block is marched in lockstep once per step count; the Newton oracle runs
-    per sample.
+    block is marched in lockstep once per step count, and the Newton oracle
+    re-solves it in lockstep once.
     """
     first, thetas = task
     lines = ParameterLine(payload.nominal_theta, thetas)
@@ -184,19 +184,21 @@ def _propagate_block(payload: _StudyPayload, task) -> tuple[list[SampleRecord], 
     for N in payload.N_list:
         block = march_block(payload.problem, payload.start, lines, MarchConfig(N, payload.scheme))
         rhs_evals += int(block.rhs_evals.sum())
-        # copies, so the block's iterates are freed before the next step count
-        for s, by_N in enumerate(outcomes):
-            by_N[N] = MarchOutcome(
-                block.finals[s].copy(), block.statuses[s], bool(block.left_basin[s])
-            )
-    records = []
-    for s, (theta, by_N) in enumerate(zip(thetas, outcomes)):
-        oracle = (
-            newton_solve(payload.problem, theta, payload.start, payload.newton_config)
-            if payload.with_oracle
-            else None
-        )
-        records.append(SampleRecord(first + s, theta, by_N, oracle))
+        # a copy, so that the block's iterates are freed before the next step count
+        finals = block.finals.copy()
+        for by_N, final, status, left in zip(
+            outcomes, finals, block.statuses, block.left_basin.tolist()
+        ):
+            by_N[N] = MarchOutcome(final, status, left)
+    oracles = (
+        newton_solve_block(payload.problem, thetas, payload.start, payload.newton_config)
+        if payload.with_oracle
+        else [None] * len(thetas)
+    )
+    records = [
+        SampleRecord(first + s, theta, by_N, oracle)
+        for s, (theta, by_N, oracle) in enumerate(zip(thetas, outcomes, oracles))
+    ]
     return records, rhs_evals
 
 
@@ -227,9 +229,12 @@ def propagate_study(
 
     Every sample marches from the single nominal minimizer with each step
     count in ``N_list``; with ``with_oracle`` each sample is also re-solved by
-    Newton as ground truth.  Samples are marched in lockstep in contiguous
-    blocks: one block with one worker, ``workers * 8`` blocks spread over a
-    pool of ``workers`` processes otherwise.  A sample's march does not depend
+    Newton as ground truth, warm-started from the nominal minimizer.
+    Samples are taken in contiguous blocks: one block with one worker,
+    ``workers * 8`` blocks spread over a pool of ``workers`` processes
+    otherwise.  Each block is marched in lockstep once per step count
+    (``march_block``) and re-solved in lockstep once
+    (``newton_solve_block``).  A sample's march and re-solve do not depend
     on its block, and records are assembled in sample order, so the output
     is independent of the worker count and of scheduling.  The pool uses the
     platform's default start method; under spawn or forkserver the problem

@@ -77,17 +77,12 @@ class ConcaveProblem(mm.Problem):
     p = 1
     basin_hint = None
 
-    def objective(self, m, theta):
-        return -0.5 * m[0] ** 2 + theta[0] * m[0]
+    def values(self, M, Theta):
+        return -0.5 * M[:, 0] ** 2 + Theta[:, 0] * M[:, 0]
 
-    def gradient(self, m, theta):
-        return np.array([-m[0] + theta[0]])
-
-    def hessian(self, m, theta):
-        return np.array([[-1.0]])
-
-    def mixed(self, m, theta):
-        return np.array([[1.0]])
+    def derivatives(self, M, Theta):
+        ones = np.ones((len(M), 1, 1))
+        return self.values(M, Theta), Theta - M, -ones, ones
 
     def initial_guess(self):
         return np.array([0.0])
@@ -105,17 +100,11 @@ class FragileProblem(mm.Problem):
     p = 1
     basin_hint = None
 
-    def objective(self, m, theta):
-        return 0.5 * theta[0] * m[0] ** 2
+    def values(self, M, Theta):
+        return 0.5 * Theta[:, 0] * M[:, 0] ** 2
 
-    def gradient(self, m, theta):
-        return np.array([theta[0] * m[0]])
-
-    def hessian(self, m, theta):
-        return np.array([[theta[0]]])
-
-    def mixed(self, m, theta):
-        return np.array([[m[0]]])
+    def derivatives(self, M, Theta):
+        return self.values(M, Theta), Theta * M, Theta[:, :, None], M[:, :, None]
 
     def initial_guess(self):
         return np.array([0.0])

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines; the two study fixtures dominate the runtime (about 70 s for the
-whole test suite on two cores, 54 s of it the advdiff study).
+lines; the two study fixtures dominate the runtime (about 25 s for the
+whole test suite on two cores, 11 s of it the advdiff study).
 """
 
 import os

@@ -192,30 +192,57 @@ def random_stack(problem, box, S, seed):
 
 @pytest.mark.parametrize("S", [1, 7, 50])
 def test_stack_makes_three_solves(advdiff, advdiff_box, monkeypatch, S):
+    """derivatives takes three solves for any S, values one."""
     M, Theta = random_stack(advdiff, advdiff_box, S, seed=S)
     bands = counting_solves(monkeypatch)
-    advdiff.hessian_and_mixed_stack(M, Theta)
+    advdiff.derivatives(M, Theta)
     assert len(bands) == 3
     assert all(diag.size == S * (advdiff.model.grid_cells + 1) for _, diag, _ in bands)
+    advdiff.values(M, Theta)
+    assert len(bands) == 4
 
 
 @pytest.mark.parametrize("S", [1, 7, 50])
 def test_stack_equals_row_loop_bit_for_bit(advdiff, advdiff_box, S):
-    """The stacked solves reproduce the base-class loop over single points exactly."""
+    """The stacked solves reproduce a loop over S = 1 evaluations exactly."""
     M, Theta = random_stack(advdiff, advdiff_box, S, seed=100 + S)
-    H, B = advdiff.hessian_and_mixed_stack(M, Theta)
-    H_loop, B_loop = mm.Problem.hessian_and_mixed_stack(advdiff, M, Theta)
-    differing = np.count_nonzero(H != H_loop) + np.count_nonzero(B != B_loop)
-    assert differing == 0, f"{differing} of {H.size + B.size} cells differ"
+    stacked = (advdiff.values(M, Theta),) + advdiff.derivatives(M, Theta)
+    rows = [
+        (advdiff.values(M[s : s + 1], Theta[s : s + 1]),)
+        + advdiff.derivatives(M[s : s + 1], Theta[s : s + 1])
+        for s in range(S)
+    ]
+    loop = [np.concatenate(parts) for parts in zip(*rows)]
+    differing = sum(np.count_nonzero(a != b) for a, b in zip(stacked, loop))
+    total = sum(a.size for a in stacked)
+    assert differing == 0, f"{differing} of {total} cells differ"
+    # J from the state solve alone equals J from the three solves
+    assert np.array_equal(stacked[0], stacked[1])
 
 
-def assert_only_row_is_nan(problem, M, Theta, bad):
-    H, B = problem.hessian_and_mixed_stack(M, Theta)
-    assert np.isnan(H[bad]).all() and np.isnan(B[bad]).all()
+def test_stacked_solves_take_at_most_stack_rows(advdiff, advdiff_box, monkeypatch):
+    """A stack larger than STACK_ROWS is solved in chunks with the same rows."""
+    M, Theta = random_stack(advdiff, advdiff_box, 7, seed=4)
+    expected = advdiff.derivatives(M, Theta)
+    monkeypatch.setattr(advdiff_module, "STACK_ROWS", 3)
+    bands = counting_solves(monkeypatch)
+    chunked = advdiff.derivatives(M, Theta)
+    rows = [diag.size // (advdiff.model.grid_cells + 1) for _, diag, _ in bands]
+    assert rows == [3] * 6 + [1] * 3
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, expected))
+
+
+def assert_only_row_failed(problem, M, Theta, bad):
+    """Row ``bad`` is +inf in values and NaN in derivatives; its blockmates are unchanged."""
+    J = problem.values(M, Theta)
+    derivatives = problem.derivatives(M, Theta)
+    assert J[bad] == np.inf
+    assert all(np.isnan(out[bad]).all() for out in derivatives)
     for s in range(len(M)):
         if s != bad:
-            H_s, B_s = problem.hessian_and_mixed(M[s], Theta[s])
-            assert np.array_equal(H[s], H_s) and np.array_equal(B[s], B_s)
+            assert J[s] == problem.objective(M[s], Theta[s])
+            single = problem.derivatives(M[s : s + 1], Theta[s : s + 1])
+            assert all(np.array_equal(out[s], one[0]) for out, one in zip(derivatives, single))
 
 
 def test_stack_row_with_nonpositive_kappa_is_nan(advdiff, advdiff_box):
@@ -223,7 +250,9 @@ def test_stack_row_with_nonpositive_kappa_is_nan(advdiff, advdiff_box):
     M[2, 0] = -0.01
     with pytest.raises(mm.BvpSolveError):
         advdiff.hessian_and_mixed(M[2], Theta[2])
-    assert_only_row_is_nan(advdiff, M, Theta, bad=2)
+    with pytest.raises(mm.BvpSolveError):
+        advdiff.objective(M[2], Theta[2])
+    assert_only_row_failed(advdiff, M, Theta, bad=2)
 
 
 def test_stack_row_with_singular_system_is_nan(monkeypatch):
@@ -240,9 +269,33 @@ def test_stack_row_with_singular_system_is_nan(monkeypatch):
         with pytest.raises(mm.BvpSolveError):
             single(M[1], Theta[1])
     bands = counting_solves(monkeypatch)
-    assert_only_row_is_nan(problem, M, Theta, bad=1)
+    assert_only_row_failed(problem, M, Theta, bad=1)
     # the stacked state solve fails, so each row is solved on its own
     assert len(bands) > 3
+
+
+def test_values_is_inf_on_every_failing_row():
+    """A line search backtracks from any point the state solve cannot take.
+
+    The rows: kappa <= 0, bands that overflow ([1e305, 0.3]), a NaN
+    parameter, an exactly zero pivot (see the test above) and a state that
+    overflows (a = 1e308).  Each is +inf; the healthy rows between them
+    keep their S = 1 values.
+    """
+    problem = mm.make_advdiff_problem(grid_cells=16)
+    box = mm.ParameterBox.relative(THETA_ADVDIFF, 0.2)
+    M, Theta = random_stack(problem, box, 11, seed=8)
+    bad = [1, 3, 5, 7, 9]
+    M[1, 0] = -0.01
+    M[3] = (1e305, 0.3)
+    Theta[5, 1] = np.nan
+    M[7], Theta[7] = (0.0625, -2.0), (10.0, 0.05, 0.0)
+    M[9, 0], Theta[9, 0] = 1e-3, 1e308
+    J = problem.values(M, Theta)
+    assert np.all(J[bad] == np.inf)
+    for s in sorted(set(range(11)) - set(bad)):
+        assert np.isfinite(J[s])
+        assert J[s] == problem.values(M[s : s + 1], Theta[s : s + 1])[0]
 
 
 @pytest.mark.parametrize("columns", [None, 1, 5])

@@ -129,3 +129,58 @@ def test_symmetrized_hessian_close_to_raw_fd(
     H_raw = fd_jacobian(lambda mm_: problem.gradient(mm_, box.nominal), m)
     H_sym, _ = mm.fd_second_derivatives(problem.gradient, m, box.nominal)
     assert np.max(np.abs(H_sym - H_raw)) <= 1e-6
+
+
+def taylor_remainders(problem, m, theta, dm, dtheta, steps):
+    """Remainders ||g(x + e dx) - g(x) - e D dx|| for D = H (x = m) and D = B (x = theta).
+
+    All perturbed points of one kind are evaluated as one stack.
+    """
+    K = steps.size
+    _, g0, H, B = problem.derivatives(m[None], theta[None])
+    g_m = problem.derivatives(m + steps[:, None] * dm, np.tile(theta, (K, 1)))[1]
+    g_t = problem.derivatives(np.tile(m, (K, 1)), theta + steps[:, None] * dtheta)[1]
+    r_m = np.linalg.norm(g_m - g0 - steps[:, None] * (H[0] @ dm), axis=1)
+    r_t = np.linalg.norm(g_t - g0 - steps[:, None] * (B[0] @ dtheta), axis=1)
+    return r_m, r_t
+
+
+@pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
+def test_taylor_remainder_decays_at_second_order(
+    name, quadratic, double_well, logistic, advdiff,
+    quadratic_box, cubic_box, logistic_box, advdiff_box,
+):
+    """H and B are the derivatives of g: the first-order Taylor remainder of g is O(e^2).
+
+    The rate is fitted over e = 2^-2 .. 2^-13, so neither FD truncation nor
+    roundoff at one step decides the outcome (dolfin-adjoint's taylor_test).
+    The quadratic's gradient is affine, so its remainder is roundoff at
+    every step and is checked as such.
+    """
+    problem, box = {
+        "quadratic": (quadratic, quadratic_box),
+        "cubic": (double_well, cubic_box),
+        "logistic1d": (logistic, logistic_box),
+        "advdiff": (advdiff, advdiff_box),
+    }[name]
+    rng = np.random.default_rng(31)
+    lo, hi = problem.basin_hint or (np.array([-0.5]), np.array([1.5]))
+    points = [
+        (rng.uniform(lo, hi), box.nominal + box.half_widths * rng.uniform(-1.0, 1.0, box.p))
+        for _ in range(5)
+    ]
+    if name == "advdiff":
+        # FD roundoff fails the derivative check here, with correct derivatives
+        points.append((np.array([0.05134, 0.2388]), np.array([9.804, 0.04188, 0.8922])))
+    steps = 2.0 ** -np.arange(2, 14)
+    for m, theta in points:
+        # perturbed points stay in the basin: e |dm| < (distance to its edge) / 4
+        dm = np.minimum(m - lo, hi - m) * rng.uniform(-1.0, 1.0, m.size)
+        dtheta = 0.2 * box.half_widths * rng.uniform(-1.0, 1.0, box.p)
+        r_m, r_t = taylor_remainders(problem, m, theta, dm, dtheta, steps)
+        if name == "quadratic":
+            assert np.all(r_m <= 1e-14) and np.all(r_t <= 1e-14)
+            continue
+        for r in (r_m, r_t):
+            rate = np.polyfit(np.log(steps), np.log(r), 1)[0]
+            assert abs(rate - 2.0) <= 0.2, f"rate {rate:.3f} at m={m}, theta={theta}"

@@ -122,17 +122,12 @@ class _NonfiniteRhsProblem(mm.Problem):
     p = 1
     basin_hint = None
 
-    def objective(self, m, theta):
-        return 0.5 * m[0] ** 2
+    def values(self, M, Theta):
+        return 0.5 * M[:, 0] ** 2
 
-    def gradient(self, m, theta):
-        return np.array([m[0]])
-
-    def hessian(self, m, theta):
-        return np.array([[1.0]])
-
-    def mixed(self, m, theta):
-        return np.array([[np.inf]])
+    def derivatives(self, M, Theta):
+        S = len(M)
+        return self.values(M, Theta), M.copy(), np.ones((S, 1, 1)), np.full((S, 1, 1), np.inf)
 
 
 def test_aborted_nonfinite(concave_problem):
@@ -203,18 +198,14 @@ class _SinhProblem(mm.Problem):
     p = 1
     basin_hint = None
 
-    def objective(self, m, theta):
-        return 0.5 * (np.sinh(m[0]) - theta[0]) ** 2
+    def values(self, M, Theta):
+        return 0.5 * (np.sinh(M[:, 0]) - Theta[:, 0]) ** 2
 
-    def gradient(self, m, theta):
-        return np.array([(np.sinh(m[0]) - theta[0]) * np.cosh(m[0])])
-
-    def hessian(self, m, theta):
-        s, c = np.sinh(m[0]), np.cosh(m[0])
-        return np.array([[c**2 + (s - theta[0]) * s]])
-
-    def mixed(self, m, theta):
-        return np.array([[-np.cosh(m[0])]])
+    def derivatives(self, M, Theta):
+        s, c = np.sinh(M), np.cosh(M)
+        g = (s - Theta) * c
+        H = c**2 + (s - Theta) * s
+        return self.values(M, Theta), g, H[:, :, None], -c[:, :, None]
 
 
 @pytest.mark.parametrize(
@@ -287,8 +278,9 @@ def test_block_march_equals_single_marches(
 class _FragileWithPole(FragileProblem):
     """FragileProblem whose mixed derivative is infinite for theta_1 >= 2."""
 
-    def mixed(self, m, theta):
-        return np.array([[np.inf if theta[0] >= 2.0 else m[0]]])
+    def derivatives(self, M, Theta):
+        J, g, H, B = super().derivatives(M, Theta)
+        return J, g, H, np.where(Theta[:, :, None] >= 2.0, np.inf, B)
 
 
 @pytest.mark.parametrize(
@@ -341,25 +333,24 @@ def test_mixed_block_abort_accounting(scheme, failure_steps):
 
 
 class _BowlWithSolverFailure(mm.Problem):
-    """J = |m - theta_1 (1, 1)|^2 / 2, whose second derivatives fail for theta_1 > 1.5."""
+    """J = |m - theta_1 (1, 1)|^2 / 2, which cannot be evaluated for theta_1 > 1.5."""
 
     d = 2
     p = 1
     basin_hint = None
 
-    def objective(self, m, theta):
-        return 0.5 * float(np.sum((m - theta[0]) ** 2))
+    def values(self, M, Theta):
+        J = 0.5 * np.sum((M - Theta) ** 2, axis=1)
+        return np.where(Theta[:, 0] > 1.5, np.inf, J)
 
-    def gradient(self, m, theta):
-        return m - theta[0]
-
-    def hessian(self, m, theta):
-        if theta[0] > 1.5:
-            raise mm.BvpSolveError("solver breakdown")
-        return np.eye(2)
-
-    def mixed(self, m, theta):
-        return -np.ones((2, 1))
+    def derivatives(self, M, Theta):
+        S = len(M)
+        J, g = self.values(M, Theta), M - Theta
+        H, B = np.broadcast_to(np.eye(2), (S, 2, 2)).copy(), -np.ones((S, 2, 1))
+        # a failed evaluation is NaN in every output of its row
+        failed = Theta[:, 0] > 1.5
+        J[failed], g[failed], H[failed], B[failed] = np.nan, np.nan, np.nan, np.nan
+        return J, g, H, B
 
 
 def test_block_row_solver_failure_aborts_only_that_row():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import minmarch as mm
+from minmarch.newton import newton_solve_block
 
-from conftest import THETA_LOGISTIC
+from conftest import THETA_LOGISTIC, FragileProblem
 
 # independent oracle: bisection on the closed-form gradient over [0.5, 1.5]
 # at the nominal parameters (1, 3, 0.1); frozen from a 200-step run
@@ -158,3 +159,124 @@ class TestReferenceDistribution:
             cold = mm.newton_solve(logistic, theta, logistic.initial_guess())
             assert warm.converged and cold.converged
             assert np.linalg.norm(warm.minimizer - cold.minimizer) <= 1e-8
+
+
+def assert_same_solve(a, b):
+    """Two SolveResults agree in every field bit for bit, histories included."""
+    assert np.array_equal(a.minimizer, b.minimizer)
+    for name in ("objective", "grad_norm", "hessian_min_eigenvalue"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    assert (a.history is None) == (b.history is None)
+    for x, y in zip(a.history or [], b.history or [], strict=True):
+        assert np.array_equal(
+            [x.objective, x.grad_norm, x.hessian_min_eigenvalue],
+            [y.objective, y.grad_norm, y.hessian_min_eigenvalue],
+            equal_nan=True,
+        )
+        assert (x.alpha, x.directional_derivative, x.polish) == (
+            y.alpha, y.directional_derivative, y.polish
+        )
+
+
+@pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
+def test_newton_block_equals_single_solves(
+    name, quadratic, double_well, logistic, advdiff,
+    quadratic_box, cubic_box, logistic_box, advdiff_box,
+):
+    # every operation is row-wise, so a re-solve does not depend on its block;
+    # warm starts as the study oracle runs them, cold starts for longer paths
+    problem, box, count = {
+        "quadratic": (quadratic, quadratic_box, 20),
+        "cubic": (double_well, cubic_box, 30),
+        "logistic1d": (logistic, logistic_box, 60),
+        "advdiff": (advdiff, advdiff_box, 6),
+    }[name]
+    thetas = box.sample(seed=21, count=count)
+    for start in (mm.solve_nominal(problem, box).minimizer, problem.initial_guess()):
+        block = newton_solve_block(problem, thetas, start, record_history=True)
+        assert len(block) == count
+        for result, theta in zip(block, thetas):
+            single = mm.newton_solve(problem, theta, start, record_history=True)
+            assert_same_solve(result, single)
+            assert len(result.history) == result.iterations + 1
+
+
+class _WalledFragile(FragileProblem):
+    """FragileProblem that cannot be evaluated past a wall at m = 1.
+
+    Like a PDE whose solve fails for kappa <= 0: ``values`` is +inf there
+    and ``derivatives`` NaN in every output.
+    """
+
+    def values(self, M, Theta):
+        return np.where(M[:, 0] > 1.0, np.inf, super().values(M, Theta))
+
+    def derivatives(self, M, Theta):
+        wall = M[:, 0] > 1.0
+        J, g, H, B = (np.array(out, dtype=float) for out in super().derivatives(M, Theta))
+        J[wall], g[wall], H[wall], B[wall] = np.nan, np.nan, np.nan, np.nan
+        return J, g, H, B
+
+
+def test_mixed_block_failure_paths():
+    """Each way a re-solve ends, side by side in one block.
+
+    J = theta m^2 / 2: for theta = 1 the unit Newton step lands on the
+    minimizer 0; for theta = -1 the Hessian is indefinite, so the step is
+    steepest descent, which doubles m.
+    """
+    problem = _WalledFragile()
+    config = mm.NewtonConfig(max_iters=20, max_backtracks=4)
+    rows = [
+        (1.0, 0.5),  # converges in one Newton step
+        (-1.0, 1e-7),  # steepest descent until max_iters
+        (1.0, 1e-9),  # slope below roundoff on J: a polish step
+        (-1.0, 0.0),  # stationary, but a maximum
+        (-1.0, 0.9),  # every trial 0.9 (1 + 2^-k), k < 4, lies past the wall
+        (1.0, 2.0),  # the start itself cannot be evaluated
+    ]
+    Theta = np.array([[t] for t, _ in rows])
+    M0 = np.array([[m] for _, m in rows])
+    block = newton_solve_block(problem, Theta, M0, config, record_history=True)
+    for s, (theta, m0) in enumerate(rows):
+        single = mm.newton_solve(problem, [theta], [m0], config, record_history=True)
+        assert_same_solve(block[s], single)
+    converged, steepest, polished, maximum, rejected, wall = block
+
+    assert converged.converged and converged.iterations == 1
+    assert converged.minimizer[0] == 0.0
+
+    assert not steepest.converged and steepest.iterations == config.max_iters
+    assert steepest.minimizer[0] == 1e-7 * 2.0**20
+    assert all(h.hessian_min_eigenvalue < 0 and h.alpha == 1.0 for h in steepest.history[:-1])
+
+    assert polished.converged and polished.iterations == 1
+    assert polished.history[0].polish and polished.history[0].alpha == 1.0
+
+    assert not maximum.converged and maximum.iterations == 0
+    assert maximum.hessian_min_eigenvalue == -1.0
+
+    assert not rejected.converged and rejected.iterations == 0
+    assert rejected.history[0].alpha is None and not rejected.history[0].polish
+    assert rejected.minimizer[0] == 0.9
+
+    assert not wall.converged and wall.iterations == 0
+    assert np.isnan(wall.objective) and wall.minimizer[0] == 2.0
+
+
+def test_advdiff_trial_step_with_nonpositive_kappa_backtracks(advdiff):
+    # from kappa = 0.006 the Newton step reaches kappa < 0, where the state
+    # cannot be solved; the line search backtracks, and its blockmates are
+    # untouched
+    theta = np.array([10.0, 0.05, 1.0])
+    M0 = np.array([[0.006, 1.0], [0.06, 0.32], [0.05, 0.4]])
+    _, g, H, _ = advdiff.derivatives(M0[:1], theta[None])
+    assert M0[0, 0] - np.linalg.solve(H[0], g[0])[0] <= 0.0
+    Theta = np.tile(theta, (3, 1))
+    block = newton_solve_block(advdiff, Theta, M0, record_history=True)
+    assert block[0].converged and block[0].history[0].alpha < 1.0
+    for s in range(3):
+        single = mm.newton_solve(advdiff, theta, M0[s], record_history=True)
+        assert_same_solve(block[s], single)
+        assert single.converged

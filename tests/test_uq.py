@@ -61,6 +61,16 @@ class TestKde:
         assert mm.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
 
 
+def assert_same_oracles(records, expected):
+    """Every oracle field of two record lists agrees bit for bit."""
+    for a, b in zip(records, expected, strict=True):
+        assert np.array_equal(a.oracle.minimizer, b.oracle.minimizer)
+        for name in ("objective", "grad_norm", "hessian_min_eigenvalue"):
+            assert np.array_equal(getattr(a.oracle, name), getattr(b.oracle, name), equal_nan=True)
+        assert a.oracle.iterations == b.oracle.iterations
+        assert a.oracle.converged == b.oracle.converged
+
+
 class TestPropagateStudy:
     def test_degenerate_box_reproduces_nominal(self, logistic):
         box = mm.ParameterBox(THETA_LOGISTIC, np.zeros(3))
@@ -120,9 +130,11 @@ class TestPropagateStudy:
         assert parallel.counters["march_blocks"] == 16
         if name == "fragile":
             assert serial.failure_counts()["march_aborted"][8] > 0
+            assert serial.failure_counts()["newton_not_converged"] > 0
         expected = serial.to_dict()
         assert parallel.to_dict() == expected
         assert {**parallel.counters, "march_blocks": 1} == serial.counters
+        assert_same_oracles(parallel.records, serial.records)
 
         payload = _StudyPayload(
             problem, box.nominal, serial.nominal.minimizer, (1, 3, 8), Scheme.HEUN, True,
@@ -136,6 +148,7 @@ class TestPropagateStudy:
                 for rec in _propagate_block(payload, (a, thetas[a:b]))[0]
             ]
             assert replace(serial, records=records).to_dict() == expected
+            assert_same_oracles(records, serial.records)
 
     @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
     def test_payload_survives_pickle(
