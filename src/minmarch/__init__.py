@@ -40,8 +40,6 @@ from .sensitivity import ParameterLine, SensitivityApply, post_optimality_apply
 from .uq import (
     ConvergenceReport,
     DensityEstimate,
-    MarchOutcome,
-    SampleRecord,
     SampleStudy,
     Statistic,
     StudyErrorSummary,
@@ -81,8 +79,6 @@ __all__ = [
     "Trajectory",
     "ConvergenceReport",
     "DensityEstimate",
-    "MarchOutcome",
-    "SampleRecord",
     "SampleStudy",
     "Statistic",
     "StudyErrorSummary",

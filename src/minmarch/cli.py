@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import numbers
 import os
 import sys
 import time
@@ -41,7 +42,7 @@ from .reporting import (
     write_trajectory_csv,
 )
 from .sensitivity import ParameterLine
-from .uq import SampleStudy, kde, propagate_study, silverman_bandwidth, summary_errors
+from .uq import KDE_PADDING, SampleStudy, kde, propagate_study, silverman_bandwidth, summary_errors
 
 PROBLEM_NAMES = ("quadratic", "cubic", "logistic1d", "advdiff")
 
@@ -157,6 +158,13 @@ def _reject_unknown(given: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
 
 
+def _integer(value, key: str) -> int:
+    """An integer config value as int; a bool, float or string is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
     """Merge defaults <- config file <- command-line flags, validating strictly."""
     file_cfg = copy.deepcopy(file_cfg) if file_cfg else {}
@@ -180,6 +188,8 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
     for key, value in file_cfg.items():
         if key == "problem":
             continue
+        if key in ("problem_options", "box") and not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
         if key == "problem_options":
             _reject_unknown(
                 value,
@@ -214,9 +224,14 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"invalid box: {err}") from err
 
-    if int(merged["num_samples"]) < 1:
+    num_samples, seed, workers = (
+        _integer(merged[key], key) for key in ("num_samples", "seed", "workers")
+    )
+    if num_samples < 1:
         raise ConfigError("num_samples must be >= 1")
-    N_list = [int(N) for N in merged["N_list"]]
+    if not isinstance(merged["N_list"], (list, tuple)):
+        raise ConfigError(f"N_list must be a list of integers, got {merged['N_list']!r}")
+    N_list = [_integer(N, "N_list entry") for N in merged["N_list"]]
     if not N_list or any(N < 1 for N in N_list):
         raise ConfigError("N_list must contain positive integers")
     try:
@@ -226,20 +241,22 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
             f"unknown scheme {merged['scheme']!r}; choose from "
             f"{', '.join(s.value for s in Scheme)}"
         ) from err
-    if int(merged["workers"]) < 1:
+    if workers < 1:
         raise ConfigError("workers must be >= 1")
+    if not isinstance(merged["with_oracle"], bool):
+        raise ConfigError(f"with_oracle must be true or false, got {merged['with_oracle']!r}")
     if float(merged["fd_step"]) <= 0:
         raise ConfigError("fd_step must be positive")
 
     return RunConfig(
         problem=problem,
         box=box,
-        num_samples=int(merged["num_samples"]),
-        seed=int(merged["seed"]),
+        num_samples=num_samples,
+        seed=seed,
         N_list=N_list,
         scheme=scheme,
-        with_oracle=bool(merged["with_oracle"]),
-        workers=int(merged["workers"]),
+        with_oracle=merged["with_oracle"],
+        workers=workers,
         output_dir=str(merged["output_dir"]),
         fd_step=float(merged["fd_step"]),
         problem_options=merged["problem_options"],
@@ -338,9 +355,15 @@ def cmd_check(args) -> int:
 # study
 
 
-def _study_kde_files(study: SampleStudy, out_dir: str) -> list[str]:
-    """Write the density files that can be formed; zero-spread sources get none."""
-    mask = study.valid_mask()
+def _shared_axis(columns, dimension: int, points: int) -> np.ndarray:
+    """A grid over every column, padded by KDE_PADDING bandwidths of each."""
+    lo = min(c.min() - KDE_PADDING * silverman_bandwidth(c, dimension) for c in columns)
+    hi = max(c.max() + KDE_PADDING * silverman_bandwidth(c, dimension) for c in columns)
+    return np.linspace(lo, hi, points)
+
+
+def _study_kde_files(study: SampleStudy, mask: np.ndarray, out_dir: str) -> list[str]:
+    """Write the densities of the samples in mask; zero-spread sources get none."""
     if mask.sum() < 30:
         return []
     d = study.d
@@ -353,13 +376,7 @@ def _study_kde_files(study: SampleStudy, out_dir: str) -> list[str]:
     written = []
     for k in range(d):
         columns = {label: data[:, k] for label, data in sources.items()}
-        span_lo = min(
-            col.min() - 4.0 * silverman_bandwidth(col) for col in columns.values()
-        )
-        span_hi = max(
-            col.max() + 4.0 * silverman_bandwidth(col) for col in columns.values()
-        )
-        axis = np.linspace(span_lo, span_hi, 256)
+        axis = _shared_axis(columns.values(), 1, 256)
         for label, col in columns.items():
             try:
                 est = kde(col, grid=(axis,))
@@ -370,20 +387,12 @@ def _study_kde_files(study: SampleStudy, out_dir: str) -> list[str]:
             written.append(os.path.basename(path))
 
     if d == 2:
-        axes = []
-        for k in range(2):
-            lo = min(
-                data[:, k].min() - 4.0 * silverman_bandwidth(data[:, k], 2)
-                for data in sources.values()
-            )
-            hi = max(
-                data[:, k].max() + 4.0 * silverman_bandwidth(data[:, k], 2)
-                for data in sources.values()
-            )
-            axes.append(np.linspace(lo, hi, 101))
+        axes = tuple(
+            _shared_axis([data[:, k] for data in sources.values()], 2, 101) for k in range(2)
+        )
         for label, data in sources.items():
             try:
-                est = kde(data, grid=tuple(axes))
+                est = kde(data, grid=axes)
             except DegenerateBandwidthError:
                 continue
             path = os.path.join(out_dir, f"kde_joint_{label}.csv")
@@ -435,7 +444,8 @@ def cmd_study(args) -> int:
     timings["statistics"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kde_files = _study_kde_files(study, out_dir)
+    mask = study.valid_mask()
+    kde_files = _study_kde_files(study, mask, out_dir)
     timings["kde"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -446,22 +456,22 @@ def cmd_study(args) -> int:
     timings["write"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_total
 
+    counts = study.failure_counts()
     manifest = {
         "command": "study",
         "version": __version__,
         "config": cfg.echo(),
         "newton": to_json_dict(study.newton_config),
         "timings_sec": timings,
-        "failure_counts": study.failure_counts(),
+        "failure_counts": counts,
         "counters": study.counters,
-        "excluded_from_statistics": int(cfg.num_samples - study.valid_mask().sum()),
+        "excluded_from_statistics": int(cfg.num_samples - mask.sum()),
         "nominal": to_json_dict(study.nominal),
         "fitted_slopes": slopes,
         "kde_files": kde_files,
     }
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
-    counts = study.failure_counts()
     print(f"study written to {out_dir}")
     print(
         f"  samples={cfg.num_samples} N_list={cfg.N_list} "

@@ -17,17 +17,8 @@ def _steps(x: np.ndarray, base: float) -> np.ndarray:
 
 
 def fd_gradient(func, x: np.ndarray, base_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central differences of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    h = _steps(x, base_step)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        out[i] = (func(xp) - func(xm)) / (2.0 * h[i])
-    return out
+    """Central differences of a scalar function: the one-row ``fd_jacobian``."""
+    return fd_jacobian(lambda xx: np.atleast_1d(func(xx)), x, base_step)[0]
 
 
 def fd_jacobian(vecfunc, x: np.ndarray, base_step: float = DEFAULT_FD_STEP) -> np.ndarray:

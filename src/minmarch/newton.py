@@ -46,6 +46,8 @@ class IterationRecord:
 
 @dataclass
 class SolveResult:
+    """One re-solve, or S of them as columns: minimizer (S, d), fields (S,), S histories."""
+
     minimizer: np.ndarray
     objective: float
     grad_norm: float
@@ -53,6 +55,18 @@ class SolveResult:
     converged: bool
     hessian_min_eigenvalue: float
     history: list[IterationRecord] | None = field(default=None, repr=False)
+
+    def row(self, s: int) -> "SolveResult":
+        """Solve s of a stacked result, with scalar fields."""
+        return SolveResult(
+            self.minimizer[s].copy(),
+            float(self.objective[s]),
+            float(self.grad_norm[s]),
+            int(self.iterations[s]),
+            bool(self.converged[s]),
+            float(self.hessian_min_eigenvalue[s]),
+            self.history[s] if self.history is not None else None,
+        )
 
 
 def to_json_dict(obj) -> dict:
@@ -77,7 +91,8 @@ def newton_solve(
     parameter vectors in lockstep; see there for the method.
     """
     theta = np.asarray(theta, dtype=float)
-    return newton_solve_block(problem, theta[None], as_vector(m0, "m0"), config, record_history)[0]
+    block = newton_solve_block(problem, theta[None], as_vector(m0, "m0"), config, record_history)
+    return block.row(0)
 
 
 def newton_solve_block(
@@ -86,7 +101,7 @@ def newton_solve_block(
     m0,
     config: NewtonConfig = NewtonConfig(),
     record_history: bool = False,
-) -> list[SolveResult]:
+) -> SolveResult:
     """Minimize J(., Theta[s]) for each row s of Theta (S, p), in lockstep.
 
     Every row starts from ``m0``, one point (d,) or one per row (S, d).
@@ -108,6 +123,9 @@ def newton_solve_block(
     iterates reached by a shorter step are evaluated anew.  A row that
     stops keeps its last iterate and is not evaluated again.  Every
     operation is row-wise, so a row's result does not depend on its block.
+
+    Returns one ``SolveResult`` whose fields are columns over the S rows;
+    ``SolveResult.row`` takes one of them out.
     """
     Theta = np.asarray(Theta, dtype=float)
     S = Theta.shape[0]
@@ -192,18 +210,7 @@ def newton_solve_block(
         known[rows] = accepted & (alpha == 1.0)
         active = rows[accepted]
 
-    return [
-        SolveResult(
-            M[s].copy(),
-            float(value[s]),
-            float(grad_norm[s]),
-            int(iterations[s]),
-            bool(converged[s]),
-            float(min_eig[s]),
-            histories[s] if histories is not None else None,
-        )
-        for s in range(S)
-    ]
+    return SolveResult(M, value, grad_norm, iterations, converged, min_eig, histories)
 
 
 def solve_nominal(

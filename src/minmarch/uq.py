@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -16,38 +16,37 @@ from .sensitivity import ParameterLine
 
 SLOPE_FLOOR = 1e-13  # errors at roundoff level carry no rate information
 KDE_PADDING = 4.0  # default kde grids extend this many bandwidths past the data
-
-
-@dataclass(frozen=True)
-class MarchOutcome:
-    """Endpoint of one march: the last good state and how the march ended."""
-
-    final_state: np.ndarray
-    status: MarchStatus
-    left_basin: bool = False
-
-
-@dataclass
-class SampleRecord:
-    index: int
-    theta: np.ndarray
-    outcomes: dict[int, MarchOutcome]
-    oracle: SolveResult | None = None
+# the SolveResult fields study.json records per sample
+_ORACLE_COLUMNS = [f.name for f in fields(SolveResult) if f.name != "history"]
 
 
 @dataclass
 class SampleStudy:
-    """All per-sample results of one uncertainty-propagation run."""
+    """All per-sample results of one uncertainty-propagation run, as columns.
+
+    Sample s is row s of ``theta`` (S, p) and of every column.  Per step
+    count, in ``N_list`` order, ``march_finals`` (len(N_list), S, d) holds
+    the last good state of each march, ``march_status`` (len(N_list), S) its
+    ``MarchStatus`` value as a string and ``left_basin`` whether an iterate
+    left the problem's basin hint; compare statuses with
+    ``MarchStatus.COMPLETED.value``, since numpy renders a member by its
+    name.  ``oracle`` is the Newton re-solve of every sample as one stacked
+    ``SolveResult`` (see ``newton_solve_block``), or None for a study run
+    without the oracle.
+    """
 
     box: ParameterBox
     seed: int
     num_samples: int
     N_list: list[int]
     scheme: Scheme
-    with_oracle: bool
     newton_config: NewtonConfig
     nominal: SolveResult
-    records: list[SampleRecord]
+    theta: np.ndarray
+    march_finals: np.ndarray
+    march_status: np.ndarray
+    left_basin: np.ndarray
+    oracle: SolveResult | None
     # work done by the run that produced the study; not part of study.json
     counters: dict = field(default_factory=dict, compare=False)
 
@@ -55,42 +54,36 @@ class SampleStudy:
     def d(self) -> int:
         return self.nominal.minimizer.size
 
+    @property
+    def with_oracle(self) -> bool:
+        return self.oracle is not None
+
     def finals(self, N: int) -> np.ndarray:
-        return np.vstack([r.outcomes[N].final_state for r in self.records])
+        return self.march_finals[self.N_list.index(N)]
 
     def oracle_minimizers(self) -> np.ndarray:
-        return np.vstack([r.oracle.minimizer for r in self.records])
+        return self.oracle.minimizer
 
     def valid_mask(self) -> np.ndarray:
         """Samples where every march completed and the oracle (if any) converged."""
-        ok = np.ones(len(self.records), dtype=bool)
-        for i, rec in enumerate(self.records):
-            if any(
-                rec.outcomes[N].status is not MarchStatus.COMPLETED
-                for N in self.N_list
-            ):
-                ok[i] = False
-            if self.with_oracle and (rec.oracle is None or not rec.oracle.converged):
-                ok[i] = False
-        return ok
+        ok = (self.march_status == MarchStatus.COMPLETED.value).all(axis=0)
+        return ok & self.oracle.converged if self.with_oracle else ok
 
     def failure_counts(self) -> dict:
-        aborted = {
-            N: sum(
-                1
-                for r in self.records
-                if r.outcomes[N].status is not MarchStatus.COMPLETED
-            )
-            for N in self.N_list
-        }
-        not_converged = (
-            sum(1 for r in self.records if r.oracle is not None and not r.oracle.converged)
-            if self.with_oracle
-            else 0
-        )
+        aborted = (self.march_status != MarchStatus.COMPLETED.value).sum(axis=1)
+        aborted = dict(zip(self.N_list, aborted.tolist()))
+        not_converged = int((~self.oracle.converged).sum()) if self.with_oracle else 0
         return {"march_aborted": aborted, "newton_not_converged": not_converged}
 
     def to_dict(self) -> dict:
+        """The study.json layout: one record per sample, one outcome per step count."""
+        columns = (self.march_finals, self.march_status, self.left_basin)
+        by_N = list(zip(map(str, self.N_list), *(c.tolist() for c in columns)))
+        if self.with_oracle:
+            solves = zip(*(getattr(self.oracle, name).tolist() for name in _ORACLE_COLUMNS))
+            oracles = [dict(zip(_ORACLE_COLUMNS, solve)) for solve in solves]
+        else:
+            oracles = [None] * len(self.theta)
         return {
             "box": {
                 "nominal": self.box.nominal.tolist(),
@@ -105,58 +98,58 @@ class SampleStudy:
             "nominal": to_json_dict(self.nominal),
             "records": [
                 {
-                    "index": r.index,
-                    "theta": r.theta.tolist(),
+                    "index": s,
+                    "theta": theta,
                     "outcomes": {
-                        str(N): {
-                            "final_state": o.final_state.tolist(),
-                            "status": o.status.value,
-                            "left_basin": o.left_basin,
+                        key: {
+                            "final_state": finals[s],
+                            "status": status[s],
+                            "left_basin": left[s],
                         }
-                        for N, o in r.outcomes.items()
+                        for key, finals, status, left in by_N
                     },
-                    "oracle": to_json_dict(r.oracle) if r.oracle else None,
+                    "oracle": oracle,
                 }
-                for r in self.records
+                for s, (theta, oracle) in enumerate(zip(self.theta.tolist(), oracles))
             ],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampleStudy":
-        records = [
-            SampleRecord(
-                index=rec["index"],
-                theta=np.asarray(rec["theta"], dtype=float),
-                outcomes={
-                    int(N): MarchOutcome(
-                        final_state=np.asarray(o["final_state"], dtype=float),
-                        status=MarchStatus(o["status"]),
-                        left_basin=o["left_basin"],
-                    )
-                    for N, o in rec["outcomes"].items()
-                },
-                oracle=_solve_result_from_dict(rec["oracle"]) if rec["oracle"] else None,
-            )
-            for rec in data["records"]
-        ]
+        records, N_list = data["records"], [int(N) for N in data["N_list"]]
+        nominal = SolveResult(**data["nominal"])
+        nominal.minimizer = np.asarray(nominal.minimizer, dtype=float)
+        box = ParameterBox(
+            np.asarray(data["box"]["nominal"], dtype=float),
+            np.asarray(data["box"]["half_widths"], dtype=float),
+        )
+        shape = (len(N_list), len(records))
+        outcomes = _columns(
+            [rec["outcomes"][str(N)] for N in N_list for rec in records],
+            ("final_state", "status", "left_basin"),
+        )
+        oracle = None
+        if data["with_oracle"]:
+            oracle = SolveResult(**_columns([rec["oracle"] for rec in records], _ORACLE_COLUMNS))
         return cls(
-            box=ParameterBox(
-                np.asarray(data["box"]["nominal"], dtype=float),
-                np.asarray(data["box"]["half_widths"], dtype=float),
-            ),
+            box=box,
             seed=data["seed"],
             num_samples=data["num_samples"],
-            N_list=[int(N) for N in data["N_list"]],
+            N_list=N_list,
             scheme=Scheme(data["scheme"]),
-            with_oracle=data["with_oracle"],
             newton_config=NewtonConfig(**data["newton_config"]),
-            nominal=_solve_result_from_dict(data["nominal"]),
-            records=records,
+            nominal=nominal,
+            theta=np.array([rec["theta"] for rec in records], dtype=float).reshape(-1, box.p),
+            march_finals=outcomes["final_state"].reshape(*shape, nominal.minimizer.size),
+            march_status=outcomes["status"].reshape(shape),
+            left_basin=outcomes["left_basin"].reshape(shape),
+            oracle=oracle,
         )
 
 
-def _solve_result_from_dict(data: dict) -> SolveResult:
-    return SolveResult(**{**data, "minimizer": np.asarray(data["minimizer"], dtype=float)})
+def _columns(rows: list[dict], keys) -> dict[str, np.ndarray]:
+    """One array per key, stacking that key's value over the rows."""
+    return {key: np.array([row[key] for row in rows]) for key in keys}
 
 
 @dataclass(frozen=True)
@@ -170,36 +163,46 @@ class _StudyPayload:
     newton_config: NewtonConfig
 
 
-def _propagate_block(payload: _StudyPayload, task) -> tuple[list[SampleRecord], int]:
-    """Records of one contiguous block of samples, and the RHS evaluations it made.
+def _propagate_block(payload: _StudyPayload, thetas: np.ndarray) -> tuple:
+    """Columns of one contiguous block of samples, thetas of shape (S, p).
 
-    ``task`` is (index of the first sample, thetas of shape (S, p)).  The
-    block is marched in lockstep once per step count, and the Newton oracle
-    re-solves it in lockstep once.
+    Returns ``march_finals``, ``march_status``, ``left_basin`` and ``oracle``
+    in ``SampleStudy``'s layout for the block, and the RHS evaluations it
+    made.  The block is marched in lockstep once per step count, and the
+    Newton oracle re-solves it in lockstep once.
     """
-    first, thetas = task
     lines = ParameterLine(payload.nominal_theta, thetas)
-    outcomes: list[dict[int, MarchOutcome]] = [{} for _ in thetas]
+    finals, statuses, left_basin = [], [], []
     rhs_evals = 0
     for N in payload.N_list:
         block = march_block(payload.problem, payload.start, lines, MarchConfig(N, payload.scheme))
         rhs_evals += int(block.rhs_evals.sum())
         # a copy, so that the block's iterates are freed before the next step count
-        finals = block.finals.copy()
-        for by_N, final, status, left in zip(
-            outcomes, finals, block.statuses, block.left_basin.tolist()
-        ):
-            by_N[N] = MarchOutcome(final, status, left)
-    oracles = (
+        finals.append(block.finals.copy())
+        statuses.append([status.value for status in block.statuses])
+        left_basin.append(block.left_basin)
+    oracle = (
         newton_solve_block(payload.problem, thetas, payload.start, payload.newton_config)
         if payload.with_oracle
-        else [None] * len(thetas)
+        else None
     )
-    records = [
-        SampleRecord(first + s, theta, by_N, oracle)
-        for s, (theta, by_N, oracle) in enumerate(zip(thetas, outcomes, oracles))
-    ]
-    return records, rhs_evals
+    return np.array(finals), np.array(statuses, dtype=str), np.array(left_basin), oracle, rhs_evals
+
+
+def _join_blocks(blocks) -> tuple[dict, int]:
+    """``SampleStudy`` columns of consecutive blocks, and their RHS evaluations."""
+    finals, statuses, left_basin, oracles, rhs_evals = zip(*blocks)
+    oracle = None
+    if oracles[0] is not None:
+        stacked = {key: [getattr(o, key) for o in oracles] for key in _ORACLE_COLUMNS}
+        oracle = SolveResult(**{key: np.concatenate(c) for key, c in stacked.items()})
+    columns = {
+        "march_finals": np.concatenate(finals, axis=1),
+        "march_status": np.concatenate(statuses, axis=1),
+        "left_basin": np.concatenate(left_basin, axis=1),
+        "oracle": oracle,
+    }
+    return columns, sum(rhs_evals)
 
 
 _WORKER_PAYLOAD: _StudyPayload | None = None
@@ -210,8 +213,8 @@ def _init_worker(payload):
     _WORKER_PAYLOAD = payload
 
 
-def _worker_task(task):
-    return _propagate_block(_WORKER_PAYLOAD, task)
+def _worker_task(thetas):
+    return _propagate_block(_WORKER_PAYLOAD, thetas)
 
 
 def propagate_study(
@@ -234,13 +237,14 @@ def propagate_study(
     ``workers * 8`` blocks spread over a pool of ``workers`` processes
     otherwise.  Each block is marched in lockstep once per step count
     (``march_block``) and re-solved in lockstep once
-    (``newton_solve_block``).  A sample's march and re-solve do not depend
-    on its block, and records are assembled in sample order, so the output
-    is independent of the worker count and of scheduling.  The pool uses the
-    platform's default start method; under spawn or forkserver the problem
-    must pickle.  ``SampleStudy.counters`` reports the RHS evaluations (stage
-    evaluations summed over samples and step counts), the number of sample
-    blocks and the total oracle iterations.
+    (``newton_solve_block``), and returns its results as arrays; the study's
+    columns are their concatenation in sample order.  A sample's march and
+    re-solve do not depend on its block, so the output is independent of the
+    worker count and of scheduling.  The pool uses the platform's default
+    start method; under spawn or forkserver the problem must pickle.
+    ``SampleStudy.counters`` reports the RHS evaluations (stage evaluations
+    summed over samples and step counts), the number of sample blocks and
+    the total oracle iterations.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or any(N < 1 for N in N_list):
@@ -262,20 +266,21 @@ def propagate_study(
     if workers > 1 and num_samples > 1:
         blocks = workers * 8
         bounds = [num_samples * k // blocks for k in range(blocks + 1)]
-        tasks = [(a, thetas[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        tasks = [thetas[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with multiprocessing.Pool(
             workers, initializer=_init_worker, initargs=(payload,)
         ) as pool:
             results = pool.map(_worker_task, tasks, chunksize=1)
     else:
-        tasks = [(0, thetas)]
-        results = [_propagate_block(payload, tasks[0])]
+        tasks = [thetas]
+        results = [_propagate_block(payload, thetas)]
 
-    records = [rec for block_records, _ in results for rec in block_records]
+    columns, rhs_evals = _join_blocks(results)
+    oracle = columns["oracle"]
     counters = {
-        "rhs_evaluations": sum(evals for _, evals in results),
+        "rhs_evaluations": rhs_evals,
         "march_blocks": len(tasks),
-        "oracle_iterations": sum(r.oracle.iterations for r in records if r.oracle),
+        "oracle_iterations": int(oracle.iterations.sum()) if oracle is not None else 0,
     }
     return SampleStudy(
         box=box,
@@ -283,11 +288,11 @@ def propagate_study(
         num_samples=num_samples,
         N_list=N_list,
         scheme=scheme,
-        with_oracle=with_oracle,
         newton_config=newton_config,
         nominal=nominal,
-        records=records,
+        theta=thetas,
         counters=counters,
+        **columns,
     )
 
 

@@ -167,6 +167,26 @@ class TestStudy:
         assert manifest["config"]["num_samples"] == 35  # flag beats file
         assert manifest["config"]["seed"] == 5
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("with_oracle", "false"),
+            ("N_list", 4),
+            ("problem_options", 3),
+            ("workers", 2.7),
+            ("num_samples", 40.5),
+            ("seed", 7.5),
+        ],
+    )
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        out = tmp_path / "never"
+        cfg.write_text(json.dumps({"problem": "logistic1d", "output_dir": str(out), key: value}))
+        assert run(["study", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
     def test_no_oracle_skips_error_table(self, tmp_path):
         out = tmp_path / "no_oracle"
         assert (

@@ -195,8 +195,10 @@ def test_newton_block_equals_single_solves(
     thetas = box.sample(seed=21, count=count)
     for start in (mm.solve_nominal(problem, box).minimizer, problem.initial_guess()):
         block = newton_solve_block(problem, thetas, start, record_history=True)
-        assert len(block) == count
-        for result, theta in zip(block, thetas):
+        assert block.minimizer.shape == (count, problem.d)
+        assert len(block.history) == count
+        for s, theta in enumerate(thetas):
+            result = block.row(s)
             single = mm.newton_solve(problem, theta, start, record_history=True)
             assert_same_solve(result, single)
             assert len(result.history) == result.iterations + 1
@@ -241,8 +243,8 @@ def test_mixed_block_failure_paths():
     block = newton_solve_block(problem, Theta, M0, config, record_history=True)
     for s, (theta, m0) in enumerate(rows):
         single = mm.newton_solve(problem, [theta], [m0], config, record_history=True)
-        assert_same_solve(block[s], single)
-    converged, steepest, polished, maximum, rejected, wall = block
+        assert_same_solve(block.row(s), single)
+    converged, steepest, polished, maximum, rejected, wall = map(block.row, range(len(rows)))
 
     assert converged.converged and converged.iterations == 1
     assert converged.minimizer[0] == 0.0
@@ -275,8 +277,8 @@ def test_advdiff_trial_step_with_nonpositive_kappa_backtracks(advdiff):
     assert M0[0, 0] - np.linalg.solve(H[0], g[0])[0] <= 0.0
     Theta = np.tile(theta, (3, 1))
     block = newton_solve_block(advdiff, Theta, M0, record_history=True)
-    assert block[0].converged and block[0].history[0].alpha < 1.0
+    assert block.converged[0] and block.history[0][0].alpha < 1.0
     for s in range(3):
         single = mm.newton_solve(advdiff, theta, M0[s], record_history=True)
-        assert_same_solve(block[s], single)
+        assert_same_solve(block.row(s), single)
         assert single.converged

@@ -54,7 +54,7 @@ def test_samples_csv_schema(tmp_path, small_study):
     assert rows[0]["N1_status"] == "completed"
     assert rows[0]["oracle_converged"] == "true"
     # values round-trip to the study's floats exactly
-    assert float(rows[7]["theta_2"]) == small_study.records[7].theta[1]
+    assert float(rows[7]["theta_2"]) == small_study.theta[7, 1]
 
 
 def test_errors_csv_schema(tmp_path, small_study):
@@ -87,8 +87,15 @@ def test_kde_csv_schemas(tmp_path):
         reporting.write_kde_joint_csv(tmp_path / "x.csv", est1)
 
 
+def write_fmt_rows(path, header, rows):
+    """Reference CSV writer: fmt on every cell, joined with commas."""
+    with open(path, "w", newline="") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(reporting.fmt(v) for v in row) + "\n")
+
+
 def test_kde_writers_match_the_general_row_writer(tmp_path):
-    """The float-row fast path writes the bytes the fmt/csv.writer path writes."""
+    """The one-format-per-row writer writes the bytes of fmt on every cell."""
     rng = np.random.default_rng(4)
     xs, ys = rng.normal(size=7), rng.normal(size=5)
     special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-310, 0.1]
@@ -98,13 +105,13 @@ def test_kde_writers_match_the_general_row_writer(tmp_path):
     marginal = mm.DensityEstimate(1, (xs,), density[:, 0], np.ones(1))
 
     reporting.write_kde_joint_csv(tmp_path / "joint.csv", joint)
-    reporting._write_rows(
+    write_fmt_rows(
         tmp_path / "joint_ref.csv",
         ["x", "y", "density"],
         ((xs[i], ys[j], density[i, j]) for i in range(7) for j in range(5)),
     )
     reporting.write_kde_marginal_csv(tmp_path / "marginal.csv", marginal)
-    reporting._write_rows(tmp_path / "marginal_ref.csv", ["x", "density"], zip(xs, density[:, 0]))
+    write_fmt_rows(tmp_path / "marginal_ref.csv", ["x", "density"], zip(xs, density[:, 0]))
     for name in ("joint", "marginal"):
         written = (tmp_path / f"{name}.csv").read_bytes()
         assert written == (tmp_path / f"{name}_ref.csv").read_bytes()
@@ -112,13 +119,43 @@ def test_kde_writers_match_the_general_row_writer(tmp_path):
     assert b",-inf\n" in (tmp_path / "joint.csv").read_bytes()
 
 
-def test_study_json_round_trips(tmp_path, small_study):
-    path = tmp_path / "study.json"
-    reporting.save_study(path, small_study)
-    loaded = reporting.load_study(path)
-    assert loaded.to_dict() == small_study.to_dict()
-    with open(path) as fh:
-        assert fh.read() == json.dumps(small_study.to_dict())
+@pytest.fixture(scope="module")
+def no_oracle_study(logistic, logistic_box):
+    return mm.propagate_study(logistic, logistic_box, 40, [1, 2], seed=3, with_oracle=False)
+
+
+@pytest.fixture
+def fragile_study(fragile_problem):
+    # half the box inverts the well: aborted marches and unconverged oracles
+    box = mm.ParameterBox(np.array([1.0]), np.array([1.5]))
+    return mm.propagate_study(fragile_problem, box, 40, [2, 4], seed=2)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["small_study", "no_oracle_study", "fragile_study"],
+    ids=["oracle", "no_oracle", "fragile"],
+)
+def test_study_json_round_trips(tmp_path, request, fixture):
+    """study.json and samples.csv written from a loaded study keep their bytes."""
+    study = request.getfixturevalue(fixture)
+    if fixture == "fragile_study":
+        counts = study.failure_counts()
+        assert counts["march_aborted"][4] > 0 and counts["newton_not_converged"] > 0
+    reporting.save_study(tmp_path / "study.json", study)
+    reporting.write_samples_csv(tmp_path / "samples.csv", study)
+    with open(tmp_path / "study.json") as fh:
+        assert fh.read() == json.dumps(study.to_dict())
+
+    loaded = reporting.load_study(tmp_path / "study.json")
+    assert loaded.with_oracle == study.with_oracle
+    assert loaded.failure_counts() == study.failure_counts()
+    assert np.array_equal(loaded.valid_mask(), study.valid_mask())
+    reporting.save_study(tmp_path / "study_again.json", loaded)
+    reporting.write_samples_csv(tmp_path / "samples_again.csv", loaded)
+    for stem, ext in (("study", "json"), ("samples", "csv")):
+        again = (tmp_path / f"{stem}_again.{ext}").read_bytes()
+        assert again == (tmp_path / f"{stem}.{ext}").read_bytes(), stem
 
 
 def test_trajectory_csv_schema(tmp_path, logistic, logistic_box):

@@ -6,7 +6,7 @@ import pytest
 
 import minmarch as mm
 from minmarch.marching import MarchConfig, MarchStatus, Scheme
-from minmarch.uq import Statistic, _propagate_block, _StudyPayload
+from minmarch.uq import Statistic, _join_blocks, _propagate_block, _StudyPayload
 
 from conftest import THETA_LOGISTIC
 
@@ -61,14 +61,13 @@ class TestKde:
         assert mm.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
 
 
-def assert_same_oracles(records, expected):
-    """Every oracle field of two record lists agrees bit for bit."""
-    for a, b in zip(records, expected, strict=True):
-        assert np.array_equal(a.oracle.minimizer, b.oracle.minimizer)
-        for name in ("objective", "grad_norm", "hessian_min_eigenvalue"):
-            assert np.array_equal(getattr(a.oracle, name), getattr(b.oracle, name), equal_nan=True)
-        assert a.oracle.iterations == b.oracle.iterations
-        assert a.oracle.converged == b.oracle.converged
+def assert_same_oracles(oracle, expected):
+    """Every column of two stacked oracle results agrees bit for bit."""
+    assert np.array_equal(oracle.minimizer, expected.minimizer)
+    for name in ("objective", "grad_norm", "hessian_min_eigenvalue"):
+        assert np.array_equal(getattr(oracle, name), getattr(expected, name), equal_nan=True)
+    assert np.array_equal(oracle.iterations, expected.iterations)
+    assert np.array_equal(oracle.converged, expected.converged)
 
 
 class TestPropagateStudy:
@@ -76,10 +75,9 @@ class TestPropagateStudy:
         box = mm.ParameterBox(THETA_LOGISTIC, np.zeros(3))
         study = mm.propagate_study(logistic, box, 1, [1, 4], seed=0)
         nominal = study.nominal.minimizer
-        for rec in study.records:
-            for N in (1, 4):
-                assert np.array_equal(rec.outcomes[N].final_state, nominal)
-            assert np.array_equal(rec.oracle.minimizer, nominal)
+        for N in (1, 4):
+            assert np.array_equal(study.finals(N), [nominal])
+        assert np.array_equal(study.oracle_minimizers(), [nominal])
 
     def test_nominal_failure_aborts(self, concave_problem):
         box = mm.ParameterBox.relative([0.5], 0.1)
@@ -94,25 +92,33 @@ class TestPropagateStudy:
         counts = study.failure_counts()
         assert counts["march_aborted"][4] > 0
         assert counts["newton_not_converged"] > 0
-        aborted = [
-            r for r in study.records if r.outcomes[4].status is not MarchStatus.COMPLETED
-        ]
-        assert all(r.outcomes[4].status is MarchStatus.ABORTED_INDEFINITE for r in aborted)
+        status = study.march_status[0].tolist()
+        aborted = {s for s in range(40) if status[s] != MarchStatus.COMPLETED}
+        assert {status[s] for s in aborted} == {MarchStatus.ABORTED_INDEFINITE}
         assert study.valid_mask().sum() == 40 - len(
-            {r.index for r in study.records if not r.oracle.converged}
-            | {r.index for r in aborted}
+            {s for s in range(40) if not study.oracle.converged[s]} | aborted
         )
+
+    def test_valid_mask_needs_every_march(self, fragile_problem):
+        # the N = 4 march evaluates closer to the end of the line than the
+        # N = 2 one, so some samples abort at N = 4 only
+        box = mm.ParameterBox(np.array([1.0]), np.array([1.5]))
+        study = mm.propagate_study(fragile_problem, box, 40, [2, 4], seed=2, with_oracle=False)
+        completed = (study.march_status == MarchStatus.COMPLETED.value).tolist()
+        assert completed[0] != completed[1]
+        assert study.valid_mask().tolist() == [a and b for a, b in zip(*completed)]
+        assert study.failure_counts() == {
+            "march_aborted": {N: row.count(False) for N, row in zip((2, 4), completed)},
+            "newton_not_converged": 0,
+        }
 
     def test_workers_do_not_change_results(self, logistic, logistic_box):
         serial = mm.propagate_study(logistic, logistic_box, 30, [1, 4], seed=9, workers=1)
         parallel = mm.propagate_study(logistic, logistic_box, 30, [1, 4], seed=9, workers=2)
-        for a, b in zip(serial.records, parallel.records):
-            assert np.array_equal(a.theta, b.theta)
-            for N in (1, 4):
-                assert np.array_equal(
-                    a.outcomes[N].final_state, b.outcomes[N].final_state
-                )
-            assert np.array_equal(a.oracle.minimizer, b.oracle.minimizer)
+        assert np.array_equal(serial.theta, parallel.theta)
+        for N in (1, 4):
+            assert np.array_equal(serial.finals(N), parallel.finals(N))
+        assert np.array_equal(serial.oracle_minimizers(), parallel.oracle_minimizers())
 
     @pytest.mark.parametrize("name", ["logistic1d", "fragile"])
     def test_blocks_do_not_change_records(self, name, logistic, logistic_box, fragile_problem):
@@ -134,7 +140,7 @@ class TestPropagateStudy:
         expected = serial.to_dict()
         assert parallel.to_dict() == expected
         assert {**parallel.counters, "march_blocks": 1} == serial.counters
-        assert_same_oracles(parallel.records, serial.records)
+        assert_same_oracles(parallel.oracle, serial.oracle)
 
         payload = _StudyPayload(
             problem, box.nominal, serial.nominal.minimizer, (1, 3, 8), Scheme.HEUN, True,
@@ -142,13 +148,12 @@ class TestPropagateStudy:
         )
         thetas = box.sample(4, 37)
         for cut in ([0, 1, 37], [0, 20, 29, 37]):
-            records = [
-                rec
-                for a, b in zip(cut[:-1], cut[1:])
-                for rec in _propagate_block(payload, (a, thetas[a:b]))[0]
-            ]
-            assert replace(serial, records=records).to_dict() == expected
-            assert_same_oracles(records, serial.records)
+            columns, rhs_evals = _join_blocks(
+                [_propagate_block(payload, thetas[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+            )
+            assert replace(serial, **columns).to_dict() == expected
+            assert_same_oracles(columns["oracle"], serial.oracle)
+            assert rhs_evals == serial.counters["rhs_evaluations"]
 
     @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
     def test_payload_survives_pickle(
@@ -166,16 +171,15 @@ class TestPropagateStudy:
         payload = _StudyPayload(
             problem, box.nominal, nominal.minimizer, (1, 3), Scheme.HEUN, True, mm.NewtonConfig()
         )
-        task = (0, box.sample(seed=2, count=1))
-        (a,), _ = _propagate_block(payload, task)
-        (b,), _ = _propagate_block(pickle.loads(pickle.dumps(payload)), task)
-        assert a.outcomes.keys() == b.outcomes.keys()
-        for N in a.outcomes:
-            assert np.array_equal(a.outcomes[N].final_state, b.outcomes[N].final_state)
-            assert a.outcomes[N].status is b.outcomes[N].status
-            assert a.outcomes[N].left_basin == b.outcomes[N].left_basin
-        assert np.array_equal(a.oracle.minimizer, b.oracle.minimizer)
-        assert a.oracle.iterations == b.oracle.iterations
+        thetas = box.sample(seed=2, count=1)
+        a = _propagate_block(payload, thetas)
+        b = _propagate_block(pickle.loads(pickle.dumps(payload)), thetas)
+        b = pickle.loads(pickle.dumps(b))  # a worker's result travels back pickled too
+        for column_a, column_b in zip(a[:3], b[:3], strict=True):
+            assert column_a.shape[:2] == (2, 1)
+            assert np.array_equal(column_a, column_b)
+        assert_same_oracles(a[3], b[3])
+        assert a[4] == b[4]
 
     def test_bad_n_list(self, logistic, logistic_box):
         with pytest.raises(ValueError):
