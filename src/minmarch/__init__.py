@@ -26,15 +26,12 @@ from .exceptions import (
 from .marching import MarchConfig, MarchStatus, Scheme, Trajectory, march, march_error_vs_oracle
 from .newton import NewtonConfig, SolveResult, newton_solve, solve_nominal
 from .problems import (
-    AdvDiffInverseProblem,
-    AdvectionDiffusionModel,
+    _ADVDIFF_NAMES,
     DoubleWellProblem,
     LogisticWellProblem,
     ParameterBox,
     Problem,
     QuadraticProblem,
-    make_advdiff_problem,
-    synthesize_observations,
 )
 from .sensitivity import ParameterLine, SensitivityApply, post_optimality_apply
 from .uq import (
@@ -51,6 +48,16 @@ from .uq import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the advdiff names load scipy.linalg, so they are imported on first use
+    if name in _ADVDIFF_NAMES:
+        from . import problems
+
+        return getattr(problems, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdvDiffInverseProblem",

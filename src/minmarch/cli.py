@@ -29,7 +29,6 @@ from .problems import (
     LogisticWellProblem,
     ParameterBox,
     QuadraticProblem,
-    make_advdiff_problem,
 )
 from .reporting import (
     save_study,
@@ -165,6 +164,13 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _real(value, key: str) -> float:
+    """A real-number config value as float; a bool or string is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
     """Merge defaults <- config file <- command-line flags, validating strictly."""
     file_cfg = copy.deepcopy(file_cfg) if file_cfg else {}
@@ -229,6 +235,8 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
     )
     if num_samples < 1:
         raise ConfigError("num_samples must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     if not isinstance(merged["N_list"], (list, tuple)):
         raise ConfigError(f"N_list must be a list of integers, got {merged['N_list']!r}")
     N_list = [_integer(N, "N_list entry") for N in merged["N_list"]]
@@ -245,8 +253,12 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
         raise ConfigError("workers must be >= 1")
     if not isinstance(merged["with_oracle"], bool):
         raise ConfigError(f"with_oracle must be true or false, got {merged['with_oracle']!r}")
-    if float(merged["fd_step"]) <= 0:
+    fd_step = _real(merged["fd_step"], "fd_step")
+    if not fd_step > 0:
         raise ConfigError("fd_step must be positive")
+    output_dir = merged["output_dir"]
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
 
     return RunConfig(
         problem=problem,
@@ -257,8 +269,8 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
         scheme=scheme,
         with_oracle=merged["with_oracle"],
         workers=workers,
-        output_dir=str(merged["output_dir"]),
-        fd_step=float(merged["fd_step"]),
+        output_dir=output_dir,
+        fd_step=fd_step,
         problem_options=merged["problem_options"],
     )
 
@@ -270,15 +282,17 @@ def build_problem(cfg: RunConfig):
         return DoubleWellProblem()
     if cfg.problem == "logistic1d":
         return LogisticWellProblem()
+    from .problems.advdiff import make_advdiff_problem
+
     opts = cfg.problem_options
     return make_advdiff_problem(
-        grid_cells=int(opts["grid_cells"]),
+        grid_cells=_integer(opts["grid_cells"], "problem_options.grid_cells"),
         m_true=opts["m_true"],
         theta_data=cfg.box.nominal,
-        beta=float(opts["beta"]),
+        beta=_real(opts["beta"], "problem_options.beta"),
         m_prior=opts["m_prior"],
-        noise_std=float(opts["noise_std"]),
-        noise_seed=int(opts["noise_seed"]),
+        noise_std=_real(opts["noise_std"], "problem_options.noise_std"),
+        noise_seed=_integer(opts["noise_seed"], "problem_options.noise_seed"),
     )
 
 

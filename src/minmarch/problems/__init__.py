@@ -1,13 +1,25 @@
 """Built-in problems and the parameterized-problem contract."""
 
-from .advdiff import (
-    AdvDiffInverseProblem,
-    AdvectionDiffusionModel,
-    make_advdiff_problem,
-    synthesize_observations,
-)
 from .analytic import DoubleWellProblem, LogisticWellProblem, QuadraticProblem
 from .base import ParameterBox, Problem, as_vector
+
+# the advdiff module imports scipy.linalg, about 0.1 s of set-up that only
+# advdiff studies need, so its names are resolved on first use
+_ADVDIFF_NAMES = (
+    "AdvDiffInverseProblem",
+    "AdvectionDiffusionModel",
+    "make_advdiff_problem",
+    "synthesize_observations",
+)
+
+
+def __getattr__(name):
+    if name in _ADVDIFF_NAMES:
+        from . import advdiff
+
+        return getattr(advdiff, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdvDiffInverseProblem",

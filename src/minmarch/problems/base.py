@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,12 +206,105 @@ class ParameterBox:
 
         Sample i is generated from its own random stream derived from
         ``seed`` and i, so subsets and orderings never affect the values
-        drawn for a given index.
+        drawn for a given index.  Row i is, bit for bit,
+
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            nominal + half_widths * rng.uniform(-1.0, 1.0, p)
+
+        computed for all rows at once.  ``seed`` must be a non-negative
+        integer (ValueError otherwise, as from ``SeedSequence``).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        out = np.empty((count, self.p))
-        for i in range(count):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            out[i] = self.nominal + self.half_widths * rng.uniform(-1.0, 1.0, self.p)
-        return out
+        return self.nominal + self.half_widths * _uniform_streams(seed, count, self.p)
+
+
+# numpy's SeedSequence hashing constants and pool size, and the 128-bit
+# multiplier of its PCG64 generator as high and low 64-bit words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _uniform_streams(seed, count: int, p: int) -> np.ndarray:
+    """``uniform(-1, 1, p)`` of the PCG64 stream seeded by SeedSequence(seed, spawn_key=(i,)).
+
+    Returns shape (count, p), row i for stream i.  SeedSequence hashes the
+    32-bit words of ``seed``, zero-padded to the pool size, and then the
+    spawn word i into a pool of four words; ``generate_state(4, uint64)``
+    hashes the pool into the PCG64 seed (s0:s1) and increment (s2:s3) words.
+    Each step runs on uint32 or uint64 arrays over i, which wrap modulo
+    2**32 or 2**64 as numpy's C does; 128-bit PCG64 states are (hi, lo)
+    pairs of uint64 arrays.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    # one-element arrays broadcast against the spawn words of all streams
+    entropy = list(np.array(words, dtype=np.uint32)[:, None])
+    entropy.append(np.arange(count, dtype=np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    hash_const = _INIT_B
+    state = []
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    s0, s1, s2, s3 = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+
+    # pcg64_set_seed: state 0, inc = (s2:s3 << 1) | 1, step, add s0:s1, step
+    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    hi, lo = _add128(inc_hi, inc_lo, s0, s1)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    draws = np.empty((count, p))
+    for k in range(p):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output, then next_double and uniform's low + range * u
+        x, rot = hi ^ lo, hi >> 58
+        x = x >> rot | x << ((64 - rot) & 63)
+        draws[:, k] = -1.0 + 2.0 * ((x >> 11).astype(float) * 2.0**-53)
+    return draws
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step on 128-bit states (hi, lo): state * multiplier + inc."""
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = lo0 * m0, lo0 * m1, lo1 * m0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = lo1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    hi = carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    return _add128(hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)

@@ -233,9 +233,10 @@ def propagate_study(
     Every sample marches from the single nominal minimizer with each step
     count in ``N_list``; with ``with_oracle`` each sample is also re-solved by
     Newton as ground truth, warm-started from the nominal minimizer.
-    Samples are taken in contiguous blocks: one block with one worker,
-    ``workers * 8`` blocks spread over a pool of ``workers`` processes
-    otherwise.  Each block is marched in lockstep once per step count
+    Samples are taken in contiguous blocks, one per worker: a single block
+    with one worker, otherwise ``min(workers, num_samples)`` blocks of
+    near-equal size, each one task of a pool with one process per block.
+    Each block is marched in lockstep once per step count
     (``march_block``) and re-solved in lockstep once
     (``newton_solve_block``), and returns its results as arrays; the study's
     columns are their concatenation in sample order.  A sample's march and
@@ -264,11 +265,10 @@ def propagate_study(
     )
 
     if workers > 1 and num_samples > 1:
-        blocks = workers * 8
-        bounds = [num_samples * k // blocks for k in range(blocks + 1)]
+        bounds = [num_samples * k // workers for k in range(workers + 1)]
         tasks = [thetas[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with multiprocessing.Pool(
-            workers, initializer=_init_worker, initargs=(payload,)
+            len(tasks), initializer=_init_worker, initargs=(payload,)
         ) as pool:
             results = pool.map(_worker_task, tasks, chunksize=1)
     else:

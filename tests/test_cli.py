@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +91,7 @@ class TestStudy:
             assert float(row["N1_m_1"]) == pytest.approx(float(row["theta_1"]), abs=1e-12)
             assert float(row["oracle_m_1"]) == pytest.approx(float(row["theta_1"]), abs=1e-12)
 
-    @pytest.mark.parametrize("workers,blocks", [(1, 1), (2, 16)])
+    @pytest.mark.parametrize("workers,blocks", [(1, 1), (2, 2)])
     def test_manifest_counters(self, tmp_path, workers, blocks):
         out = tmp_path / "counted"
         args = ["study", "--problem", "logistic1d", "--samples", "40", "--out", str(out)]
@@ -176,16 +179,70 @@ class TestStudy:
             ("workers", 2.7),
             ("num_samples", 40.5),
             ("seed", 7.5),
+            ("seed", -1),
+            ("fd_step", True),
+            ("fd_step", "1e-6"),
+            ("output_dir", ["a"]),
         ],
     )
-    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+    def test_config_value_of_wrong_type_rejected(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # rejected before any output directory is made, here or in the cwd
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "bad.json"
-        out = tmp_path / "never"
-        cfg.write_text(json.dumps({"problem": "logistic1d", "output_dir": str(out), key: value}))
+        cfg.write_text(
+            json.dumps(
+                {"problem": "logistic1d", "num_samples": 40, "output_dir": "never", key: value}
+            )
+        )
         assert run(["study", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
-        assert not out.exists()
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+    @pytest.mark.parametrize(
+        "key,value", [("grid_cells", 64.7), ("noise_seed", 1.9), ("beta", "1e-3")]
+    )
+    def test_advdiff_option_of_wrong_type_rejected(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "problem": "advdiff", "num_samples": 2, "N_list": [1],
+                    "with_oracle": False, "workers": 1, "output_dir": "never",
+                    "problem_options": {key: value},
+                }
+            )
+        )
+        assert run(["study", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"problem_options.{key}" in err
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+    def test_analytic_studies_do_not_import_advdiff(self, tmp_path):
+        # advdiff's scipy.linalg costs about 0.1 s of set-up the other problems skip
+        script = (
+            "import sys\n"
+            "from minmarch.cli import main\n"
+            "for name in ('quadratic', 'cubic', 'logistic1d'):\n"
+            "    argv = ['study', '--problem', name, '--samples', '40', '--workers', '1']\n"
+            "    assert main(argv + ['--out', sys.argv[1] + name]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg') or 'advdiff' in m))\n"
+        )
+        src = str(Path(mm.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out_")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_no_oracle_skips_error_table(self, tmp_path):
         out = tmp_path / "no_oracle"

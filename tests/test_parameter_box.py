@@ -77,6 +77,44 @@ def test_sampling_errors():
     box = ParameterBox.relative([1.0], 0.1)
     with pytest.raises(ValueError):
         box.sample(seed=0, count=0)
+    # a negative seed is rejected as SeedSequence rejects it
+    with pytest.raises(ValueError):
+        reference_sample(box, -1, 1)
+    with pytest.raises(ValueError):
+        box.sample(seed=-1, count=1)
+
+
+def reference_sample(box, seed, count):
+    """The per-index generator loop that ParameterBox.sample equals bit for bit."""
+    out = np.empty((count, box.p))
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        out[i] = box.nominal + box.half_widths * rng.uniform(-1.0, 1.0, box.p)
+    return out
+
+
+def box_of_size(p):
+    return ParameterBox(np.linspace(-1.0, 10.0, p), np.linspace(0.05, 2.0, p))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+# 32-bit edges, a seed of three words, and one longer than the entropy pool
+@pytest.mark.parametrize("seed", [0, 7, 123, 2**32 - 1, 2**32 + 5, 2**70 + 3, 2**128 + 9])
+def test_sample_streams_match_per_index_generators(p, seed):
+    box = box_of_size(p)
+    for count in (1, 3000):
+        assert box.sample(seed, count).tobytes() == reference_sample(box, seed, count).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 40),
+)
+def test_sample_streams_match_for_any_seed(p, seed, count):
+    box = box_of_size(p)
+    assert box.sample(seed, count).tobytes() == reference_sample(box, seed, count).tobytes()
 
 
 def test_construction_errors():
