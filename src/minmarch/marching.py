@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import StationarityError
-from .problems.base import as_vector
-from .sensitivity import ParameterLine, post_optimality_apply
+from .problems.base import as_vector, derivatives_at
+from .sensitivity import ParameterLine, apply_inverse_hessian, post_optimality_apply
 
 STATIONARITY_TOL = 1e-8
 
@@ -146,9 +146,17 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
     or next state is non-finite (ABORTED_NONFINITE) stops at its last good
     state and is not evaluated again; the others march on.  Every operation
     is row-wise, so a sample's march does not depend on its blockmates.
+
+    The stationarity check makes one p-row ``derivatives`` call at
+    (start_minimizer, lines.start) (see ``derivatives_at``), which also gives
+    the Hessian H0 and the full mixed derivative B0 there.  Every march's
+    first stage of step 0 is at that point, so it is -H0^{-1} B0 dtheta_s
+    with one eigendecomposition of H0, and no other evaluation is made
+    there; every later stage is one ``post_optimality_apply`` call on the
+    samples still marching.
     """
     m0 = as_vector(start_minimizer, "start_minimizer")
-    value, g = problem.objective_gradient(m0, lines.start)
+    value, g, H0, B0 = derivatives_at(problem, m0, lines.start)
     if np.linalg.norm(g) > STATIONARITY_TOL * (1.0 + abs(value)):
         raise StationarityError(
             f"start_minimizer is not stationary at the line start: "
@@ -161,6 +169,7 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
     h = 1.0 / N
     direction = lines.direction
     S, d = direction.shape[0], m0.size
+    first_stage = apply_inverse_hessian(H0[None], -(B0 @ direction[..., None])[..., 0], direction)
     states = np.empty((N + 1, S, d))
     states[0] = m0
     steps_done = np.full(S, N)
@@ -188,9 +197,12 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
             state = m[live]
             for j, a in couplings:
                 state = state + (a * h) * ks[j, live]
-            apply = post_optimality_apply(
-                problem, state, lines.at((n + c) / N)[rows], direction[rows]
-            )
+            if n == i == 0:
+                apply = first_stage
+            else:
+                apply = post_optimality_apply(
+                    problem, state, lines.at((n + c) / N)[rows], direction[rows]
+                )
             rhs_evals[rows] += 1
             ks[i, live] = apply.result
             step_min[live] = np.minimum(step_min[live], apply.hessian_min_eigenvalue)

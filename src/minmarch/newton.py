@@ -116,7 +116,8 @@ def newton_solve_block(
     ``max_iters`` steps, when no step length is accepted, or when its
     derivatives cannot be evaluated.
 
-    Each iteration makes one ``problem.derivatives`` call, at the unit
+    Each iteration makes one ``problem.derivatives`` call, without
+    directions since the oracle needs no mixed derivative, at the unit
     steps of all rows still iterating, and one ``values`` call per further
     backtracking round on the rows still searching.  The derivatives at an
     accepted unit step serve the next iteration; only the start and the

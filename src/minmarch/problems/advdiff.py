@@ -20,8 +20,10 @@ from ..exceptions import BvpSolveError
 from .base import Problem, as_vector, dot_rows
 
 _GTSV = get_lapack_funcs(("gtsv",), (np.empty(0),))[0]
-# rows per stacked solve: an evaluation holds a few (rows, grid_cells + 1, 5)
-# float arrays at once, about 50 kB per row on the default grid
+# rows per stacked solve: an evaluation holds a few (rows, grid_cells + 1, k)
+# float arrays at once, k = 2 sensitivity columns (3 with directions): at
+# most 33 kB per row without directions and 41 kB with them on the default
+# grid (tracemalloc peak of one 256-row call)
 STACK_ROWS = 256
 
 
@@ -189,6 +191,29 @@ class AdvectionDiffusionModel:
         out[:, -1] = -(alpha / kappa) * y[:, -1]
         return out
 
+    def _dAT_dkappa(self, y, kappa, v, alpha):
+        """A_kappa^T y: the off-diagonal bands of ``_dA_dkappa`` swapped."""
+        dx = self.dx
+        boundary = v * alpha / _powers(kappa, 2)
+        out = np.empty_like(y)
+        out[:, 1:-1] = -(y[:, :-2] - 2.0 * y[:, 1:-1] + y[:, 2:]) / dx**2
+        out[:, 1] -= y[:, 0] / dx**2
+        out[:, -2] -= y[:, -1] / dx**2
+        out[:, 0] = (2.0 / dx**2 - boundary) * y[:, 0] - y[:, 1] / dx**2
+        out[:, -1] = -y[:, -2] / dx**2 + (2.0 / dx**2 + boundary) * y[:, -1]
+        return out
+
+    def _dAT_dv(self, y, kappa, v, alpha):
+        """A_v^T y: the off-diagonal bands of ``_dA_dv`` swapped."""
+        dx = self.dx
+        out = np.empty_like(y)
+        out[:, 1:-1] = (y[:, :-2] - y[:, 2:]) / (2.0 * dx)
+        out[:, 1] = -y[:, 2] / (2.0 * dx)
+        out[:, -2] = y[:, -3] / (2.0 * dx)
+        out[:, 0] = (alpha / kappa) * y[:, 0] - y[:, 1] / (2.0 * dx)
+        out[:, -1] = -(alpha / kappa) * y[:, -1] + y[:, -2] / (2.0 * dx)
+        return out
+
     def _dA_dalpha(self, y, kappa, v, alpha):
         dx = self.dx
         out = np.zeros_like(y)
@@ -235,12 +260,25 @@ class AdvDiffInverseProblem(Problem):
 
     where A_ij is nonzero only in the two boundary diagonal entries, through
     +-v alpha / kappa, and s_ij = 0 because the source does not depend on m.
+    The Hessian needs the sensitivities u_kappa and u_v alone.  The mixed
+    derivative is only ever applied to a direction dtheta, and then needs one
+    more sensitivity, u_dtheta = sum_j dtheta_j u_j, from one more column of
+    the same solve, A u_dtheta = dtheta_a s_a + dtheta_c s_c - dtheta_alpha A_alpha u:
+
+        b_i = (B dtheta)_i = u_i^T W u_dtheta
+                             - lambda^T (A_i u_dtheta + A_dtheta u_i + A_i,dtheta u),
+
+    with A_dtheta = dtheta_alpha A_alpha and A_i,dtheta = dtheta_alpha A_i,alpha,
+    since alpha alone of the parameters enters A.  The terms lambda^T A_i y
+    are taken as (A_i^T lambda)^T y.
 
     ``derivatives`` evaluates a stack of S points with these three solves,
-    and ``values`` with the state solve alone; each is one LAPACK gtsv call
-    on the block-diagonal matrix of the S systems side by side, and the dot
+    the middle one with two columns, or three with directions, and ``values``
+    with the state solve alone; each is one LAPACK gtsv call on the
+    block-diagonal matrix of the S systems side by side, and the dot
     products are stacked matmuls, so every row equals its S = 1 value bit
-    for bit.
+    for bit.  gtsv solves each right-hand-side column on its own, so J, g
+    and H are the same bit for bit with or without directions.
     """
 
     d = 2
@@ -277,17 +315,21 @@ class AdvDiffInverseProblem(Problem):
         J[~np.isfinite(J)] = np.inf
         return J
 
-    def derivatives(self, M, Theta):
-        """J, g, H and B at S points from three stacked solves; NaN rows where they fail."""
-        d, p = self.d, self.p
-        fills = [((), np.nan), ((d,), np.nan), ((d, d), np.nan), ((d, p), np.nan)]
-        return tuple(self._evaluate(self._derivatives, M, Theta, fills))
+    def derivatives(self, M, Theta, dTheta=None):
+        """J, g, H and B dTheta at S points from three stacked solves; NaN rows where they fail."""
+        d = self.d
+        fills = [((), np.nan), ((d,), np.nan), ((d, d), np.nan)]
+        if dTheta is None:
+            return (*self._evaluate(self._derivatives, M, Theta, fills), None)
+        fills.append(((d,), np.nan))
+        return tuple(self._evaluate(self._derivatives, M, Theta, fills, dTheta))
 
-    def _evaluate(self, kernel, M, Theta, fills):
+    def _evaluate(self, kernel, M, Theta, fills, dTheta=None):
         """``kernel`` on the rows whose systems can be solved; the other rows keep their fill.
 
-        A row is left out when kappa <= 0 or a coefficient, a band entry or
-        the source is not finite.  ``kernel(M, Theta, bands)`` gets the rows
+        A row is left out when kappa <= 0 or a coefficient, a direction, a
+        band entry or the source is not finite.  ``kernel(M, Theta, bands)``,
+        or ``kernel(M, Theta, bands, dTheta)`` with directions, gets the rows
         left in and their bands, each (S, n+1), and returns one array per
         entry of ``fills``, which gives that output's shape past the row axis
         and its value for the rows left out.  It gets at most STACK_ROWS rows
@@ -296,15 +338,17 @@ class AdvDiffInverseProblem(Problem):
         """
         M = np.asarray(M, dtype=float)
         Theta = np.asarray(Theta, dtype=float)
+        directions = [] if dTheta is None else [np.asarray(dTheta, dtype=float)]
         outs = [np.full((M.shape[0],) + shape, fill) for shape, fill in fills]
         with np.errstate(all="ignore"):
             bands = self.model._bands(M[:, :1], M[:, 1:], Theta[:, 2:])
-        solvable = (M[:, 0] > 0.0) & np.isfinite(Theta).all(axis=1)
-        for band in bands:
-            solvable &= np.isfinite(band).all(axis=1)
+        solvable = M[:, 0] > 0.0
+        for x in (Theta, *directions, *bands):
+            solvable &= np.isfinite(x).all(axis=1)
 
         def fill(rows):
-            for out, value in zip(outs, kernel(M[rows], Theta[rows], [b[rows] for b in bands])):
+            parts = M[rows], Theta[rows], [b[rows] for b in bands], *(x[rows] for x in directions)
+            for out, value in zip(outs, kernel(*parts)):
                 out[rows] = value
 
         solvable = np.flatnonzero(solvable)
@@ -332,8 +376,13 @@ class AdvDiffInverseProblem(Problem):
         u = _solve_tridiagonal(lower, diag, upper, self.model.source(a, c).ravel())
         return (self._objective(u.reshape(a.shape[0], -1), M),)
 
-    def _derivatives(self, M, Theta, bands):
-        """J, g, H and B of S solvable rows by three stacked solves."""
+    def _derivatives(self, M, Theta, bands, dTheta=None):
+        """J, g, H and, with directions, B dTheta of S solvable rows by three stacked solves.
+
+        The sensitivity solve has the columns u_kappa and u_v, and u_dtheta
+        with directions; J, g and H come from the first two alone, with the
+        same operations whether the third is there or not.
+        """
         model = self.model
         kappa, v = M.T[:, :, None]
         a, c, alpha = Theta.T[:, :, None]
@@ -341,45 +390,60 @@ class AdvDiffInverseProblem(Problem):
         # source(a, c) is a * bump exactly, since bump = 1.0 * exp(...)
         bump = model.source(1.0, c)
         u = _solve_tridiagonal(lower, diag, upper, (a * bump).ravel()).reshape(bump.shape)
-        dA = (model._dA_dkappa, model._dA_dv, model._dA_dalpha)
-        rhs = np.concatenate(
-            [
-                -dA[0](u[..., None], kappa, v, alpha),
-                -dA[1](u[..., None], kappa, v, alpha),
-                bump[..., None],
-                (400.0 * a * (model.nodes - c) * bump)[..., None],
-                -dA[2](u[..., None], kappa, v, alpha),
-            ],
-            axis=-1,
-        )
-        U = _solve_tridiagonal(lower, diag, upper, rhs.reshape(-1, 5)).reshape(rhs.shape)
+        dA = (model._dA_dkappa, model._dA_dv)
+        columns = [-op(u[..., None], kappa, v, alpha) for op in dA]
+        if dTheta is not None:
+            da, dc, dalpha = dTheta.T[:, :, None]
+            source_dtheta = da * bump + dc * (400.0 * a * (model.nodes - c) * bump)
+            A_alpha_u = model._dA_dalpha(u[..., None], kappa, v, alpha)
+            columns.append(source_dtheta[..., None] - dalpha[..., None] * A_alpha_u)
+        rhs = np.concatenate(columns, axis=-1)
+        U = _solve_tridiagonal(lower, diag, upper, rhs.reshape(-1, len(columns)))
+        U = U.reshape(rhs.shape)
         # A^T has the off-diagonal bands swapped
         residual = u - self.u_obs
         lam = _solve_tridiagonal(upper, diag, lower, (self._trap * residual).ravel())
         lam = lam.reshape(u.shape)
 
-        # u_m = U[..., :2] are the sensitivities of u to m, so
-        # g = u_m^T W (u - u_obs) + beta (m - m_prior)
-        g = ((self._trap * residual)[:, None] @ U[:, :, :2])[:, 0] + self.beta * (M - self.m_prior)
-        # P[:, k, j] = lambda^T A_k u_j; rows a and c stay zero since A does
-        # not depend on them
-        P = np.zeros((M.shape[0], 5, 5))
-        for k, op in zip((0, 1, 4), dA):
-            P[:, k] = (lam[:, None] @ op(U, kappa, v, alpha))[:, 0]
+        # Um are the sensitivities of u to m, so
+        # g = Um^T W (u - u_obs) + beta (m - m_prior)
+        Um = U[:, :, :2]
+        g = ((self._trap * residual)[:, None] @ Um)[:, 0] + self.beta * (M - self.m_prior)
+        # LT[:, k] = (A_k^T lambda)^T for k in m, so that
+        # P[:, k, j] = lambda^T A_k u_j = LT[:, k] @ u_j
+        lam3 = lam[..., None]
+        LT = np.concatenate(
+            [model._dAT_dkappa(lam3, kappa, v, alpha), model._dAT_dv(lam3, kappa, v, alpha)],
+            axis=-1,
+        ).swapaxes(1, 2)
+        P = LT @ Um
         # lambda^T A_ij u: only the boundary diagonal terms +-v alpha / kappa
-        # have second derivatives
+        # have second derivatives, each a multiple of this boundary term
+        boundary = lam[:, 0] * u[:, 0] - lam[:, -1] * u[:, -1]
         kappa, v, alpha = kappa[:, 0], v[:, 0], alpha[:, 0]
         kappa2 = _powers(kappa, 2)
-        curvature = np.zeros((M.shape[0], 2, 5))
+        curvature = np.zeros((M.shape[0], 2, 2))
         curvature[:, 0, 0] = 2.0 * v * alpha / _powers(kappa, 3)
         curvature[:, 0, 1] = curvature[:, 1, 0] = -alpha / kappa2
-        curvature[:, 0, 4] = -v / kappa2
-        curvature[:, 1, 4] = 1.0 / kappa
-        curvature *= (lam[:, 0] * u[:, 0] - lam[:, -1] * u[:, -1])[:, None, None]
-        UT = U[:, :, :2].swapaxes(1, 2)
-        F = UT @ (self._trap[:, None] * U) - P[:, :2] - P[:, :, :2].swapaxes(1, 2) - curvature
-        H = F[:, :, :2] + self.beta * np.eye(2)
-        return self._objective(u, M), g, 0.5 * (H + H.swapaxes(1, 2)), F[:, :, 2:]
+        curvature *= boundary[:, None, None]
+        UmT = Um.swapaxes(1, 2)
+        H = UmT @ (self._trap[:, None] * Um) - P - P.swapaxes(1, 2) - curvature
+        H = H + self.beta * np.eye(2)
+        outputs = self._objective(u, M), g, 0.5 * (H + H.swapaxes(1, 2))
+        if dTheta is None:
+            return outputs
+        # b_i = u_i^T W u_dtheta - lambda^T (A_i u_dtheta + A_dtheta u_i + A_i,dtheta u),
+        # where alpha alone enters A: A_dtheta = dalpha A_alpha, whose only
+        # nonzero entries are the first and last diagonal ones, 2/dx +- v/kappa,
+        # and lambda^T A_i,alpha u is -v/kappa^2 and 1/kappa times the boundary term
+        ud = U[:, :, 2:]
+        first, last = (2.0 / model.dx + v / kappa)[:, None], (2.0 / model.dx - v / kappa)[:, None]
+        lam_A_alpha_Um = first * lam[:, :1] * Um[:, 0] + last * lam[:, -1:] * Um[:, -1]
+        lam_A_alpha_i_u = np.stack([-v / kappa2, 1.0 / kappa], axis=1) * boundary[:, None]
+        b = (UmT @ (self._trap[:, None] * ud) - LT @ ud)[:, :, 0] - dalpha * (
+            lam_A_alpha_Um + lam_A_alpha_i_u
+        )
+        return (*outputs, b)
 
     def initial_guess(self):
         return self.m_prior.copy()

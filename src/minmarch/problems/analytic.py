@@ -5,9 +5,18 @@ from __future__ import annotations
 import abc
 
 import numpy as np
+
+# expit stays, although loading scipy.special is most of the package's import
+# time: it rounds as libm's exp does, and the logistic1d artifacts depend on
+# those bits.  numpy's SIMD exp differs from libm in 4.7% of 200k uniform
+# inputs on [-10, 10], and longdouble exp rounded to double in 0.096%.  An
+# exact element-wise 1 / (1 + math.exp(-x)) costs about 180 ns per element
+# against 12-28 ns for expit, and a 3000-sample logistic1d study evaluates
+# 182,870 (Euler with the oracle) to 714,040 (RK4) elements, 33-128 ms more
+# than its whole 40-90 ms propagate (2-core x86-64, Python 3.11, numpy 2.4).
 from scipy.special import expit
 
-from .base import Problem
+from .base import Problem, mixed_action
 
 
 class _ClosedFormProblem(Problem):
@@ -17,7 +26,8 @@ class _ClosedFormProblem(Problem):
     tuple t of the p parameter columns, each (S,), and returns J, the
     gradient, the Hessian entry and the tuple of mixed-derivative entries,
     all of shape (S,).  ``values`` keeps J only; the Newton oracle calls it
-    for its rare second and later backtracking steps alone.
+    for its rare second and later backtracking steps alone.  ``derivatives``
+    forms the full B and applies it to the directions.
     """
 
     @abc.abstractmethod
@@ -27,9 +37,9 @@ class _ClosedFormProblem(Problem):
     def values(self, M, Theta):
         return self._formulas(M[:, 0], tuple(Theta.T))[0]
 
-    def derivatives(self, M, Theta):
+    def derivatives(self, M, Theta, dTheta=None):
         J, g, h, b = self._formulas(M[:, 0], tuple(Theta.T))
-        return J, g[:, None], h[:, None, None], np.stack(b, -1)[:, None]
+        return J, g[:, None], h[:, None, None], mixed_action(np.stack(b, -1)[:, None], dTheta)
 
 
 class QuadraticProblem(_ClosedFormProblem):

@@ -30,9 +30,15 @@ class Problem(abc.ABC):
     the point (M[s], Theta[s]):
 
     - ``values(M, Theta)``: the objective J, shape (S,);
-    - ``derivatives(M, Theta)``: J, the gradient in m, the Hessian in m and
-      the mixed second derivative once in m and once in theta, of shapes
-      (S,), (S, d), (S, d, d) and (S, d, p).
+    - ``derivatives(M, Theta, dTheta=None)``: J, the gradient in m, the
+      Hessian in m and b = B dTheta, of shapes (S,), (S, d), (S, d, d) and
+      (S, d), where B is the mixed second derivative once in m and once in
+      theta, (S, d, p), and row s of dTheta (S, p) is the parameter
+      direction of row s.  Without directions b is None.  The march asks
+      for B's action on its direction alone and the Newton oracle for no B
+      at all, so a problem can skip the work B needs; J, g and H must not
+      depend on whether directions are given.  A problem that has B in
+      full returns ``mixed_action(B, dTheta)``.
 
     A row the problem cannot evaluate (a failed PDE solve, say) is +inf in
     ``values``, so that a line search backtracks from it, and NaN in every
@@ -41,9 +47,12 @@ class Problem(abc.ABC):
     its stack.
 
     ``objective``, ``gradient``, ``objective_gradient``, ``hessian``,
-    ``mixed`` and ``hessian_and_mixed`` are the S = 1 calls of these two
-    methods at one point, m of shape (d,) and theta of shape (p,); they
-    raise BvpSolveError where the objective is not finite.
+    ``mixed`` and ``hessian_and_mixed`` are the calls of these two methods
+    at one point, m of shape (d,) and theta of shape (p,); they raise
+    BvpSolveError where the objective is not finite.  All but the last two
+    are S = 1 calls without directions; ``mixed`` and ``hessian_and_mixed``
+    get the full B from one p-row call with the directions eye(p) (see
+    ``derivatives_at``).
 
     ``basin_hint``, when set, is an open box in decision space inside which
     the minimizer is assumed unique for all admissible parameters; it is
@@ -59,8 +68,8 @@ class Problem(abc.ABC):
         """J at S points, shape (S,); +inf where it cannot be evaluated."""
 
     @abc.abstractmethod
-    def derivatives(self, M: np.ndarray, Theta: np.ndarray):
-        """(J, dJ/dm, d2J/dm2, d2J/(dm dtheta)) at S points; NaN rows where they fail."""
+    def derivatives(self, M: np.ndarray, Theta: np.ndarray, dTheta: np.ndarray | None = None):
+        """(J, dJ/dm, d2J/dm2, d2J/(dm dtheta) dTheta) at S points; NaN rows where they fail."""
 
     def objective(self, m, theta) -> float:
         """J(m, theta) at one point."""
@@ -70,29 +79,29 @@ class Problem(abc.ABC):
 
     def objective_gradient(self, m, theta) -> tuple[float, np.ndarray]:
         """J and dJ/dm, shape (d,), at one point."""
-        J, g, _, _ = self._derivatives_at(m, theta)
+        J, g, _ = self._value_gradient_hessian(m, theta)
         return J, g
 
     def gradient(self, m, theta) -> np.ndarray:
         """dJ/dm at one point, shape (d,)."""
-        return self._derivatives_at(m, theta)[1]
+        return self._value_gradient_hessian(m, theta)[1]
 
     def hessian(self, m, theta) -> np.ndarray:
         """d2J/dm2 at one point, shape (d, d), symmetric."""
-        return self._derivatives_at(m, theta)[2]
+        return self._value_gradient_hessian(m, theta)[2]
 
     def mixed(self, m, theta) -> np.ndarray:
         """d2J/(dm dtheta) at one point, shape (d, p)."""
-        return self._derivatives_at(m, theta)[3]
+        return derivatives_at(self, m, theta)[3]
 
     def hessian_and_mixed(self, m, theta) -> tuple[np.ndarray, np.ndarray]:
         """Hessian and mixed derivative at one point."""
-        return self._derivatives_at(m, theta)[2:]
+        return derivatives_at(self, m, theta)[2:]
 
-    def _derivatives_at(self, m, theta):
-        J, g, H, B = self.derivatives(*_point(m, theta))
+    def _value_gradient_hessian(self, m, theta):
+        J, g, H, _ = self.derivatives(*_point(m, theta))
         _require_finite(J[0], m, theta)
-        return float(J[0]), g[0], H[0], B[0]
+        return float(J[0]), g[0], H[0]
 
     def initial_guess(self) -> np.ndarray:
         """Default starting point for the nominal solve."""
@@ -114,6 +123,28 @@ class Problem(abc.ABC):
             lo, hi = self.basin_hint
             inside = np.all((m > lo) & (m < hi), axis=-1)
         return inside.all(axis=0) if m.ndim == 3 else bool(inside.all())
+
+
+def derivatives_at(problem, m, theta) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """J, g, H and the full mixed derivative B, (d, p), at one point.
+
+    One ``derivatives`` call with p copies of the point and the directions
+    eye(p), so that column k of B is the action on the k-th unit direction;
+    J, g and H are those of the first copy.  Raises BvpSolveError where J
+    is not finite.
+    """
+    M, Theta = _point(m, theta)
+    p = Theta.shape[1]
+    J, g, H, b = problem.derivatives(
+        np.repeat(M, p, axis=0), np.repeat(Theta, p, axis=0), np.eye(p)
+    )
+    _require_finite(J[0], m, theta)
+    return float(J[0]), g[0], H[0], b.T.copy()
+
+
+def mixed_action(B, dTheta):
+    """b = B dTheta row by row, (S, d), for B (S, d, p); None without directions."""
+    return None if dTheta is None else (B @ dTheta[..., None])[..., 0]
 
 
 def dot_rows(X, y) -> np.ndarray:

@@ -92,13 +92,13 @@ def write_kde_marginal_csv(path, estimate: DensityEstimate) -> None:
 def write_kde_joint_csv(path, estimate: DensityEstimate) -> None:
     if estimate.dimension != 2:
         raise ValueError("joint writer expects a 2-d estimate")
-    xs, ys = (axis.tolist() for axis in estimate.axes)
-    rows = (
-        (x, y, value)
-        for x, values_at_x in zip(xs, estimate.density.tolist())
-        for y, value in zip(ys, values_at_x)
-    )
-    _write_rows(path, ["x", "y", "density"], [_FLOAT] * 3, rows)
+    # the bytes of _write_rows with three _FLOAT cells, with each axis cell
+    # rendered once per axis value instead of once per row
+    xs, ys = ([f"{value:.17g}," for value in axis.tolist()] for axis in estimate.axes)
+    with open(path, "w", newline="") as fh:
+        fh.write("x,y,density\n")
+        for x, values_at_x in zip(xs, estimate.density.tolist()):
+            fh.writelines([f"{x}{y}{value:.17g}\n" for y, value in zip(ys, values_at_x)])
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -74,22 +74,47 @@ def post_optimality_apply(problem, m, theta, dtheta) -> SensitivityApply:
 
     ``m``, ``theta`` and ``dtheta`` are one point, (d,), (p,) and (p,), or S
     points stacked row-wise, (S, d), (S, p) and (S, p); every operation is
-    row-wise, so a row's result does not depend on its stack.  A dense
-    symmetric eigendecomposition per row doubles as the definiteness
-    diagnostic.  A singular or indefinite Hessian raises
-    IndefiniteHessianError for a single point and clears ``definite`` for a
-    stacked row: continuing there would track a stationary point that is not
-    a local minimizer.  Rows with non-finite derivatives get a non-finite
-    result.
+    row-wise, so a row's result does not depend on its stack.  One
+    ``problem.derivatives(M, Theta, dTheta)`` call gives H and b = B dtheta,
+    and the result solves H result = -b (see ``apply_inverse_hessian``).  A
+    singular or indefinite Hessian raises IndefiniteHessianError for a
+    single point and clears ``definite`` for a stacked row: continuing there
+    would track a stationary point that is not a local minimizer.
     """
     single = np.ndim(m) == 1
     M = np.atleast_2d(np.asarray(m, dtype=float))
     Theta = np.atleast_2d(np.asarray(theta, dtype=float))
     dTheta = np.atleast_2d(np.asarray(dtheta, dtype=float))
 
-    _, _, H, B = problem.derivatives(M, Theta)
-    rhs = -(B @ dTheta[..., None])[..., 0]
+    _, _, H, b = problem.derivatives(M, Theta, dTheta)
+    apply = apply_inverse_hessian(H, -b, dTheta)
+    if not single:
+        return apply
+    if not apply.definite[0]:
+        min_eig = apply.hessian_min_eigenvalue[0]
+        raise IndefiniteHessianError(
+            f"Hessian is singular or not positive definite (min eigenvalue {min_eig!r})",
+            float(min_eig),
+        )
+    return SensitivityApply(
+        dTheta[0],
+        apply.result[0],
+        float(apply.hessian_min_eigenvalue[0]),
+        float(apply.condition_estimate[0]),
+    )
 
+
+def apply_inverse_hessian(H, rhs, directions) -> SensitivityApply:
+    """Stacked ``SensitivityApply`` of result = H^{-1} rhs, row by row.
+
+    ``rhs`` is (S, d) and ``H`` either (S, d, d), one Hessian per row, or
+    (1, d, d), one Hessian shared by all rows, which is then decomposed
+    once.  A dense symmetric eigendecomposition per Hessian doubles as the
+    definiteness diagnostic; a row's result is the same bit for bit
+    whether its Hessian is shared or its own.  Rows with non-finite
+    derivatives get a non-finite result.
+    """
+    shape = rhs.shape[:1]
     # rows with a zero eigenvalue divide by it; they are flagged below
     with np.errstate(divide="ignore", invalid="ignore"):
         if H.shape[1] == 1:
@@ -111,12 +136,5 @@ def post_optimality_apply(problem, m, theta, dtheta) -> SensitivityApply:
             cond = evals[:, -1] / min_eig
             coords = (vecs.swapaxes(1, 2) @ rhs[..., None])[..., 0] / evals
             result = (vecs @ coords[..., None])[..., 0]
-
-    if not single:
-        return SensitivityApply(dTheta, result, min_eig, cond, ~indefinite)
-    if indefinite[0]:
-        raise IndefiniteHessianError(
-            f"Hessian is singular or not positive definite (min eigenvalue {min_eig[0]!r})",
-            float(min_eig[0]),
-        )
-    return SensitivityApply(dTheta[0], result[0], float(min_eig[0]), float(cond[0]))
+    min_eig, cond, indefinite = (np.broadcast_to(x, shape) for x in (min_eig, cond, indefinite))
+    return SensitivityApply(directions, result, min_eig, cond, ~indefinite)

@@ -163,35 +163,54 @@ class _StudyPayload:
     newton_config: NewtonConfig
 
 
+class _RowCounter:
+    """A problem whose ``derivatives`` calls are tallied by the rows they pass."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def derivatives(self, M, Theta, dTheta=None):
+        self.rows += len(M)
+        return self.problem.derivatives(M, Theta, dTheta)
+
+
 def _propagate_block(payload: _StudyPayload, thetas: np.ndarray) -> tuple:
     """Columns of one contiguous block of samples, thetas of shape (S, p).
 
     Returns ``march_finals``, ``march_status``, ``left_basin`` and ``oracle``
-    in ``SampleStudy``'s layout for the block, and the RHS evaluations it
-    made.  The block is marched in lockstep once per step count, and the
-    Newton oracle re-solves it in lockstep once.
+    in ``SampleStudy``'s layout for the block, and the work it did: its RHS
+    evaluations and the rows it passed to ``problem.derivatives`` while
+    marching and in the oracle.  The block is marched in lockstep once per
+    step count, and the Newton oracle re-solves it in lockstep once.
     """
     lines = ParameterLine(payload.nominal_theta, thetas)
     finals, statuses, left_basin = [], [], []
     rhs_evals = 0
+    march_problem = _RowCounter(payload.problem)
     for N in payload.N_list:
-        block = march_block(payload.problem, payload.start, lines, MarchConfig(N, payload.scheme))
+        block = march_block(march_problem, payload.start, lines, MarchConfig(N, payload.scheme))
         rhs_evals += int(block.rhs_evals.sum())
         # a copy, so that the block's iterates are freed before the next step count
         finals.append(block.finals.copy())
         statuses.append([status.value for status in block.statuses])
         left_basin.append(block.left_basin)
+    oracle_problem = _RowCounter(payload.problem)
     oracle = (
-        newton_solve_block(payload.problem, thetas, payload.start, payload.newton_config)
+        newton_solve_block(oracle_problem, thetas, payload.start, payload.newton_config)
         if payload.with_oracle
         else None
     )
-    return np.array(finals), np.array(statuses, dtype=str), np.array(left_basin), oracle, rhs_evals
+    work = (rhs_evals, march_problem.rows, oracle_problem.rows)
+    return np.array(finals), np.array(statuses, dtype=str), np.array(left_basin), oracle, work
 
 
-def _join_blocks(blocks) -> tuple[dict, int]:
-    """``SampleStudy`` columns of consecutive blocks, and their RHS evaluations."""
-    finals, statuses, left_basin, oracles, rhs_evals = zip(*blocks)
+def _join_blocks(blocks) -> tuple[dict, tuple]:
+    """``SampleStudy`` columns of consecutive blocks, and their summed work counts."""
+    finals, statuses, left_basin, oracles, work = zip(*blocks)
     oracle = None
     if oracles[0] is not None:
         stacked = {key: [getattr(o, key) for o in oracles] for key in _ORACLE_COLUMNS}
@@ -202,7 +221,7 @@ def _join_blocks(blocks) -> tuple[dict, int]:
         "left_basin": np.concatenate(left_basin, axis=1),
         "oracle": oracle,
     }
-    return columns, sum(rhs_evals)
+    return columns, tuple(map(sum, zip(*work)))
 
 
 _WORKER_PAYLOAD: _StudyPayload | None = None
@@ -244,8 +263,17 @@ def propagate_study(
     worker count and of scheduling.  The pool uses the platform's default
     start method; under spawn or forkserver the problem must pickle.
     ``SampleStudy.counters`` reports the RHS evaluations (stage evaluations
-    summed over samples and step counts), the number of sample blocks and
-    the total oracle iterations.
+    summed over samples and step counts), the number of sample blocks, the
+    total oracle iterations and ``derivative_rows``, the rows passed to
+    ``problem.derivatives`` while marching and by the oracle.  Each march
+    evaluates its first stage of step 0 from one p-row call at the nominal
+    point shared by its block (see ``march_block``), so with B blocks,
+    K = len(N_list) step counts and p parameters
+
+        derivative_rows["march"] = rhs_evaluations - K (num_samples - B p)
+
+    exactly, aborted marches included; without the sharing it would equal
+    rhs_evaluations + K B.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or any(N < 1 for N in N_list):
@@ -275,12 +303,13 @@ def propagate_study(
         tasks = [thetas]
         results = [_propagate_block(payload, thetas)]
 
-    columns, rhs_evals = _join_blocks(results)
+    columns, (rhs_evals, march_rows, oracle_rows) = _join_blocks(results)
     oracle = columns["oracle"]
     counters = {
         "rhs_evaluations": rhs_evals,
         "march_blocks": len(tasks),
         "oracle_iterations": int(oracle.iterations.sum()) if oracle is not None else 0,
+        "derivative_rows": {"march": march_rows, "oracle": oracle_rows},
     }
     return SampleStudy(
         box=box,

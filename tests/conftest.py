@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import minmarch as mm
+from minmarch.problems.base import mixed_action
 
 THETA_LOGISTIC = np.array([1.0, 3.0, 0.1])
 THETA_ADVDIFF = np.array([10.0, 0.05, 1.0])
@@ -80,9 +81,9 @@ class ConcaveProblem(mm.Problem):
     def values(self, M, Theta):
         return -0.5 * M[:, 0] ** 2 + Theta[:, 0] * M[:, 0]
 
-    def derivatives(self, M, Theta):
+    def derivatives(self, M, Theta, dTheta=None):
         ones = np.ones((len(M), 1, 1))
-        return self.values(M, Theta), Theta - M, -ones, ones
+        return self.values(M, Theta), Theta - M, -ones, mixed_action(ones, dTheta)
 
     def initial_guess(self):
         return np.array([0.0])
@@ -103,8 +104,9 @@ class FragileProblem(mm.Problem):
     def values(self, M, Theta):
         return 0.5 * Theta[:, 0] * M[:, 0] ** 2
 
-    def derivatives(self, M, Theta):
-        return self.values(M, Theta), Theta * M, Theta[:, :, None], M[:, :, None]
+    def derivatives(self, M, Theta, dTheta=None):
+        B = M[:, :, None]
+        return self.values(M, Theta), Theta * M, Theta[:, :, None], mixed_action(B, dTheta)
 
     def initial_guess(self):
         return np.array([0.0])

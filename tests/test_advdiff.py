@@ -122,6 +122,17 @@ def test_dA_operators_match_differences_of_apply_operator(index, method):
     np.testing.assert_allclose(exact, diff, rtol=1e-7, atol=1e-8 * np.max(np.abs(diff)))
 
 
+@pytest.mark.parametrize("name", ["kappa", "v"])
+def test_transposed_dA_operators_are_the_transposes(name):
+    """_dAT_* applied to the identity is the transpose of _dA_* applied to it."""
+    model = AdvectionDiffusionModel(16)
+    identity = np.eye(17)[None]
+    coeffs = (np.array([[0.07]]), np.array([[0.3]]), np.array([[1.1]]))
+    A = getattr(model, f"_dA_d{name}")(identity, *coeffs)[0]
+    AT = getattr(model, f"_dAT_d{name}")(identity, *coeffs)[0]
+    assert np.array_equal(AT, A.T)
+
+
 def test_exact_second_derivatives_match_fd_off_truth(advdiff, advdiff_box):
     """Exact H and B match FD of the exact gradient where the data misfit is nonzero.
 
@@ -190,6 +201,10 @@ def random_stack(problem, box, S, seed):
     return M, Theta
 
 
+def random_directions(box, S, seed):
+    return box.half_widths * np.random.default_rng(seed).uniform(-1.0, 1.0, (S, 3))
+
+
 @pytest.mark.parametrize("S", [1, 7, 50])
 def test_stack_makes_three_solves(advdiff, advdiff_box, monkeypatch, S):
     """derivatives takes three solves for any S, values one."""
@@ -204,12 +219,13 @@ def test_stack_makes_three_solves(advdiff, advdiff_box, monkeypatch, S):
 
 @pytest.mark.parametrize("S", [1, 7, 50])
 def test_stack_equals_row_loop_bit_for_bit(advdiff, advdiff_box, S):
-    """The stacked solves reproduce a loop over S = 1 evaluations exactly."""
+    """The stacked solves reproduce a loop over S = 1 evaluations exactly, with directions."""
     M, Theta = random_stack(advdiff, advdiff_box, S, seed=100 + S)
-    stacked = (advdiff.values(M, Theta),) + advdiff.derivatives(M, Theta)
+    dTheta = random_directions(advdiff_box, S, seed=200 + S)
+    stacked = (advdiff.values(M, Theta),) + advdiff.derivatives(M, Theta, dTheta)
     rows = [
         (advdiff.values(M[s : s + 1], Theta[s : s + 1]),)
-        + advdiff.derivatives(M[s : s + 1], Theta[s : s + 1])
+        + advdiff.derivatives(M[s : s + 1], Theta[s : s + 1], dTheta[s : s + 1])
         for s in range(S)
     ]
     loop = [np.concatenate(parts) for parts in zip(*rows)]
@@ -235,13 +251,14 @@ def test_stacked_solves_take_at_most_stack_rows(advdiff, advdiff_box, monkeypatc
 def assert_only_row_failed(problem, M, Theta, bad):
     """Row ``bad`` is +inf in values and NaN in derivatives; its blockmates are unchanged."""
     J = problem.values(M, Theta)
-    derivatives = problem.derivatives(M, Theta)
+    dTheta = random_directions(mm.ParameterBox.relative(THETA_ADVDIFF, 0.2), len(M), seed=9)
+    derivatives = problem.derivatives(M, Theta, dTheta)
     assert J[bad] == np.inf
     assert all(np.isnan(out[bad]).all() for out in derivatives)
     for s in range(len(M)):
         if s != bad:
             assert J[s] == problem.objective(M[s], Theta[s])
-            single = problem.derivatives(M[s : s + 1], Theta[s : s + 1])
+            single = problem.derivatives(M[s : s + 1], Theta[s : s + 1], dTheta[s : s + 1])
             assert all(np.array_equal(out[s], one[0]) for out, one in zip(derivatives, single))
 
 

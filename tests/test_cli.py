@@ -98,10 +98,16 @@ class TestStudy:
         assert run(args + ["--workers", str(workers)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         counters = manifest["counters"]
-        assert set(counters) == {"rhs_evaluations", "march_blocks", "oracle_iterations"}
+        assert set(counters) == {
+            "rhs_evaluations", "march_blocks", "oracle_iterations", "derivative_rows"
+        }
         # forward Euler with N = 1, 2, 4, 8, 16: 31 evaluations per sample
         assert counters["rhs_evaluations"] == 31 * 40
         assert counters["march_blocks"] == blocks
+        # the first stage of step 0 of each of the 5 step counts is shared by
+        # a block: one 3-row call there instead of one row per sample
+        assert counters["derivative_rows"]["march"] == 31 * 40 - 5 * (40 - 3 * blocks)
+        assert counters["derivative_rows"]["oracle"] >= 40 + counters["oracle_iterations"]
         records = json.loads((out / "study.json").read_text())["records"]
         assert counters["oracle_iterations"] == sum(r["oracle"]["iterations"] for r in records)
         assert counters["oracle_iterations"] > 0

@@ -134,15 +134,19 @@ def test_symmetrized_hessian_close_to_raw_fd(
 def taylor_remainders(problem, m, theta, dm, dtheta, steps):
     """Remainders ||g(x + e dx) - g(x) - e D dx|| for D = H (x = m) and D = B (x = theta).
 
-    All perturbed points of one kind are evaluated as one stack.
+    B dtheta is taken twice: from the full B of ``mixed`` and as the
+    directional b of ``derivatives``.  All perturbed points of one kind are
+    evaluated as one stack.
     """
     K = steps.size
-    _, g0, H, B = problem.derivatives(m[None], theta[None])
+    _, g0, H, b = problem.derivatives(m[None], theta[None], dtheta[None])
+    B = problem.mixed(m, theta)
     g_m = problem.derivatives(m + steps[:, None] * dm, np.tile(theta, (K, 1)))[1]
     g_t = problem.derivatives(np.tile(m, (K, 1)), theta + steps[:, None] * dtheta)[1]
     r_m = np.linalg.norm(g_m - g0 - steps[:, None] * (H[0] @ dm), axis=1)
-    r_t = np.linalg.norm(g_t - g0 - steps[:, None] * (B[0] @ dtheta), axis=1)
-    return r_m, r_t
+    r_t = np.linalg.norm(g_t - g0 - steps[:, None] * (B @ dtheta), axis=1)
+    r_b = np.linalg.norm(g_t - g0 - steps[:, None] * b[0], axis=1)
+    return r_m, r_t, r_b
 
 
 @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
@@ -150,7 +154,7 @@ def test_taylor_remainder_decays_at_second_order(
     name, quadratic, double_well, logistic, advdiff,
     quadratic_box, cubic_box, logistic_box, advdiff_box,
 ):
-    """H and B are the derivatives of g: the first-order Taylor remainder of g is O(e^2).
+    """H, B and b = B dtheta are the derivatives of g: the first-order Taylor remainder of g is O(e^2).
 
     The rate is fitted over e = 2^-2 .. 2^-13, so neither FD truncation nor
     roundoff at one step decides the outcome (dolfin-adjoint's taylor_test).
@@ -177,10 +181,74 @@ def test_taylor_remainder_decays_at_second_order(
         # perturbed points stay in the basin: e |dm| < (distance to its edge) / 4
         dm = np.minimum(m - lo, hi - m) * rng.uniform(-1.0, 1.0, m.size)
         dtheta = 0.2 * box.half_widths * rng.uniform(-1.0, 1.0, box.p)
-        r_m, r_t = taylor_remainders(problem, m, theta, dm, dtheta, steps)
+        remainders = taylor_remainders(problem, m, theta, dm, dtheta, steps)
         if name == "quadratic":
-            assert np.all(r_m <= 1e-14) and np.all(r_t <= 1e-14)
+            assert all(np.all(r <= 1e-14) for r in remainders)
             continue
-        for r in (r_m, r_t):
+        for r in remainders:
             rate = np.polyfit(np.log(steps), np.log(r), 1)[0]
             assert abs(rate - 2.0) <= 0.2, f"rate {rate:.3f} at m={m}, theta={theta}"
+
+
+# the point where FD roundoff fails the advdiff derivative check
+FOUND_M, FOUND_THETA = np.array([0.05134, 0.2388]), np.array([9.804, 0.04188, 0.8922])
+
+
+def _stack_with_directions(name, problems, count, seed):
+    """Problem, and M, Theta and dTheta stacks of ``count`` random points.
+
+    dTheta spans the box's half-widths; advdiff gets the FOUND point too.
+    """
+    problem, box, fallback = problems[name]
+    rng = np.random.default_rng(seed)
+    points = list(_random_points(problem, box, count, rng, fallback))
+    if name == "advdiff":
+        points.append((FOUND_M, FOUND_THETA))
+    M, Theta = (np.array(column) for column in zip(*points))
+    dTheta = box.half_widths * rng.uniform(-1.0, 1.0, Theta.shape)
+    return problem, M, Theta, dTheta
+
+
+@pytest.fixture
+def problems(quadratic, double_well, logistic, advdiff, quadratic_box, cubic_box,
+             logistic_box, advdiff_box):
+    return {
+        "quadratic": (quadratic, quadratic_box, np.array([0.4])),
+        "cubic": (double_well, cubic_box, np.array([0.75])),
+        "logistic1d": (logistic, logistic_box, np.array([0.9])),
+        "advdiff": (advdiff, advdiff_box, np.array([0.05, 0.4])),
+    }
+
+
+@pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
+def test_directional_mixed_is_full_mixed_times_direction(name, problems):
+    """b = B dtheta from derivatives agrees with the full B of ``mixed`` applied to dtheta."""
+    problem, M, Theta, dTheta = _stack_with_directions(name, problems, 12, seed=5)
+    b = problem.derivatives(M, Theta, dTheta)[3]
+    assert b.shape == M.shape
+    for s in range(len(M)):
+        expected = problem.mixed(M[s], Theta[s]) @ dTheta[s]
+        assert np.linalg.norm(b[s] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
+def test_directions_do_not_change_value_gradient_or_hessian(name, problems):
+    """J, g and H are the same bit for bit without directions and with any."""
+    problem, M, Theta, dTheta = _stack_with_directions(name, problems, 12, seed=6)
+    without = problem.derivatives(M, Theta)
+    assert without[3] is None
+    p = Theta.shape[1]
+    unit = np.eye(p)[np.arange(len(M)) % p]
+    for directions in (dTheta, np.zeros_like(dTheta), 1e6 * dTheta, unit):
+        with_directions = problem.derivatives(M, Theta, directions)
+        for a, b in zip(without[:3], with_directions[:3]):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
+def test_directional_stack_equals_row_loop_bit_for_bit(name, problems):
+    problem, M, Theta, dTheta = _stack_with_directions(name, problems, 9, seed=7)
+    stacked = problem.derivatives(M, Theta, dTheta)
+    for s in range(len(M)):
+        row = problem.derivatives(M[s : s + 1], Theta[s : s + 1], dTheta[s : s + 1])
+        assert all(np.array_equal(a[s], b[0]) for a, b in zip(stacked, row))

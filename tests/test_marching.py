@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.marching import MarchConfig, MarchStatus, Scheme, march_block
+from minmarch.marching import TABLEAUX, MarchConfig, MarchStatus, Scheme, march_block
+from minmarch.problems.base import mixed_action
 from minmarch.sensitivity import ParameterLine
 
 from conftest import THETA_LOGISTIC, FragileProblem
@@ -125,9 +126,10 @@ class _NonfiniteRhsProblem(mm.Problem):
     def values(self, M, Theta):
         return 0.5 * M[:, 0] ** 2
 
-    def derivatives(self, M, Theta):
+    def derivatives(self, M, Theta, dTheta=None):
         S = len(M)
-        return self.values(M, Theta), M.copy(), np.ones((S, 1, 1)), np.full((S, 1, 1), np.inf)
+        B = np.full((S, 1, 1), np.inf)
+        return self.values(M, Theta), M.copy(), np.ones((S, 1, 1)), mixed_action(B, dTheta)
 
 
 def test_aborted_nonfinite(concave_problem):
@@ -201,11 +203,11 @@ class _SinhProblem(mm.Problem):
     def values(self, M, Theta):
         return 0.5 * (np.sinh(M[:, 0]) - Theta[:, 0]) ** 2
 
-    def derivatives(self, M, Theta):
+    def derivatives(self, M, Theta, dTheta=None):
         s, c = np.sinh(M), np.cosh(M)
         g = (s - Theta) * c
         H = c**2 + (s - Theta) * s
-        return self.values(M, Theta), g, H[:, :, None], -c[:, :, None]
+        return self.values(M, Theta), g, H[:, :, None], mixed_action(-c[:, :, None], dTheta)
 
 
 @pytest.mark.parametrize(
@@ -278,9 +280,9 @@ def test_block_march_equals_single_marches(
 class _FragileWithPole(FragileProblem):
     """FragileProblem whose mixed derivative is infinite for theta_1 >= 2."""
 
-    def derivatives(self, M, Theta):
-        J, g, H, B = super().derivatives(M, Theta)
-        return J, g, H, np.where(Theta[:, :, None] >= 2.0, np.inf, B)
+    def derivatives(self, M, Theta, dTheta=None):
+        J, g, H, b = super().derivatives(M, Theta, dTheta)
+        return J, g, H, None if b is None else np.where(Theta >= 2.0, np.inf, b)
 
 
 @pytest.mark.parametrize(
@@ -343,14 +345,16 @@ class _BowlWithSolverFailure(mm.Problem):
         J = 0.5 * np.sum((M - Theta) ** 2, axis=1)
         return np.where(Theta[:, 0] > 1.5, np.inf, J)
 
-    def derivatives(self, M, Theta):
+    def derivatives(self, M, Theta, dTheta=None):
         S = len(M)
         J, g = self.values(M, Theta), M - Theta
-        H, B = np.broadcast_to(np.eye(2), (S, 2, 2)).copy(), -np.ones((S, 2, 1))
+        H = np.broadcast_to(np.eye(2), (S, 2, 2)).copy()
+        b = mixed_action(-np.ones((S, 2, 1)), dTheta)
         # a failed evaluation is NaN in every output of its row
         failed = Theta[:, 0] > 1.5
-        J[failed], g[failed], H[failed], B[failed] = np.nan, np.nan, np.nan, np.nan
-        return J, g, H, B
+        for out in (J, g, H) if b is None else (J, g, H, b):
+            out[failed] = np.nan
+        return J, g, H, b
 
 
 def test_block_row_solver_failure_aborts_only_that_row():
@@ -371,3 +375,73 @@ def test_block_row_solver_failure_aborts_only_that_row():
     for s, end in enumerate(ends):
         single = mm.march(problem, start, ParameterLine(theta_bar, end), config)
         _assert_same_march(block.trajectory(s), single)
+
+
+class _Recording(mm.Problem):
+    """A problem that records the rows of every ``derivatives`` call."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.d, self.p, self.basin_hint = problem.d, problem.p, problem.basin_hint
+        self.calls = []
+
+    def values(self, M, Theta):
+        return self.problem.values(M, Theta)
+
+    def derivatives(self, M, Theta, dTheta=None):
+        self.calls.append((M.copy(), Theta.copy()))
+        return self.problem.derivatives(M, Theta, dTheta)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("name", ["logistic1d", "advdiff"])
+def test_block_march_evaluates_its_start_once(
+    name, scheme, logistic, advdiff, logistic_box, advdiff_box
+):
+    """One p-row call at (m0, theta0) serves the stationarity check and every first stage."""
+    problem, box = {"logistic1d": (logistic, logistic_box), "advdiff": (advdiff, advdiff_box)}[name]
+    start = mm.solve_nominal(problem, box).minimizer
+    lines = ParameterLine(box.nominal, box.sample(seed=21, count=6))
+    recording = _Recording(problem)
+    N = 3
+    block = march_block(recording, start, lines, MarchConfig(N, scheme))
+    assert all(status is MarchStatus.COMPLETED for status in block.statuses)
+    at_start = [
+        np.all((M == start) & (Theta == box.nominal).all(axis=1, keepdims=True), axis=1)
+        for M, Theta in recording.calls
+    ]
+    assert at_start[0].tolist() == [True] * box.p
+    assert not any(rows.any() for rows in at_start[1:])
+    # every stage evaluates every sample once, except the shared first one
+    stages = len(TABLEAUX[scheme].nodes)
+    assert block.rhs_evals.tolist() == [stages * N] * 6
+    assert sum(len(M) for M, _ in recording.calls) == box.p + 6 * (stages * N - 1)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
+def test_shared_first_stage_is_the_sensitivity_at_the_start(
+    name, quadratic, double_well, logistic, advdiff,
+    quadratic_box, cubic_box, logistic_box, advdiff_box,
+):
+    """The shared first stage is post_optimality_apply at (m0, theta0): bit for bit
+    where b is B dtheta's arithmetic, and to roundoff for advdiff's directional b."""
+    problem, box = {
+        "quadratic": (quadratic, quadratic_box),
+        "cubic": (double_well, cubic_box),
+        "logistic1d": (logistic, logistic_box),
+        "advdiff": (advdiff, advdiff_box),
+    }[name]
+    start = mm.solve_nominal(problem, box).minimizer
+    thetas = box.sample(seed=22, count=8)
+    lines = ParameterLine(box.nominal, thetas)
+    config = MarchConfig(2, record_trajectory=True)
+    first = march_block(problem, start, lines, config).rhs_values[0]
+    S = len(thetas)
+    expected = mm.post_optimality_apply(
+        problem, np.tile(start, (S, 1)), np.tile(box.nominal, (S, 1)), lines.direction
+    ).result
+    if name == "advdiff":
+        scale = np.linalg.norm(expected, axis=1)
+        assert np.all(np.linalg.norm(first - expected, axis=1) <= 1e-12 * scale)
+    else:
+        assert np.array_equal(first, expected)

@@ -214,11 +214,14 @@ class _WalledFragile(FragileProblem):
     def values(self, M, Theta):
         return np.where(M[:, 0] > 1.0, np.inf, super().values(M, Theta))
 
-    def derivatives(self, M, Theta):
+    def derivatives(self, M, Theta, dTheta=None):
         wall = M[:, 0] > 1.0
-        J, g, H, B = (np.array(out, dtype=float) for out in super().derivatives(M, Theta))
-        J[wall], g[wall], H[wall], B[wall] = np.nan, np.nan, np.nan, np.nan
-        return J, g, H, B
+        outs = super().derivatives(M, Theta, dTheta)
+        outs = [None if out is None else np.array(out, dtype=float) for out in outs]
+        for out in outs:
+            if out is not None:
+                out[wall] = np.nan
+        return tuple(outs)
 
 
 def test_mixed_block_failure_paths():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.sensitivity import ParameterLine
+from minmarch.sensitivity import ParameterLine, apply_inverse_hessian
 
 from conftest import THETA_LOGISTIC
 
@@ -184,3 +184,17 @@ def test_rhs_consistency_with_minimizer_path(
         np.testing.assert_allclose(rhs, fd, rtol=1e-3, atol=1e-12)
         n_checked += 1
     assert n_checked >= 8
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_shared_hessian_equals_its_copies_bit_for_bit(d):
+    """One (1, d, d) Hessian for all rows gives each row what its own copy gives."""
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        A = rng.normal(size=(d, d))
+        H = A @ A.T + 0.1 * np.eye(d)
+        rhs = rng.normal(size=(30, d))
+        shared = apply_inverse_hessian(H[None], rhs, rhs)
+        copies = apply_inverse_hessian(np.repeat(H[None], 30, axis=0), rhs, rhs)
+        for field in ("result", "hessian_min_eigenvalue", "condition_estimate", "definite"):
+            assert np.array_equal(getattr(shared, field), getattr(copies, field))

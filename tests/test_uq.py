@@ -148,7 +148,12 @@ class TestPropagateStudy:
             assert serial.failure_counts()["newton_not_converged"] > 0
         expected = serial.to_dict()
         assert parallel.to_dict() == expected
-        assert {**parallel.counters, "march_blocks": 1} == serial.counters
+        # each block makes one p-row call at the nominal point per step count
+        rows = serial.counters["derivative_rows"]
+        shared = {"march": rows["march"] + 3 * box.p, "oracle": rows["oracle"]}
+        assert {**parallel.counters, "march_blocks": 1} == {
+            **serial.counters, "derivative_rows": shared
+        }
         assert_same_oracles(parallel.oracle, serial.oracle)
 
         payload = _StudyPayload(
@@ -157,12 +162,17 @@ class TestPropagateStudy:
         )
         thetas = box.sample(4, 37)
         for cut in ([0, 1, 37], [0, 20, 29, 37]):
-            columns, rhs_evals = _join_blocks(
+            columns, work = _join_blocks(
                 [_propagate_block(payload, thetas[a:b]) for a, b in zip(cut[:-1], cut[1:])]
             )
             assert replace(serial, **columns).to_dict() == expected
             assert_same_oracles(columns["oracle"], serial.oracle)
-            assert rhs_evals == serial.counters["rhs_evaluations"]
+            blocks = len(cut) - 1
+            assert list(work) == [
+                serial.counters["rhs_evaluations"],
+                rows["march"] + 3 * box.p * (blocks - 1),
+                rows["oracle"],
+            ]
 
     @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
     def test_payload_survives_pickle(
