@@ -8,16 +8,11 @@ displacement.  Only one optimization solve (at the nominal parameters) is
 required; a Newton re-solve oracle is included for validation.
 """
 
-from .derivatives import (
-    DerivativeCheckReport,
-    check_derivatives,
-    fd_second_derivatives,
-)
+from .derivatives import DerivativeCheckReport, check_derivatives
 from .exceptions import (
     BvpSolveError,
     ConfigError,
     DegenerateBandwidthError,
-    DegenerateStepError,
     IndefiniteHessianError,
     MinmarchError,
     NominalSolveError,
@@ -65,7 +60,6 @@ __all__ = [
     "BvpSolveError",
     "ConfigError",
     "DegenerateBandwidthError",
-    "DegenerateStepError",
     "DerivativeCheckReport",
     "DoubleWellProblem",
     "IndefiniteHessianError",
@@ -90,7 +84,6 @@ __all__ = [
     "Statistic",
     "StudyErrorSummary",
     "check_derivatives",
-    "fd_second_derivatives",
     "fit_loglog_slope",
     "kde",
     "make_advdiff_problem",

@@ -15,7 +15,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,15 +109,15 @@ CHECK_TOLERANCES = {
 class RunConfig:
     problem: str
     box: ParameterBox
-    num_samples: int = 5000
-    seed: int = 7
-    N_list: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 16])
-    scheme: Scheme = Scheme.FORWARD_EULER
-    with_oracle: bool = True
-    workers: int = 1
-    output_dir: str = ""
-    fd_step: float = 1e-6
-    problem_options: dict = field(default_factory=dict)
+    num_samples: int
+    seed: int
+    N_list: list[int]
+    scheme: Scheme
+    with_oracle: bool
+    workers: int
+    output_dir: str
+    fd_step: float
+    problem_options: dict
 
     def echo(self) -> dict:
         return {
@@ -301,10 +301,10 @@ def build_problem(cfg: RunConfig):
 
 
 _CHECK_POINTS = {
-    "quadratic": (np.array([0.3]), None),
-    "cubic": (np.array([0.75]), None),
-    "logistic1d": (np.array([0.9]), None),
-    "advdiff": (None, None),  # decision point filled from m_true
+    "quadratic": np.array([0.3]),
+    "cubic": np.array([0.75]),
+    "logistic1d": np.array([0.9]),
+    "advdiff": None,  # decision point filled from m_true
 }
 
 
@@ -327,7 +327,7 @@ def cmd_check(args) -> int:
         problem = build_problem(cfg)
         tol = CHECK_TOLERANCES[name]
 
-        m_canon, _ = _CHECK_POINTS[name]
+        m_canon = _CHECK_POINTS[name]
         if m_canon is None:
             m_canon = np.asarray(cfg.problem_options["m_true"], dtype=float)
         points = [(m_canon, cfg.box.nominal)]

@@ -1,12 +1,10 @@
-"""Finite-difference verification of derivatives and FD-based second derivatives."""
+"""Finite-difference verification of derivatives."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .exceptions import DegenerateStepError
 
 DEFAULT_FD_STEP = 1e-6
 
@@ -110,28 +108,3 @@ def check_derivatives(
         fd_step=fd_step,
     )
 
-
-def fd_second_derivatives(
-    gradient,
-    m: np.ndarray,
-    theta: np.ndarray,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Second derivatives from central differences of an exact gradient.
-
-    ``gradient(m, theta)`` must return dJ/dm.  Returns the decision-space
-    Hessian, symmetrized as (H + H^T)/2, and the mixed derivative matrix.
-    """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    m = np.asarray(m, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-
-    H_raw = fd_jacobian(lambda mm: gradient(mm, theta), m, fd_step)
-    if np.all(H_raw == 0.0):
-        raise DegenerateStepError(
-            f"differencing the gradient with fd_step={fd_step!r} returned an "
-            "all-zero Hessian"
-        )
-    B = fd_jacobian(lambda tt: gradient(m, tt), theta, fd_step)
-    return 0.5 * (H_raw + H_raw.T), B

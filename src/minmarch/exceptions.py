@@ -26,10 +26,6 @@ class StationarityError(MinmarchError):
     """Initial state handed to the marcher is not a stationary point."""
 
 
-class DegenerateStepError(MinmarchError):
-    """Finite-difference step so small that differencing lost all signal."""
-
-
 class NominalSolveError(MinmarchError):
     """The nominal optimization solve failed; nothing meaningful to march from."""
 

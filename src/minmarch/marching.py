@@ -169,7 +169,7 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
     h = 1.0 / N
     direction = lines.direction
     S, d = direction.shape[0], m0.size
-    first_stage = apply_inverse_hessian(H0[None], -(B0 @ direction[..., None])[..., 0], direction)
+    first_stage = apply_inverse_hessian(H0[None], -(B0 @ direction[..., None])[..., 0])
     states = np.empty((N + 1, S, d))
     states[0] = m0
     steps_done = np.full(S, N)

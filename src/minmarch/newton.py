@@ -8,6 +8,7 @@ import numpy as np
 
 from .exceptions import NominalSolveError
 from .problems.base import ParameterBox, as_vector, dot_rows
+from .sensitivity import apply_inverse_hessian
 
 
 @dataclass(frozen=True)
@@ -163,25 +164,20 @@ def newton_solve_block(
         J, g, H = J_at[active], g_at[active], H_at[active]
         norm = np.sqrt(dot_rows(g, g))
         evaluable = np.isfinite(J) & np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
-        evals = np.full(g.shape, np.nan)
-        vecs = np.full(H.shape, np.nan)
-        evals[evaluable], vecs[evaluable] = np.linalg.eigh(H[evaluable])
-        value[active], grad_norm[active], min_eig[active] = J, norm, evals[:, 0]
+        newton = apply_inverse_hessian(H, -g)
+        eig = np.where(evaluable, newton.hessian_min_eigenvalue, np.nan)
+        value[active], grad_norm[active], min_eig[active] = J, norm, eig
 
         small = norm <= config.grad_tol * (1.0 + np.abs(J))
-        converged[active[small]] = evals[small, 0] > 0.0
+        converged[active[small]] = eig[small] > 0.0
         stop = small | ~evaluable | (iterations[active] >= config.max_iters)
-        record(active[stop], J[stop], norm[stop], evals[stop, 0])
+        record(active[stop], J[stop], norm[stop], eig[stop])
         go = np.flatnonzero(~stop)
         if not go.size:
             break
-        rows, m, J, g, norm = active[go], M[active[go]], J[go], g[go], norm[go]
-        evals, vecs = evals[go], vecs[go]
+        rows, m, J, g, norm, eig = active[go], M[active[go]], J[go], g[go], norm[go], eig[go]
 
-        p = -g
-        newton = evals[:, 0] > 0.0
-        coords = (vecs[newton].swapaxes(1, 2) @ g[newton][..., None])[..., 0] / evals[newton]
-        p[newton] = -(vecs[newton] @ coords[..., None])[..., 0]
+        p = np.where((eig > 0.0)[:, None], newton.result[go], -g)
         slope = dot_rows(g, p)
         polish = np.abs(slope) <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(J))
 
@@ -205,7 +201,7 @@ def newton_solve_block(
             alpha[searching] *= config.backtrack_factor
 
         step = np.where(accepted, alpha, None)
-        record(rows, J, norm, evals[:, 0], step, slope, polish)
+        record(rows, J, norm, eig, step, slope, polish)
         M[rows[accepted]] = m[accepted] + alpha[accepted, None] * p[accepted]
         iterations[rows[accepted]] += 1
         known[rows] = accepted & (alpha == 1.0)
@@ -223,15 +219,17 @@ def solve_nominal(
     solve converged to a strict local minimizer (positive definite Hessian).
     """
     result = newton_solve(problem, box.nominal, problem.initial_guess(), config)
-    if not result.converged:
-        raise NominalSolveError(
-            f"nominal solve did not converge (grad_norm={result.grad_norm!r} "
-            f"after {result.iterations} iterations)"
-        )
-    if result.hessian_min_eigenvalue <= 0.0:
+    if result.converged:
+        return result
+    # a row stops on the gradient test whether or not its Hessian is definite
+    stationary = result.grad_norm <= config.grad_tol * (1.0 + abs(result.objective))
+    if stationary and result.hessian_min_eigenvalue <= 0.0:
         raise NominalSolveError(
             "nominal stationary point is not a strict local minimizer "
             f"(min eigenvalue {result.hessian_min_eigenvalue!r})"
         )
-    return result
+    raise NominalSolveError(
+        f"nominal solve did not converge (grad_norm={result.grad_norm!r} "
+        f"after {result.iterations} iterations)"
+    )
 

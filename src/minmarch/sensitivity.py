@@ -53,19 +53,17 @@ class ParameterLine:
 
 @dataclass(frozen=True)
 class SensitivityApply:
-    """Action of the post-optimality sensitivity operator on a direction.
+    """Action of the inverse Hessian at a point.
 
-    ``result`` solves H result = -B direction.  The smallest Hessian
-    eigenvalue and a condition estimate are recorded at the evaluation point.
+    ``result`` solves H result = -B dtheta for the march and H result = -g
+    for a Newton step, and the smallest Hessian eigenvalue is recorded.
     For a stack of points every field has one row per point, and
     ``definite`` marks the rows whose Hessian is positive definite; a single
     point with an indefinite Hessian raises instead.
     """
 
-    direction: np.ndarray
     result: np.ndarray
     hessian_min_eigenvalue: float | np.ndarray
-    condition_estimate: float | np.ndarray
     definite: bool | np.ndarray = True
 
 
@@ -87,7 +85,7 @@ def post_optimality_apply(problem, m, theta, dtheta) -> SensitivityApply:
     dTheta = np.atleast_2d(np.asarray(dtheta, dtype=float))
 
     _, _, H, b = problem.derivatives(M, Theta, dTheta)
-    apply = apply_inverse_hessian(H, -b, dTheta)
+    apply = apply_inverse_hessian(H, -b)
     if not single:
         return apply
     if not apply.definite[0]:
@@ -96,23 +94,19 @@ def post_optimality_apply(problem, m, theta, dtheta) -> SensitivityApply:
             f"Hessian is singular or not positive definite (min eigenvalue {min_eig!r})",
             float(min_eig),
         )
-    return SensitivityApply(
-        dTheta[0],
-        apply.result[0],
-        float(apply.hessian_min_eigenvalue[0]),
-        float(apply.condition_estimate[0]),
-    )
+    return SensitivityApply(apply.result[0], float(apply.hessian_min_eigenvalue[0]))
 
 
-def apply_inverse_hessian(H, rhs, directions) -> SensitivityApply:
+def apply_inverse_hessian(H, rhs) -> SensitivityApply:
     """Stacked ``SensitivityApply`` of result = H^{-1} rhs, row by row.
 
     ``rhs`` is (S, d) and ``H`` either (S, d, d), one Hessian per row, or
     (1, d, d), one Hessian shared by all rows, which is then decomposed
-    once.  A dense symmetric eigendecomposition per Hessian doubles as the
-    definiteness diagnostic; a row's result is the same bit for bit
-    whether its Hessian is shared or its own.  Rows with non-finite
-    derivatives get a non-finite result.
+    once.  This is the one place a Hessian is decomposed: the march applies
+    it to -B dtheta and the Newton oracle to -g.  A dense symmetric
+    eigendecomposition per Hessian doubles as the definiteness diagnostic;
+    a row's result is the same bit for bit whether its Hessian is shared or
+    its own.  Rows with non-finite derivatives get a non-finite result.
     """
     shape = rhs.shape[:1]
     # rows with a zero eigenvalue divide by it; they are flagged below
@@ -121,7 +115,6 @@ def apply_inverse_hessian(H, rhs, directions) -> SensitivityApply:
             min_eig = H[:, 0, 0]
             indefinite = min_eig <= 0.0
             result = rhs / H[:, 0]
-            cond = np.ones_like(min_eig)
         else:
             # eigh reads one triangle and has no defined result for non-finite
             # input, so those rows stay NaN
@@ -133,8 +126,7 @@ def apply_inverse_hessian(H, rhs, directions) -> SensitivityApply:
             indefinite = (min_eig <= 0.0) | (
                 min_eig <= _SINGULAR_RTOL * np.abs(evals[:, -1])
             )
-            cond = evals[:, -1] / min_eig
             coords = (vecs.swapaxes(1, 2) @ rhs[..., None])[..., 0] / evals
             result = (vecs @ coords[..., None])[..., 0]
-    min_eig, cond, indefinite = (np.broadcast_to(x, shape) for x in (min_eig, cond, indefinite))
-    return SensitivityApply(directions, result, min_eig, cond, ~indefinite)
+    min_eig, indefinite = (np.broadcast_to(x, shape) for x in (min_eig, indefinite))
+    return SensitivityApply(result, min_eig, ~indefinite)

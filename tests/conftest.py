@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import minmarch as mm
+from minmarch.derivatives import fd_jacobian
 from minmarch.problems.base import mixed_action
 
 THETA_LOGISTIC = np.array([1.0, 3.0, 0.1])
@@ -29,6 +30,14 @@ def objective_second_differences(problem, m, theta, step=1e-5):
     H = np.array([[d2("m", i, "m", j) for j in range(m.size)] for i in range(m.size)])
     B = np.array([[d2("m", i, "t", j) for j in range(theta.size)] for i in range(m.size)])
     return H, B
+
+
+def gradient_differences(problem, m, theta):
+    """Hessian, symmetrized as (H + H^T)/2, and mixed derivative from central
+    differences of the problem's exact gradient."""
+    H = fd_jacobian(lambda mm_: problem.gradient(mm_, theta), m)
+    B = fd_jacobian(lambda tt: problem.gradient(m, tt), theta)
+    return 0.5 * (H + H.T), B
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import minmarch.problems.advdiff as advdiff_module
 from minmarch.derivatives import _max_rel_error
 from minmarch.problems.advdiff import AdvectionDiffusionModel
 
-from conftest import THETA_ADVDIFF, objective_second_differences
+from conftest import THETA_ADVDIFF, gradient_differences, objective_second_differences
 
 M_TRUE = np.array([0.05, 0.4])
 
@@ -145,7 +145,7 @@ def test_exact_second_derivatives_match_fd_off_truth(advdiff, advdiff_box):
         m = rng.uniform(lo, hi)
         theta = advdiff_box.nominal + advdiff_box.half_widths * rng.uniform(-1, 1, 3)
         H, B = advdiff.hessian_and_mixed(m, theta)
-        H_fd, B_fd = mm.fd_second_derivatives(advdiff.gradient, m, theta)
+        H_fd, B_fd = gradient_differences(advdiff, m, theta)
         assert _max_rel_error(H, H_fd) <= 1e-5
         assert _max_rel_error(B, B_fd) <= 1e-5
 

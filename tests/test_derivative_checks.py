@@ -3,9 +3,14 @@ import pytest
 
 import minmarch as mm
 from minmarch.cli import CHECK_TOLERANCES
-from minmarch.derivatives import fd_gradient, fd_jacobian
+from minmarch.derivatives import fd_gradient
 
-from conftest import THETA_ADVDIFF, THETA_LOGISTIC, objective_second_differences
+from conftest import (
+    THETA_ADVDIFF,
+    THETA_LOGISTIC,
+    gradient_differences,
+    objective_second_differences,
+)
 
 
 def test_quadratic_check_is_exact_to_roundoff(quadratic):
@@ -40,7 +45,7 @@ def test_fd_step_validation(quadratic):
 
 
 def test_fd_second_derivatives_quadratic(quadratic):
-    H, B = mm.fd_second_derivatives(quadratic.gradient, np.array([0.3]), np.array([0.1]))
+    H, B = gradient_differences(quadratic, np.array([0.3]), np.array([0.1]))
     np.testing.assert_allclose(H, [[1.0]], atol=1e-9)
     np.testing.assert_allclose(B, [[-1.0]], atol=1e-9)
 
@@ -53,9 +58,7 @@ def test_fd_second_derivatives_cubic(double_well):
     B_expected = np.array([-(m - 0.5) * (m - t2), -(m - t1) * (m - 0.5)])
     assert H_expected == pytest.approx(0.1125)
 
-    H, B = mm.fd_second_derivatives(
-        double_well.gradient, np.array([m]), np.array([t1, t2])
-    )
+    H, B = gradient_differences(double_well, np.array([m]), np.array([t1, t2]))
     np.testing.assert_allclose(H, [[H_expected]], atol=1e-6)
     np.testing.assert_allclose(B, [B_expected], atol=1e-6)
 
@@ -66,17 +69,9 @@ def test_fd_second_derivatives_advdiff_vs_pure_objective_differences(advdiff):
     theta = THETA_ADVDIFF.copy()
     H_oracle, B_oracle = objective_second_differences(advdiff, m, theta)
 
-    H, B = mm.fd_second_derivatives(advdiff.gradient, m, theta)
+    H, B = gradient_differences(advdiff, m, theta)
     np.testing.assert_allclose(H, H_oracle, rtol=1e-4, atol=1e-6)
     np.testing.assert_allclose(B, B_oracle, rtol=1e-4, atol=1e-6)
-
-
-def test_degenerate_step_flagged(quadratic):
-    # step so small the perturbed points collapse onto m itself
-    with pytest.raises(mm.DegenerateStepError):
-        mm.fd_second_derivatives(
-            quadratic.gradient, np.array([0.3]), np.array([0.1]), fd_step=1e-300
-        )
 
 
 def test_evaluation_failure_propagates(advdiff):
@@ -115,20 +110,6 @@ def test_gradient_fd_invariant_random_points(
         g_fd = fd_gradient(lambda mm_: problem.objective(mm_, theta), m)
         denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(g_fd)))
         assert np.max(np.abs(g - g_fd) / denom) <= 1e-5
-
-
-@pytest.mark.parametrize("name", ["cubic", "logistic1d", "advdiff"])
-def test_symmetrized_hessian_close_to_raw_fd(
-    name, double_well, logistic, advdiff, cubic_box, logistic_box, advdiff_box
-):
-    problem, box, m = {
-        "cubic": (double_well, cubic_box, np.array([0.75])),
-        "logistic1d": (logistic, logistic_box, np.array([0.9])),
-        "advdiff": (advdiff, advdiff_box, np.array([0.05, 0.4])),
-    }[name]
-    H_raw = fd_jacobian(lambda mm_: problem.gradient(mm_, box.nominal), m)
-    H_sym, _ = mm.fd_second_derivatives(problem.gradient, m, box.nominal)
-    assert np.max(np.abs(H_sym - H_raw)) <= 1e-6
 
 
 def taylor_remainders(problem, m, theta, dm, dtheta, steps):

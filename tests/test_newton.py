@@ -3,6 +3,7 @@ import pytest
 
 import minmarch as mm
 from minmarch.newton import newton_solve_block
+from minmarch.problems.base import dot_rows
 
 from conftest import THETA_LOGISTIC, FragileProblem
 
@@ -126,6 +127,15 @@ def test_solve_nominal(logistic, logistic_box, concave_problem):
     bad_box = mm.ParameterBox.relative([0.7], 0.1)
     with pytest.raises(mm.NominalSolveError):
         mm.solve_nominal(concave_problem, bad_box)
+
+
+def test_solve_nominal_at_a_stationary_maximum_names_it(concave_problem):
+    # the start is stationary at theta = 0, so the gradient test holds at
+    # once with a negative Hessian
+    box = mm.ParameterBox(np.array([0.0]), np.array([0.1]))
+    with pytest.raises(mm.NominalSolveError, match="not a strict local minimizer") as err:
+        mm.solve_nominal(concave_problem, box)
+    assert "min eigenvalue -1.0" in str(err.value)
 
 
 def test_newton_config_validation():
@@ -285,3 +295,45 @@ def test_advdiff_trial_step_with_nonpositive_kappa_backtracks(advdiff):
         single = mm.newton_solve(advdiff, theta, M0[s], record_history=True)
         assert_same_solve(block.row(s), single)
         assert single.converged
+
+
+class _FiniteHessianOnly(mm.Problem):
+    """J = theta |m|^2 / 2 in d dimensions, whose J or g is NaN past m_0 = 1.
+
+    The Hessian theta I stays finite there, so only the oracle's own
+    evaluability mask can tell such a row apart.
+    """
+
+    p = 1
+
+    def __init__(self, d, broken):
+        self.d, self.broken = d, broken
+
+    def values(self, M, Theta):
+        return 0.5 * Theta[:, 0] * dot_rows(M, M)
+
+    def derivatives(self, M, Theta, dTheta=None):
+        H = Theta[:, :, None] * np.eye(self.d)
+        b = None if dTheta is None else M * dTheta
+        outs = [self.values(M, Theta), Theta * M, H, b]
+        outs[self.broken][M[:, 0] > 1.0] = np.nan
+        return tuple(outs)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("broken", ["J", "g"])
+def test_row_with_finite_hessian_but_nonfinite_value_stops(d, broken):
+    problem = _FiniteHessianOnly(d, ("J", "g").index(broken))
+    Theta = np.array([[1.0], [1.0], [-1.0], [2.0]])
+    M0 = np.zeros((4, d))
+    M0[:, 0] = [0.5, 2.0, 3.0, 0.25]  # rows 1 and 2 start past the wall
+    block = newton_solve_block(problem, Theta, M0, record_history=True)
+    for s in range(4):
+        single = mm.newton_solve(problem, Theta[s], M0[s], record_history=True)
+        assert_same_solve(block.row(s), single)
+    assert block.converged.tolist() == [True, False, False, True]
+    for s in (1, 2):
+        wall = block.row(s)
+        assert wall.iterations == 0 and wall.minimizer[0] == M0[s, 0]
+        assert np.isnan(wall.hessian_min_eigenvalue)
+        assert np.isnan(wall.history[0].hessian_min_eigenvalue)
