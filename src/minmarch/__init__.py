@@ -33,7 +33,6 @@ from .uq import (
     ConvergenceReport,
     DensityEstimate,
     SampleStudy,
-    Statistic,
     StudyErrorSummary,
     fit_loglog_slope,
     kde,
@@ -81,7 +80,6 @@ __all__ = [
     "ConvergenceReport",
     "DensityEstimate",
     "SampleStudy",
-    "Statistic",
     "StudyErrorSummary",
     "check_derivatives",
     "fit_loglog_slope",

@@ -15,7 +15,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,19 +80,6 @@ _DEFAULTS: dict[str, dict] = {
     },
 }
 
-_TOP_KEYS = {
-    "problem",
-    "box",
-    "num_samples",
-    "seed",
-    "N_list",
-    "scheme",
-    "with_oracle",
-    "workers",
-    "output_dir",
-    "fd_step",
-    "problem_options",
-}
 _BOX_KEYS = {"nominal", "relative", "half_widths"}
 _ADVDIFF_OPTION_KEYS = {"grid_cells", "beta", "m_true", "m_prior", "noise_std", "noise_seed"}
 
@@ -119,23 +106,9 @@ class RunConfig:
     fd_step: float
     problem_options: dict
 
-    def echo(self) -> dict:
-        return {
-            "problem": self.problem,
-            "box": {
-                "nominal": self.box.nominal.tolist(),
-                "half_widths": self.box.half_widths.tolist(),
-            },
-            "num_samples": self.num_samples,
-            "seed": self.seed,
-            "N_list": self.N_list,
-            "scheme": self.scheme.value,
-            "with_oracle": self.with_oracle,
-            "workers": self.workers,
-            "output_dir": self.output_dir,
-            "fd_step": self.fd_step,
-            "problem_options": self.problem_options,
-        }
+
+# the config file keys, which the command-line flags store their values under
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _load_config_file(path: str) -> dict:
@@ -320,7 +293,7 @@ def cmd_check(args) -> int:
     status = 0
     rng = np.random.default_rng(args.seed if args.seed is not None else 7)
     for name in PROBLEM_NAMES:
-        overrides = {"problem": name, "fd_step": args.fd_step, "seed": args.seed}
+        overrides = {**_overrides(args), "problem": name}
         # a config file applies to the problem it names; others keep defaults
         applies = file_cfg is not None and file_cfg.get("problem", name) == name
         cfg = resolve_config(file_cfg if applies else None, overrides)
@@ -417,7 +390,7 @@ def _study_kde_files(study: SampleStudy, mask: np.ndarray, out_dir: str) -> list
 
 def cmd_study(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else None
-    cfg = resolve_config(file_cfg, _study_overrides(args))
+    cfg = resolve_config(file_cfg, _overrides(args))
     problem = build_problem(cfg)
     out_dir = cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -474,7 +447,7 @@ def cmd_study(args) -> int:
     manifest = {
         "command": "study",
         "version": __version__,
-        "config": cfg.echo(),
+        "config": to_json_dict(cfg),
         "newton": to_json_dict(study.newton_config),
         "timings_sec": timings,
         "failure_counts": counts,
@@ -496,17 +469,9 @@ def cmd_study(args) -> int:
     return 0
 
 
-def _study_overrides(args) -> dict:
-    return {
-        "problem": args.problem,
-        "num_samples": args.samples,
-        "seed": args.seed,
-        "N_list": args.steps,
-        "scheme": args.scheme,
-        "with_oracle": args.oracle,
-        "workers": args.workers,
-        "output_dir": args.out,
-    }
+def _overrides(args) -> dict:
+    """The config values given as command-line flags."""
+    return {k: v for k, v in vars(args).items() if k in _TOP_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +480,7 @@ def _study_overrides(args) -> dict:
 
 def cmd_trajectory(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else None
-    cfg = resolve_config(file_cfg, _study_overrides(args))
+    cfg = resolve_config(file_cfg, _overrides(args))
     problem = build_problem(cfg)
 
     theta = np.asarray([float(v) for v in args.theta.split(",")], dtype=float)
@@ -523,7 +488,7 @@ def cmd_trajectory(args) -> int:
 
     out_dir = cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    N = cfg.N_list[0] if args.steps else max(cfg.N_list)
+    N = cfg.N_list[0] if args.N_list else max(cfg.N_list)
 
     nominal = solve_nominal(problem, cfg.box)
     line = ParameterLine(cfg.box.nominal, theta)
@@ -531,7 +496,7 @@ def cmd_trajectory(args) -> int:
         problem,
         nominal.minimizer,
         line,
-        MarchConfig(N, cfg.scheme, record_trajectory=True),
+        MarchConfig(N, cfg.scheme),
     )
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     write_sensitivity_csv(os.path.join(out_dir, "sensitivity.csv"), traj)
@@ -539,7 +504,7 @@ def cmd_trajectory(args) -> int:
     manifest = {
         "command": "trajectory",
         "version": __version__,
-        "config": cfg.echo(),
+        "config": to_json_dict(cfg),
         "theta": theta.tolist(),
         "num_steps": N,
         "status": traj.status.value,
@@ -568,17 +533,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--problem", choices=PROBLEM_NAMES)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--samples", type=int, dest="samples")
-    parser.add_argument("--steps", type=_steps_list, metavar="N1,N2,...")
+    parser.add_argument("--samples", type=int, dest="num_samples")
+    parser.add_argument("--steps", type=_steps_list, dest="N_list", metavar="N1,N2,...")
     parser.add_argument("--scheme", choices=[s.value for s in Scheme])
     parser.add_argument(
         "--oracle",
         action=argparse.BooleanOptionalAction,
         default=None,
+        dest="with_oracle",
         help="re-solve each sample with Newton as ground truth",
     )
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
 
 
 def make_parser() -> argparse.ArgumentParser:

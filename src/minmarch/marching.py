@@ -58,7 +58,6 @@ class MarchStatus(str, enum.Enum):
 class MarchConfig:
     num_steps: int
     scheme: Scheme = Scheme.FORWARD_EULER
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if self.num_steps < 1:
@@ -71,8 +70,8 @@ class Trajectory:
     """Iterates of one march from the nominal parameters to a sample.
 
     ``min_eigenvalues[n]`` is the smallest Hessian eigenvalue seen among the
-    stage evaluations of step n.  ``rhs_values`` holds the first-stage
-    right-hand side per step when the march was run with record_trajectory.
+    stage evaluations of step n, and ``rhs_values[n]`` the right-hand side of
+    its first stage.
     ``left_basin`` flags any iterate that exited the problem's basin hint;
     marching continues regardless, since the hint is analytical.
     """
@@ -82,8 +81,8 @@ class Trajectory:
     rhs_evals: int
     min_eigenvalues: np.ndarray
     status: MarchStatus
+    rhs_values: np.ndarray = field(repr=False)
     left_basin: bool = False
-    rhs_values: np.ndarray | None = field(default=None, repr=False)
     failure_time: float | None = None
 
     @property
@@ -110,7 +109,7 @@ class BlockMarch:
     rhs_evals: np.ndarray
     min_eigenvalues: np.ndarray
     left_basin: np.ndarray
-    rhs_values: np.ndarray | None = field(default=None, repr=False)
+    rhs_values: np.ndarray = field(repr=False)
 
     @property
     def finals(self) -> np.ndarray:
@@ -120,7 +119,6 @@ class BlockMarch:
         """Sample s's march on its own."""
         n = int(self.steps_done[s])
         status = self.statuses[s]
-        rhs = self.rhs_values
         return Trajectory(
             times=np.arange(n + 1) / self.num_steps,
             states=self.states[: n + 1, s].copy(),
@@ -128,7 +126,7 @@ class BlockMarch:
             min_eigenvalues=self.min_eigenvalues[:n, s].copy(),
             status=status,
             left_basin=bool(self.left_basin[s]),
-            rhs_values=rhs[:n, s].copy() if rhs is not None and n else None,
+            rhs_values=self.rhs_values[:n, s].copy(),
             failure_time=None if status is MarchStatus.COMPLETED else n / self.num_steps,
         )
 
@@ -176,7 +174,7 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
     statuses = [MarchStatus.COMPLETED] * S
     rhs_evals = np.zeros(S, dtype=int)
     min_eigs = np.full((N, S), np.nan)
-    rhs_log = np.full((N, S, d), np.nan) if config.record_trajectory else None
+    rhs_log = np.full((N, S, d), np.nan)
     marching = np.arange(S)  # samples not aborted yet
 
     def abort(rows, status, n):
@@ -221,8 +219,7 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
         rows = marching[live]
         states[n + 1, rows] = m_next[finite]
         min_eigs[n, rows] = step_min[live]
-        if rhs_log is not None:
-            rhs_log[n, rows] = ks[0, live]
+        rhs_log[n, rows] = ks[0, live]
         marching = rows
 
     return BlockMarch(

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import enum
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -71,12 +72,21 @@ class SolveResult:
 
 
 def to_json_dict(obj) -> dict:
-    """Fields of a NewtonConfig or SolveResult for JSON; the iteration history is dropped."""
-    data = asdict(obj)
-    data.pop("history", None)
-    if "minimizer" in data:
-        data["minimizer"] = data["minimizer"].tolist()
-    return data
+    """Fields of a dataclass for JSON, in field order; an iteration history is dropped.
+
+    Nested dataclasses become dicts, arrays lists and enum members their values.
+    """
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj) if f.name != "history"}
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return to_json_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
 def newton_solve(

@@ -158,22 +158,6 @@ class AdvectionDiffusionModel:
         out[:-1] += upper * y[1:]
         return out
 
-    def apply_dA_dkappa(self, y, m, theta) -> np.ndarray:
-        return self._at_point(self._dA_dkappa, y, m, theta)
-
-    def apply_dA_dv(self, y, m, theta) -> np.ndarray:
-        return self._at_point(self._dA_dv, y, m, theta)
-
-    def apply_dA_dalpha(self, y, m, theta) -> np.ndarray:
-        return self._at_point(self._dA_dalpha, y, m, theta)
-
-    @staticmethod
-    def _at_point(kernel, y, m, theta):
-        """A ``_dA_*`` kernel at one point, for y of shape (n+1,) or (n+1, k)."""
-        y = np.asarray(y, dtype=float)
-        out = kernel(y.reshape(1, y.shape[0], -1), float(m[0]), float(m[1]), float(theta[2]))
-        return out.reshape(y.shape)
-
     def _dA_dkappa(self, y, kappa, v, alpha):
         dx = self.dx
         boundary = v * alpha / _powers(kappa, 2)

@@ -111,12 +111,12 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 
 
 def write_sensitivity_csv(path, traj: Trajectory) -> None:
-    """Per-step right-hand side of a march recorded with record_trajectory."""
+    """Per-step right-hand side of a march."""
     d = traj.states.shape[1]
     header = ["sample_index", "step", "t", "f_norm"] + [f"f_{j + 1}" for j in range(d)]
-    rhs = traj.rhs_values if traj.rhs_values is not None else []
     rows = (
-        (0, i, traj.times[i], np.linalg.norm(f), *f.tolist()) for i, f in enumerate(rhs)
+        (0, i, traj.times[i], np.linalg.norm(f), *f.tolist())
+        for i, f in enumerate(traj.rhs_values)
     )
     _write_rows(path, header, ["%d", "%d"] + [_FLOAT] * (d + 2), rows)
 

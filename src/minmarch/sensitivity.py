@@ -106,12 +106,16 @@ def apply_inverse_hessian(H, rhs) -> SensitivityApply:
     it to -B dtheta and the Newton oracle to -g.  A dense symmetric
     eigendecomposition per Hessian doubles as the definiteness diagnostic;
     a row's result is the same bit for bit whether its Hessian is shared or
-    its own.  Rows with non-finite derivatives get a non-finite result.
+    its own.  Rows with a non-finite Hessian get NaN as result and smallest
+    eigenvalue, and rows with a non-finite rhs a non-finite result.
     """
     shape = rhs.shape[:1]
     # rows with a zero eigenvalue divide by it; they are flagged below
     with np.errstate(divide="ignore", invalid="ignore"):
         if H.shape[1] == 1:
+            # NaN for a non-finite H, as in the eigh branch: +inf would give a
+            # zero result and -inf a negative eigenvalue
+            H = np.where(np.isfinite(H), H, np.nan)
             min_eig = H[:, 0, 0]
             indefinite = min_eig <= 0.0
             result = rhs / H[:, 0]

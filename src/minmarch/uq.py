@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import enum
+import functools
 import multiprocessing
 from dataclasses import dataclass, field, fields
 
@@ -85,10 +85,7 @@ class SampleStudy:
         else:
             oracles = [None] * len(self.theta)
         return {
-            "box": {
-                "nominal": self.box.nominal.tolist(),
-                "half_widths": self.box.half_widths.tolist(),
-            },
+            "box": to_json_dict(self.box),
             "seed": self.seed,
             "num_samples": self.num_samples,
             "N_list": [int(N) for N in self.N_list],
@@ -119,10 +116,7 @@ class SampleStudy:
         records, N_list = data["records"], [int(N) for N in data["N_list"]]
         nominal = SolveResult(**data["nominal"])
         nominal.minimizer = np.asarray(nominal.minimizer, dtype=float)
-        box = ParameterBox(
-            np.asarray(data["box"]["nominal"], dtype=float),
-            np.asarray(data["box"]["half_widths"], dtype=float),
-        )
+        box = ParameterBox(**data["box"])
         shape = (len(N_list), len(records))
         outcomes = _columns(
             [rec["outcomes"][str(N)] for N in N_list for rec in records],
@@ -152,17 +146,6 @@ def _columns(rows: list[dict], keys) -> dict[str, np.ndarray]:
     return {key: np.array([row[key] for row in rows]) for key in keys}
 
 
-@dataclass(frozen=True)
-class _StudyPayload:
-    problem: object
-    nominal_theta: np.ndarray
-    start: np.ndarray
-    N_list: tuple[int, ...]
-    scheme: Scheme
-    with_oracle: bool
-    newton_config: NewtonConfig
-
-
 class _RowCounter:
     """A problem whose ``derivatives`` calls are tallied by the rows they pass."""
 
@@ -178,7 +161,9 @@ class _RowCounter:
         return self.problem.derivatives(M, Theta, dTheta)
 
 
-def _propagate_block(payload: _StudyPayload, thetas: np.ndarray) -> tuple:
+def _propagate_block(
+    problem, nominal_theta, start, N_list, scheme, with_oracle, newton_config, thetas
+) -> tuple:
     """Columns of one contiguous block of samples, thetas of shape (S, p).
 
     Returns ``march_finals``, ``march_status``, ``left_basin`` and ``oracle``
@@ -187,22 +172,20 @@ def _propagate_block(payload: _StudyPayload, thetas: np.ndarray) -> tuple:
     marching and in the oracle.  The block is marched in lockstep once per
     step count, and the Newton oracle re-solves it in lockstep once.
     """
-    lines = ParameterLine(payload.nominal_theta, thetas)
+    lines = ParameterLine(nominal_theta, thetas)
     finals, statuses, left_basin = [], [], []
     rhs_evals = 0
-    march_problem = _RowCounter(payload.problem)
-    for N in payload.N_list:
-        block = march_block(march_problem, payload.start, lines, MarchConfig(N, payload.scheme))
+    march_problem = _RowCounter(problem)
+    for N in N_list:
+        block = march_block(march_problem, start, lines, MarchConfig(N, scheme))
         rhs_evals += int(block.rhs_evals.sum())
         # a copy, so that the block's iterates are freed before the next step count
         finals.append(block.finals.copy())
         statuses.append([status.value for status in block.statuses])
         left_basin.append(block.left_basin)
-    oracle_problem = _RowCounter(payload.problem)
+    oracle_problem = _RowCounter(problem)
     oracle = (
-        newton_solve_block(oracle_problem, thetas, payload.start, payload.newton_config)
-        if payload.with_oracle
-        else None
+        newton_solve_block(oracle_problem, thetas, start, newton_config) if with_oracle else None
     )
     work = (rhs_evals, march_problem.rows, oracle_problem.rows)
     return np.array(finals), np.array(statuses, dtype=str), np.array(left_basin), oracle, work
@@ -224,18 +207,6 @@ def _join_blocks(blocks) -> tuple[dict, tuple]:
     return columns, tuple(map(sum, zip(*work)))
 
 
-_WORKER_PAYLOAD: _StudyPayload | None = None
-
-
-def _init_worker(payload):
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
-
-
-def _worker_task(thetas):
-    return _propagate_block(_WORKER_PAYLOAD, thetas)
-
-
 def propagate_study(
     problem,
     box: ParameterBox,
@@ -252,16 +223,17 @@ def propagate_study(
     Every sample marches from the single nominal minimizer with each step
     count in ``N_list``; with ``with_oracle`` each sample is also re-solved by
     Newton as ground truth, warm-started from the nominal minimizer.
-    Samples are taken in contiguous blocks, one per worker: a single block
-    with one worker, otherwise ``min(workers, num_samples)`` blocks of
-    near-equal size, each one task of a pool with one process per block.
-    Each block is marched in lockstep once per step count
-    (``march_block``) and re-solved in lockstep once
-    (``newton_solve_block``), and returns its results as arrays; the study's
-    columns are their concatenation in sample order.  A sample's march and
-    re-solve do not depend on its block, so the output is independent of the
-    worker count and of scheduling.  The pool uses the platform's default
-    start method; under spawn or forkserver the problem must pickle.
+    Samples are taken in ``min(workers, num_samples)`` contiguous blocks of
+    near-equal size.  A single block runs in this process; more blocks are
+    each one task of a pool with one process per block.  Each block is
+    marched in lockstep once per step count (``march_block``) and re-solved
+    in lockstep once (``newton_solve_block``), and returns its results as
+    arrays; the study's columns are their concatenation in sample order.  A
+    sample's march and re-solve do not depend on its block, so the output
+    is independent of the worker count and of scheduling.  Each pool task
+    receives the problem and the block's other arguments pickled, whatever
+    the platform's start method, so with more than one block the problem
+    must pickle.
     ``SampleStudy.counters`` reports the RHS evaluations (stage evaluations
     summed over samples and step counts), the number of sample blocks, the
     total oracle iterations and ``derivative_rows``, the rows passed to
@@ -278,30 +250,23 @@ def propagate_study(
     N_list = [int(N) for N in N_list]
     if not N_list or any(N < 1 for N in N_list):
         raise ValueError("N_list must contain positive step counts")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     scheme = Scheme(scheme)
 
     nominal = solve_nominal(problem, box, newton_config)
     thetas = box.sample(seed, num_samples)
-    payload = _StudyPayload(
-        problem=problem,
-        nominal_theta=box.nominal,
-        start=nominal.minimizer,
-        N_list=tuple(N_list),
-        scheme=scheme,
-        with_oracle=with_oracle,
-        newton_config=newton_config,
+    run = functools.partial(
+        _propagate_block,
+        problem, box.nominal, nominal.minimizer, tuple(N_list), scheme, with_oracle, newton_config,
     )
-
-    if workers > 1 and num_samples > 1:
-        bounds = [num_samples * k // workers for k in range(workers + 1)]
-        tasks = [thetas[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with multiprocessing.Pool(
-            len(tasks), initializer=_init_worker, initargs=(payload,)
-        ) as pool:
-            results = pool.map(_worker_task, tasks, chunksize=1)
+    bounds = [num_samples * k // workers for k in range(workers + 1)]
+    tasks = [thetas[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if len(tasks) == 1:
+        results = [run(tasks[0])]
     else:
-        tasks = [thetas]
-        results = [_propagate_block(payload, thetas)]
+        with multiprocessing.Pool(len(tasks)) as pool:
+            results = pool.map(run, tasks, chunksize=1)
 
     columns, (rhs_evals, march_rows, oracle_rows) = _join_blocks(results)
     oracle = columns["oracle"]
@@ -419,23 +384,17 @@ def kde(
 # convergence statistics
 
 
-class Statistic(str, enum.Enum):
-    MEAN = "mean"
-    STD = "std"
-    PER_SAMPLE = "per_sample"
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Errors of the marched minimizers against the oracle, per step count.
 
-    ``errors`` has one row per N (columns per decision coordinate for MEAN
-    and STD, a single column for PER_SAMPLE).  ``slopes`` holds least-squares
-    log-log slopes of error against h, NaN where fewer than three informative
-    points remain after dropping roundoff-level errors.
+    ``errors`` has one row per N (columns per decision coordinate for the
+    mean and std reports, a single column for the per-sample report).
+    ``slopes`` holds least-squares log-log slopes of error against h, NaN
+    where fewer than three informative points remain after dropping
+    roundoff-level errors.
     """
 
-    statistic: Statistic
     N_list: tuple[int, ...]
     h: np.ndarray
     errors: np.ndarray
@@ -488,14 +447,14 @@ def summary_errors(study: SampleStudy) -> StudyErrorSummary:
         std_err[i] = np.abs(E.std(axis=0, ddof=1) - o_std)
         ps_err[i] = np.mean(np.linalg.norm(E - oracle, axis=1))
 
-    def report(stat, errs):
+    def report(errs):
         errs2d = errs if errs.ndim == 2 else errs[:, None]
         slopes = np.array([fit_loglog_slope(h, errs2d[:, k]) for k in range(errs2d.shape[1])])
-        return ConvergenceReport(stat, N_list, h, errs, slopes)
+        return ConvergenceReport(N_list, h, errs, slopes)
 
     return StudyErrorSummary(
-        mean=report(Statistic.MEAN, mean_err),
-        std=report(Statistic.STD, std_err),
-        per_sample=report(Statistic.PER_SAMPLE, ps_err),
+        mean=report(mean_err),
+        std=report(std_err),
+        per_sample=report(ps_err),
     )
 

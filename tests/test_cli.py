@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.cli import main
+from minmarch.cli import PROBLEM_NAMES, main, resolve_config
+from minmarch.newton import to_json_dict
 
 
 def run(argv):
@@ -175,6 +176,15 @@ class TestStudy:
         manifest = json.loads((tmp_path / "from_config" / "manifest.json").read_text())
         assert manifest["config"]["num_samples"] == 35  # flag beats file
         assert manifest["config"]["seed"] == 5
+
+    @pytest.mark.parametrize("problem", PROBLEM_NAMES)
+    def test_config_echo_resolves_to_itself(self, tmp_path, problem):
+        """The manifest's config, read back as a config file, is the same config."""
+        out = tmp_path / problem
+        args = ["study", "--problem", problem, "--samples", "2", "--steps", "1"]
+        assert run(args + ["--no-oracle", "--workers", "1", "--out", str(out)]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        assert to_json_dict(resolve_config(echo, {})) == echo
 
     @pytest.mark.parametrize(
         "key,value",

@@ -39,9 +39,7 @@ def test_rhs_evaluation_accounting(logistic, logistic_box, scheme, evals_per_ste
 def test_completed_trajectory_invariants(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     line = ParameterLine(THETA_LOGISTIC, np.array([0.8, 3.9, 0.08]))
-    traj = mm.march(
-        logistic, nominal.minimizer, line, MarchConfig(12, record_trajectory=True)
-    )
+    traj = mm.march(logistic, nominal.minimizer, line, MarchConfig(12))
     assert traj.status is MarchStatus.COMPLETED
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
     assert np.all(np.diff(traj.times) > 0)
@@ -107,6 +105,7 @@ def test_aborted_indefinite_keeps_last_good_state(concave_problem):
     assert traj.failure_time == 0.0
     np.testing.assert_array_equal(traj.final_state, [1.0])
     assert traj.times.size == 1
+    assert traj.rhs_values.shape == (0, 1)
 
 
 def test_aborted_midway_on_degenerating_hessian(fragile_problem):
@@ -138,6 +137,31 @@ def test_aborted_nonfinite(concave_problem):
     traj = mm.march(problem, np.array([0.0]), line, MarchConfig(3))
     assert traj.status is MarchStatus.ABORTED_NONFINITE
     assert np.all(np.isfinite(traj.final_state))
+
+
+class _HessianPoleProblem(mm.Problem):
+    """J = 0.5 m^2 - theta m, minimizer m = theta; its Hessian reads +inf from m = 0.6 on."""
+
+    d = 1
+    p = 1
+    basin_hint = None
+
+    def values(self, M, Theta):
+        return 0.5 * M[:, 0] ** 2 - Theta[:, 0] * M[:, 0]
+
+    def derivatives(self, M, Theta, dTheta=None):
+        H = np.where(M[:, :, None] >= 0.6, np.inf, 1.0)
+        B = -np.ones((len(M), 1, 1))
+        return self.values(M, Theta), M - Theta, H, mixed_action(B, dTheta)
+
+
+def test_nonfinite_hessian_aborts_a_one_dimensional_march():
+    # an infinite 1x1 Hessian must not read as a zero velocity
+    line = ParameterLine(np.array([0.4]), np.array([0.8]))
+    traj = mm.march(_HessianPoleProblem(), np.array([0.4]), line, MarchConfig(4))
+    assert traj.status is MarchStatus.ABORTED_NONFINITE
+    assert traj.failure_time == 0.5
+    np.testing.assert_array_equal(traj.states[:, 0], [0.4, 0.5, 0.6])
 
 
 def test_stationarity_precondition(logistic):
@@ -434,8 +458,7 @@ def test_shared_first_stage_is_the_sensitivity_at_the_start(
     start = mm.solve_nominal(problem, box).minimizer
     thetas = box.sample(seed=22, count=8)
     lines = ParameterLine(box.nominal, thetas)
-    config = MarchConfig(2, record_trajectory=True)
-    first = march_block(problem, start, lines, config).rhs_values[0]
+    first = march_block(problem, start, lines, MarchConfig(2)).rhs_values[0]
     S = len(thetas)
     expected = mm.post_optimality_apply(
         problem, np.tile(start, (S, 1)), np.tile(box.nominal, (S, 1)), lines.direction

@@ -175,9 +175,7 @@ def test_trajectory_csv_schema(tmp_path, logistic, logistic_box):
 def test_sensitivity_csv_schema(tmp_path, logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     line = ParameterLine(THETA_LOGISTIC, np.array([1.2, 2.8, 0.12]))
-    traj = mm.march(
-        logistic, nominal.minimizer, line, MarchConfig(3, record_trajectory=True)
-    )
+    traj = mm.march(logistic, nominal.minimizer, line, MarchConfig(3))
     path = tmp_path / "sensitivity.csv"
     reporting.write_sensitivity_csv(path, traj)
     assert read_header(path) == ["sample_index", "step", "t", "f_norm", "f_1"]

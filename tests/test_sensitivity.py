@@ -197,3 +197,16 @@ def test_shared_hessian_equals_its_copies_bit_for_bit(d):
         copies = apply_inverse_hessian(np.repeat(H[None], 30, axis=0), rhs)
         for field in ("result", "hessian_min_eigenvalue", "definite"):
             assert np.array_equal(getattr(shared, field), getattr(copies, field))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_nonfinite_hessian_gives_nan_for_every_d(d, value):
+    """A row whose Hessian has a non-finite entry gets NaN; its blockmate keeps its bits."""
+    H = np.repeat(np.eye(d)[None], 2, axis=0)
+    H[0, 0, 0] = value
+    apply = apply_inverse_hessian(H, np.ones((2, d)))
+    assert np.isnan(apply.result[0]).all()
+    assert np.isnan(apply.hessian_min_eigenvalue[0])
+    assert np.array_equal(apply.result[1], np.ones(d))
+    assert apply.hessian_min_eigenvalue[1] == 1.0

@@ -1,12 +1,13 @@
 import pickle
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import minmarch as mm
 from minmarch.marching import MarchConfig, MarchStatus, Scheme
-from minmarch.uq import Statistic, _join_blocks, _propagate_block, _StudyPayload
+from minmarch.uq import _join_blocks, _propagate_block
 
 from conftest import THETA_LOGISTIC
 
@@ -156,15 +157,14 @@ class TestPropagateStudy:
         }
         assert_same_oracles(parallel.oracle, serial.oracle)
 
-        payload = _StudyPayload(
+        run = partial(
+            _propagate_block,
             problem, box.nominal, serial.nominal.minimizer, (1, 3, 8), Scheme.HEUN, True,
             mm.NewtonConfig(),
         )
         thetas = box.sample(4, 37)
         for cut in ([0, 1, 37], [0, 20, 29, 37]):
-            columns, work = _join_blocks(
-                [_propagate_block(payload, thetas[a:b]) for a, b in zip(cut[:-1], cut[1:])]
-            )
+            columns, work = _join_blocks([run(thetas[a:b]) for a, b in zip(cut[:-1], cut[1:])])
             assert replace(serial, **columns).to_dict() == expected
             assert_same_oracles(columns["oracle"], serial.oracle)
             blocks = len(cut) - 1
@@ -179,7 +179,7 @@ class TestPropagateStudy:
         self, name, quadratic, double_well, logistic, advdiff,
         quadratic_box, cubic_box, logistic_box, advdiff_box,
     ):
-        # workers started by spawn or forkserver receive the payload pickled
+        # every pool task receives the bound block runner pickled
         problem, box = {
             "quadratic": (quadratic, quadratic_box),
             "cubic": (double_well, cubic_box),
@@ -187,12 +187,13 @@ class TestPropagateStudy:
             "advdiff": (advdiff, advdiff_box),
         }[name]
         nominal = mm.solve_nominal(problem, box)
-        payload = _StudyPayload(
-            problem, box.nominal, nominal.minimizer, (1, 3), Scheme.HEUN, True, mm.NewtonConfig()
+        run = partial(
+            _propagate_block,
+            problem, box.nominal, nominal.minimizer, (1, 3), Scheme.HEUN, True, mm.NewtonConfig(),
         )
         thetas = box.sample(seed=2, count=1)
-        a = _propagate_block(payload, thetas)
-        b = _propagate_block(pickle.loads(pickle.dumps(payload)), thetas)
+        a = run(thetas)
+        b = pickle.loads(pickle.dumps(run))(thetas)
         b = pickle.loads(pickle.dumps(b))  # a worker's result travels back pickled too
         for column_a, column_b in zip(a[:3], b[:3], strict=True):
             assert column_a.shape[:2] == (2, 1)
@@ -206,6 +207,10 @@ class TestPropagateStudy:
         with pytest.raises(ValueError):
             mm.propagate_study(logistic, logistic_box, 2, [0, 2], seed=0)
 
+    def test_bad_worker_count(self, logistic, logistic_box):
+        with pytest.raises(ValueError, match="workers"):
+            mm.propagate_study(logistic, logistic_box, 2, [1], seed=0, workers=0)
+
 
 class TestSummaryErrors:
     def test_quadratic_study_is_exact_and_flagged_degenerate(
@@ -218,7 +223,6 @@ class TestSummaryErrors:
         assert np.all(summary.per_sample.errors <= 1e-13)
         # errors at roundoff carry no rate: slope must be flagged unavailable
         assert np.all(np.isnan(summary.mean.slopes))
-        assert summary.mean.statistic is Statistic.MEAN
 
     def test_logistic_study_first_order(self, logistic, logistic_box):
         study = mm.propagate_study(
@@ -254,8 +258,7 @@ class TestSensitivityLog:
     def rhs_log(problem, box, theta, N):
         nominal = mm.solve_nominal(problem, box)
         line = mm.ParameterLine(box.nominal, theta)
-        config = MarchConfig(N, record_trajectory=True)
-        return mm.march(problem, nominal.minimizer, line, config).rhs_values
+        return mm.march(problem, nominal.minimizer, line, MarchConfig(N)).rhs_values
 
     def test_zero_direction_rows_are_zero(self, logistic):
         box = mm.ParameterBox(THETA_LOGISTIC, np.zeros(3))
