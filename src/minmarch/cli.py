@@ -41,33 +41,31 @@ from .reporting import (
     write_trajectory_csv,
 )
 from .sensitivity import ParameterLine
-from .uq import KDE_PADDING, SampleStudy, kde, propagate_study, silverman_bandwidth, summary_errors
+from .uq import SampleStudy, kde, propagate_study, shared_axis, summary_errors
 
-PROBLEM_NAMES = ("quadratic", "cubic", "logistic1d", "advdiff")
-
-# experiment defaults per problem; study runs need no flags beyond the name
-_DEFAULTS: dict[str, dict] = {
+# Each built-in problem's setup, stated once: the class that builds it
+# (advdiff is built from its options by make_advdiff_problem), the config
+# values in which it differs from _defaults, and its derivative check: a
+# point, which is a function of the problem options, and a pass tolerance.
+# The keys of a problem's problem_options are the options a config may set.
+PROBLEMS: dict[str, dict] = {
     "quadratic": {
+        "class": QuadraticProblem,
         "box": {"nominal": [0.4], "relative": 0.40},
-        "num_samples": 5000,
-        "N_list": [1, 2, 4, 8, 16],
-        "problem_options": {},
+        "check": (lambda options: [0.3], 1e-7),
     },
     "cubic": {
+        "class": DoubleWellProblem,
         "box": {"nominal": [0.3, 0.75], "half_widths": [0.1, 0.1]},
-        "num_samples": 5000,
-        "N_list": [1, 2, 4, 8, 16],
-        "problem_options": {},
+        "check": (lambda options: [0.75], 1e-6),
     },
     "logistic1d": {
+        "class": LogisticWellProblem,
         "box": {"nominal": [1.0, 3.0, 0.1], "relative": 0.40},
-        "num_samples": 5000,
-        "N_list": [1, 2, 4, 8, 16],
-        "problem_options": {},
+        "check": (lambda options: [0.9], 1e-6),
     },
     "advdiff": {
         "box": {"nominal": [10.0, 0.05, 1.0], "relative": 0.20},
-        "num_samples": 5000,
         "N_list": [1, 6, 12, 20],
         "problem_options": {
             "grid_cells": 200,
@@ -77,19 +75,27 @@ _DEFAULTS: dict[str, dict] = {
             "noise_std": 0.0,
             "noise_seed": 0,
         },
+        "check": (lambda options: options["m_true"], 1e-6),
     },
 }
+PROBLEM_NAMES = tuple(PROBLEMS)
 
 _BOX_KEYS = {"nominal", "relative", "half_widths"}
-_ADVDIFF_OPTION_KEYS = {"grid_cells", "beta", "m_true", "m_prior", "noise_std", "noise_seed"}
 
-# derivative-check pass thresholds
-CHECK_TOLERANCES = {
-    "quadratic": 1e-7,
-    "cubic": 1e-6,
-    "logistic1d": 1e-6,
-    "advdiff": 1e-6,
-}
+# a config value must have the JSON type of its default: (default's type,
+# the types a value may have, what the error message asks for)
+_JSON_TYPES = (
+    (bool, bool, "true or false"),
+    (int, numbers.Integral, "an integer"),
+    (float, numbers.Real, "a number"),
+    (Scheme, str, f"one of {', '.join(s.value for s in Scheme)}"),
+    (str, str, "a non-empty string"),
+    (list, (list, tuple), "a JSON array"),
+    (dict, dict, "a JSON object"),
+)
+
+# the smallest value an integer config value may take, where it has one
+_MINIMUM = {"num_samples": 1, "seed": 0, "workers": 1, "N_list entry": 1}
 
 
 @dataclass
@@ -130,26 +136,50 @@ def _reject_unknown(given: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
 
 
-def _integer(value, key: str) -> int:
-    """An integer config value as int; a bool, float or string is an error."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _typed(value, default, key: str):
+    """value, checked to have the JSON type of default, as default's Python type.
+
+    A bool is neither an integer nor a number, and a string must not be empty.
+    """
+    kind, allowed, wanted = next(t for t in _JSON_TYPES if isinstance(default, t[0]))
+    try:
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            raise ValueError
+        if value == "":
+            raise ValueError
+        value = kind(value)  # raises ValueError for a string that names no Scheme
+    except ValueError:
+        raise ConfigError(f"{key} must be {wanted}, got {value!r}") from None
+    if key in _MINIMUM and value < _MINIMUM[key]:
+        raise ConfigError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
+    return value
 
 
-def _real(value, key: str) -> float:
-    """A real-number config value as float; a bool or string is an error."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _defaults(problem: str) -> dict:
+    """The config a run of problem gets from the defaults alone, less the problem key."""
+    setup = {key: value for key, value in PROBLEMS[problem].items() if key in _TOP_KEYS}
+    return copy.deepcopy(
+        {
+            "num_samples": 5000,
+            "seed": 7,
+            "N_list": [1, 2, 4, 8, 16],
+            "scheme": Scheme.FORWARD_EULER,
+            "with_oracle": True,
+            "workers": os.cpu_count() or 1,
+            "output_dir": f"out_{problem}",
+            "fd_step": 1e-6,
+            "problem_options": {},
+            **setup,
+        }
+    )
 
 
 def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
     """Merge defaults <- config file <- command-line flags, validating strictly."""
-    file_cfg = copy.deepcopy(file_cfg) if file_cfg else {}
-    _reject_unknown(file_cfg, _TOP_KEYS, "config")
+    given = {**(file_cfg or {}), **{k: v for k, v in overrides.items() if v is not None}}
+    _reject_unknown(given, _TOP_KEYS, "config")
 
-    problem = overrides.get("problem") or file_cfg.get("problem")
+    problem = given.pop("problem", None)
     if problem is None:
         raise ConfigError("no problem selected; pass --problem or set it in the config file")
     if problem not in PROBLEM_NAMES:
@@ -157,33 +187,19 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
             f"unknown problem {problem!r}; choose from {', '.join(PROBLEM_NAMES)}"
         )
 
-    merged = copy.deepcopy(_DEFAULTS[problem])
-    merged.setdefault("seed", 7)
-    merged.setdefault("scheme", "euler")
-    merged.setdefault("with_oracle", True)
-    merged.setdefault("workers", os.cpu_count() or 1)
-    merged.setdefault("output_dir", f"out_{problem}")
-    merged.setdefault("fd_step", 1e-6)
-    for key, value in file_cfg.items():
-        if key == "problem":
-            continue
-        if key in ("problem_options", "box") and not isinstance(value, dict):
-            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    merged = _defaults(problem)
+    for key, value in given.items():
+        value = _typed(value, merged[key], key)
         if key == "problem_options":
-            _reject_unknown(
-                value,
-                _ADVDIFF_OPTION_KEYS if problem == "advdiff" else set(),
-                f"problem_options ({problem})",
-            )
-            merged["problem_options"].update(value)
+            options = merged[key]
+            _reject_unknown(value, set(options), f"problem_options ({problem})")
+            value = {
+                **options,
+                **{k: _typed(v, options[k], f"problem_options.{k}") for k, v in value.items()},
+            }
         elif key == "box":
             _reject_unknown(value, _BOX_KEYS, "box")
-            merged["box"] = value
-        else:
-            merged[key] = value
-    for key, value in overrides.items():
-        if key != "problem" and value is not None:
-            merged[key] = value
+        merged[key] = value
 
     box_cfg = merged["box"]
     if "nominal" not in box_cfg:
@@ -196,89 +212,30 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
         if has_rel:
             box = ParameterBox.relative(box_cfg["nominal"], box_cfg["relative"])
         else:
-            box = ParameterBox(
-                np.asarray(box_cfg["nominal"], dtype=float),
-                np.asarray(box_cfg["half_widths"], dtype=float),
-            )
+            box = ParameterBox(box_cfg["nominal"], box_cfg["half_widths"])
     except ValueError as err:
         raise ConfigError(f"invalid box: {err}") from err
 
-    num_samples, seed, workers = (
-        _integer(merged[key], key) for key in ("num_samples", "seed", "workers")
-    )
-    if num_samples < 1:
-        raise ConfigError("num_samples must be >= 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    if not isinstance(merged["N_list"], (list, tuple)):
-        raise ConfigError(f"N_list must be a list of integers, got {merged['N_list']!r}")
-    N_list = [_integer(N, "N_list entry") for N in merged["N_list"]]
-    if not N_list or any(N < 1 for N in N_list):
-        raise ConfigError("N_list must contain positive integers")
-    try:
-        scheme = Scheme(merged["scheme"])
-    except ValueError as err:
-        raise ConfigError(
-            f"unknown scheme {merged['scheme']!r}; choose from "
-            f"{', '.join(s.value for s in Scheme)}"
-        ) from err
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if not isinstance(merged["with_oracle"], bool):
-        raise ConfigError(f"with_oracle must be true or false, got {merged['with_oracle']!r}")
-    fd_step = _real(merged["fd_step"], "fd_step")
-    if not fd_step > 0:
+    N_list = [_typed(N, 1, "N_list entry") for N in merged["N_list"]]
+    if not N_list or len(set(N_list)) < len(N_list):
+        raise ConfigError(f"N_list must be a non-empty list of distinct step counts, got {N_list}")
+    if not merged["fd_step"] > 0:
         raise ConfigError("fd_step must be positive")
-    output_dir = merged["output_dir"]
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
 
-    return RunConfig(
-        problem=problem,
-        box=box,
-        num_samples=num_samples,
-        seed=seed,
-        N_list=N_list,
-        scheme=scheme,
-        with_oracle=merged["with_oracle"],
-        workers=workers,
-        output_dir=output_dir,
-        fd_step=fd_step,
-        problem_options=merged["problem_options"],
-    )
+    merged.update(box=box, N_list=N_list)
+    return RunConfig(problem=problem, **merged)
 
 
 def build_problem(cfg: RunConfig):
-    if cfg.problem == "quadratic":
-        return QuadraticProblem()
-    if cfg.problem == "cubic":
-        return DoubleWellProblem()
-    if cfg.problem == "logistic1d":
-        return LogisticWellProblem()
+    if cfg.problem != "advdiff":
+        return PROBLEMS[cfg.problem]["class"]()
     from .problems.advdiff import make_advdiff_problem
 
-    opts = cfg.problem_options
-    return make_advdiff_problem(
-        grid_cells=_integer(opts["grid_cells"], "problem_options.grid_cells"),
-        m_true=opts["m_true"],
-        theta_data=cfg.box.nominal,
-        beta=_real(opts["beta"], "problem_options.beta"),
-        m_prior=opts["m_prior"],
-        noise_std=_real(opts["noise_std"], "problem_options.noise_std"),
-        noise_seed=_integer(opts["noise_seed"], "problem_options.noise_seed"),
-    )
+    return make_advdiff_problem(theta_data=cfg.box.nominal, **cfg.problem_options)
 
 
 # ---------------------------------------------------------------------------
 # check
-
-
-_CHECK_POINTS = {
-    "quadratic": np.array([0.3]),
-    "cubic": np.array([0.75]),
-    "logistic1d": np.array([0.9]),
-    "advdiff": None,  # decision point filled from m_true
-}
 
 
 def cmd_check(args) -> int:
@@ -298,11 +255,8 @@ def cmd_check(args) -> int:
         applies = file_cfg is not None and file_cfg.get("problem", name) == name
         cfg = resolve_config(file_cfg if applies else None, overrides)
         problem = build_problem(cfg)
-        tol = CHECK_TOLERANCES[name]
-
-        m_canon = _CHECK_POINTS[name]
-        if m_canon is None:
-            m_canon = np.asarray(cfg.problem_options["m_true"], dtype=float)
+        point, tol = PROBLEMS[name]["check"]
+        m_canon = np.asarray(point(cfg.problem_options), dtype=float)
         points = [(m_canon, cfg.box.nominal)]
         for _ in range(args.random_points):
             if problem.basin_hint is not None:
@@ -342,13 +296,6 @@ def cmd_check(args) -> int:
 # study
 
 
-def _shared_axis(columns, dimension: int, points: int) -> np.ndarray:
-    """A grid over every column, padded by KDE_PADDING bandwidths of each."""
-    lo = min(c.min() - KDE_PADDING * silverman_bandwidth(c, dimension) for c in columns)
-    hi = max(c.max() + KDE_PADDING * silverman_bandwidth(c, dimension) for c in columns)
-    return np.linspace(lo, hi, points)
-
-
 def _study_kde_files(study: SampleStudy, mask: np.ndarray, out_dir: str) -> list[str]:
     """Write the densities of the samples in mask; zero-spread sources get none."""
     if mask.sum() < 30:
@@ -363,7 +310,7 @@ def _study_kde_files(study: SampleStudy, mask: np.ndarray, out_dir: str) -> list
     written = []
     for k in range(d):
         columns = {label: data[:, k] for label, data in sources.items()}
-        axis = _shared_axis(columns.values(), 1, 256)
+        axis = shared_axis(columns.values(), 1, 256)
         for label, col in columns.items():
             try:
                 est = kde(col, grid=(axis,))
@@ -375,7 +322,7 @@ def _study_kde_files(study: SampleStudy, mask: np.ndarray, out_dir: str) -> list
 
     if d == 2:
         axes = tuple(
-            _shared_axis([data[:, k] for data in sources.values()], 2, 101) for k in range(2)
+            shared_axis([data[:, k] for data in sources.values()], 2, 101) for k in range(2)
         )
         for label, data in sources.items():
             try:

@@ -226,6 +226,14 @@ def synthesize_observations(
     return u
 
 
+def _decision_pair(x, name: str) -> np.ndarray:
+    """x as the decision variables (kappa, v); any other length is an error."""
+    x = as_vector(x, name)
+    if x.size != 2:
+        raise ValueError(f"{name} must have 2 entries (kappa, v), got {x.size}")
+    return x
+
+
 class AdvDiffInverseProblem(Problem):
     """Regularized least-squares fit of (kappa, v) to full-field observations.
 
@@ -267,15 +275,9 @@ class AdvDiffInverseProblem(Problem):
 
     d = 2
     p = 3
+    basin_hint = (np.array([0.005, -0.5]), np.array([0.5, 1.5]))
 
-    def __init__(
-        self,
-        model: AdvectionDiffusionModel,
-        u_obs: np.ndarray,
-        m_prior,
-        beta: float,
-        basin_hint=(np.array([0.005, -0.5]), np.array([0.5, 1.5])),
-    ):
+    def __init__(self, model: AdvectionDiffusionModel, u_obs: np.ndarray, m_prior, beta: float):
         u_obs = np.asarray(u_obs, dtype=float)
         if u_obs.shape != (model.grid_cells + 1,):
             raise ValueError("u_obs must live on the model grid")
@@ -283,9 +285,8 @@ class AdvDiffInverseProblem(Problem):
             raise ValueError("beta must be positive")
         self.model = model
         self.u_obs = u_obs
-        self.m_prior = as_vector(m_prior, "m_prior")
+        self.m_prior = _decision_pair(m_prior, "m_prior")
         self.beta = float(beta)
-        self.basin_hint = basin_hint
         # trapezoid weights, including dx
         w = np.full(model.grid_cells + 1, model.dx)
         w[0] *= 0.5
@@ -449,5 +450,6 @@ def make_advdiff_problem(
     regularization term is exercised without dominating.
     """
     model = AdvectionDiffusionModel(grid_cells)
-    u_obs = synthesize_observations(model, as_vector(m_true), as_vector(theta_data), noise_std, noise_seed)
+    m_true = _decision_pair(m_true, "m_true")
+    u_obs = synthesize_observations(model, m_true, as_vector(theta_data), noise_std, noise_seed)
     return AdvDiffInverseProblem(model, u_obs, m_prior, beta)

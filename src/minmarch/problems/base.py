@@ -210,12 +210,6 @@ class ParameterBox:
     def upper(self) -> np.ndarray:
         return self.nominal + self.half_widths
 
-    def contains(self, theta) -> bool:
-        # compared with the rounded bounds, not |theta - nominal| <= half_widths:
-        # that form rejects draws of ``sample`` that round past a tiny half-width
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all((self.lower <= theta) & (theta <= self.upper)))
-
     def require_member(self, theta) -> np.ndarray:
         """Validate membership, naming the first violating coordinate."""
         theta = as_vector(theta, "theta")
@@ -223,6 +217,8 @@ class ParameterBox:
             raise ValueError(
                 f"theta has length {theta.size}, expected {self.p}"
             )
+        # compared with the rounded bounds, not |theta - nominal| <= half_widths:
+        # that form rejects draws of ``sample`` that round past a tiny half-width
         outside = (theta < self.lower) | (theta > self.upper)
         if np.any(outside):
             k = int(np.argmax(outside))

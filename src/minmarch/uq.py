@@ -248,8 +248,8 @@ def propagate_study(
     rhs_evaluations + K B.
     """
     N_list = [int(N) for N in N_list]
-    if not N_list or any(N < 1 for N in N_list):
-        raise ValueError("N_list must contain positive step counts")
+    if not N_list or any(N < 1 for N in N_list) or len(set(N_list)) < len(N_list):
+        raise ValueError("N_list must contain distinct positive step counts")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     scheme = Scheme(scheme)
@@ -302,7 +302,6 @@ class DensityEstimate:
     axes: tuple[np.ndarray, ...]
     density: np.ndarray
     bandwidth: np.ndarray
-    kernel: str = "gaussian"
 
     def integral(self) -> float:
         if self.dimension == 1:
@@ -312,12 +311,23 @@ class DensityEstimate:
 
 
 def silverman_bandwidth(x: np.ndarray, dimension: int = 1) -> float:
-    """Rule-of-thumb bandwidth: 0.9 min(std, IQR/1.34) n^(-1/(d+4))."""
+    """Rule-of-thumb bandwidth: 0.9 min(std, IQR/1.34) n^(-1/(d+4)).
+
+    When the IQR is 0 but the spread is not, the std alone sets the scale
+    (Silverman 1986, section 3.4.2; R's ``bw.nrd0`` does the same).
+    """
     n = x.size
     std = float(np.std(x, ddof=1))
     q75, q25 = np.percentile(x, [75, 25])
-    a = min(std, (q75 - q25) / 1.34)
+    a = min(std, (q75 - q25) / 1.34) or std
     return 0.9 * a * n ** (-1.0 / (dimension + 4))
+
+
+def shared_axis(columns, dimension: int, points: int) -> np.ndarray:
+    """A grid over every column, padded by KDE_PADDING bandwidths of each."""
+    lo = min(c.min() - KDE_PADDING * silverman_bandwidth(c, dimension) for c in columns)
+    hi = max(c.max() + KDE_PADDING * silverman_bandwidth(c, dimension) for c in columns)
+    return np.linspace(lo, hi, points)
 
 
 def _gauss_columns(grid: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
@@ -329,7 +339,6 @@ def _gauss_columns(grid: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
 def kde(
     values: np.ndarray,
     grid: tuple[np.ndarray, ...] | np.ndarray | None = None,
-    num_points: int | None = None,
 ) -> DensityEstimate:
     """Kernel density estimate of a 1d or 2d sample cloud.
 
@@ -355,15 +364,7 @@ def kde(
         )
 
     if grid is None:
-        pts = num_points or (401 if d == 1 else 101)
-        axes = tuple(
-            np.linspace(
-                values[:, k].min() - KDE_PADDING * bw[k],
-                values[:, k].max() + KDE_PADDING * bw[k],
-                pts,
-            )
-            for k in range(d)
-        )
+        axes = tuple(shared_axis([values[:, k]], d, 401 if d == 1 else 101) for k in range(d))
     else:
         axes = (np.asarray(grid, dtype=float),) if isinstance(grid, np.ndarray) else tuple(
             np.asarray(g, dtype=float) for g in grid

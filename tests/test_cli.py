@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.cli import PROBLEM_NAMES, main, resolve_config
+from minmarch.cli import PROBLEM_NAMES, PROBLEMS, main, resolve_config
 from minmarch.newton import to_json_dict
 
 
@@ -199,6 +199,8 @@ class TestStudy:
             ("fd_step", True),
             ("fd_step", "1e-6"),
             ("output_dir", ["a"]),
+            ("N_list", [4, 4]),
+            ("scheme", "leapfrog"),
         ],
     )
     def test_config_value_of_wrong_type_rejected(
@@ -218,7 +220,8 @@ class TestStudy:
         assert os.listdir(tmp_path) == ["bad.json"]
 
     @pytest.mark.parametrize(
-        "key,value", [("grid_cells", 64.7), ("noise_seed", 1.9), ("beta", "1e-3")]
+        "key,value",
+        [("grid_cells", 64.7), ("noise_seed", 1.9), ("beta", "1e-3"), ("m_true", 0.05)],
     )
     def test_advdiff_option_of_wrong_type_rejected(
         self, tmp_path, monkeypatch, capsys, key, value
@@ -237,6 +240,27 @@ class TestStudy:
         assert run(["study", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"problem_options.{key}" in err
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+    @pytest.mark.parametrize(
+        "key,value", [("m_true", [0.05]), ("m_prior", [0.06, 0.32, 0.1])]
+    )
+    def test_advdiff_vector_option_of_wrong_length_rejected(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "problem": "advdiff", "num_samples": 2, "N_list": [1],
+                    "with_oracle": False, "workers": 1, "output_dir": "never",
+                    "problem_options": {key: value},
+                }
+            )
+        )
+        assert run(["study", "--config", str(cfg)]) == 2
+        assert f"{key} must have 2 entries" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["bad.json"]
 
     def test_analytic_studies_do_not_import_advdiff(self, tmp_path):
@@ -329,6 +353,19 @@ class TestStudy:
         )
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["scheme"] == "heun"
+
+
+def test_readme_example_config_is_the_advdiff_default():
+    """README's example config states advdiff's defaults, but for the worker count."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Example config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    example = json.loads(block)
+    resolved = to_json_dict(resolve_config(example, {}))
+    default = resolve_config(None, {"problem": "advdiff", "workers": example["workers"]})
+    assert resolved == to_json_dict(default)
+    assert example["box"] == PROBLEMS["advdiff"]["box"]
+    assert example["N_list"] == PROBLEMS["advdiff"]["N_list"]
+    assert example["problem_options"] == PROBLEMS["advdiff"]["problem_options"]
 
 
 class TestTrajectory:

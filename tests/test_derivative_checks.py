@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.cli import CHECK_TOLERANCES
+from minmarch.cli import PROBLEMS
 from minmarch.derivatives import fd_gradient
 
 from conftest import (
@@ -36,7 +36,7 @@ def test_advdiff_check_near_lower_kappa_edge(advdiff):
     m = np.array([0.0057, 1.447])
     theta = np.array([9.19, 0.046, 1.16])
     report = mm.check_derivatives(advdiff, m, theta)
-    assert report.passed(CHECK_TOLERANCES["advdiff"])
+    assert report.passed(PROBLEMS["advdiff"]["check"][1])
 
 
 def test_fd_step_validation(quadratic):

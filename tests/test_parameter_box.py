@@ -20,9 +20,10 @@ def test_relative_per_coordinate_fractions():
 
 def test_membership():
     box = ParameterBox.relative([1.0, 3.0, 0.1], 0.40)
-    assert box.contains([1.0, 3.0, 0.1])
-    assert box.contains([1.4, 1.8, 0.14])  # corners belong
-    assert not box.contains([1.5, 3.0, 0.1])
+    box.require_member([1.0, 3.0, 0.1])
+    box.require_member([1.4, 1.8, 0.14])  # corners belong
+    with pytest.raises(ValueError, match="theta_1"):
+        box.require_member([1.5, 3.0, 0.1])
 
 
 def test_require_member_names_coordinate():
@@ -141,4 +142,4 @@ def test_construction_errors():
 def test_samples_always_inside_box(nominal, fraction, seed):
     box = ParameterBox.relative(nominal, fraction)
     for theta in box.sample(seed, 16):
-        assert box.contains(theta)
+        box.require_member(theta)

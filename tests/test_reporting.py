@@ -74,7 +74,8 @@ def test_kde_csv_schemas(tmp_path):
     reporting.write_kde_marginal_csv(path1, est1)
     assert read_header(path1) == ["x", "density"]
 
-    est2 = mm.kde(rng.standard_normal((200, 2)), num_points=21)
+    axis = np.linspace(-4.0, 4.0, 21)
+    est2 = mm.kde(rng.standard_normal((200, 2)), grid=(axis, axis))
     path2 = tmp_path / "kde_joint.csv"
     reporting.write_kde_joint_csv(path2, est2)
     assert read_header(path2) == ["x", "y", "density"]

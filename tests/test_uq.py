@@ -61,6 +61,13 @@ class TestKde:
         expected = 0.9 * min(np.std(x, ddof=1), (q75 - q25) / 1.34) * 500 ** (-0.2)
         assert mm.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
 
+    def test_zero_iqr_with_spread_falls_back_to_the_std(self):
+        # more than three quarters of the samples tie, so the IQR is 0
+        x = np.concatenate([np.zeros(80), np.random.default_rng(5).uniform(1.0, 2.0, 20)])
+        expected = 0.9 * np.std(x, ddof=1) * 100 ** (-0.2)
+        assert mm.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
+        assert mm.kde(x).integral() == pytest.approx(1.0, abs=1e-3)
+
 
 def assert_same_oracles(oracle, expected):
     """Every column of two stacked oracle results agrees bit for bit."""
@@ -206,6 +213,8 @@ class TestPropagateStudy:
             mm.propagate_study(logistic, logistic_box, 2, [], seed=0)
         with pytest.raises(ValueError):
             mm.propagate_study(logistic, logistic_box, 2, [0, 2], seed=0)
+        with pytest.raises(ValueError, match="distinct"):
+            mm.propagate_study(logistic, logistic_box, 2, [4, 4], seed=0)
 
     def test_bad_worker_count(self, logistic, logistic_box):
         with pytest.raises(ValueError, match="workers"):
