@@ -227,10 +227,14 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig):
+    if cfg.problem == "advdiff":
+        from .problems.advdiff import AdvDiffInverseProblem as cls, make_advdiff_problem
+    else:
+        cls = PROBLEMS[cfg.problem]["class"]
+    if cfg.box.p != cls.p:
+        raise ConfigError(f"box has {cfg.box.p} parameters, but {cfg.problem} takes {cls.p}")
     if cfg.problem != "advdiff":
-        return PROBLEMS[cfg.problem]["class"]()
-    from .problems.advdiff import make_advdiff_problem
-
+        return cls()
     return make_advdiff_problem(theta_data=cfg.box.nominal, **cfg.problem_options)
 
 
@@ -248,7 +252,7 @@ def cmd_check(args) -> int:
                 f"unknown problem {named!r}; choose from {', '.join(PROBLEM_NAMES)}"
             )
     status = 0
-    rng = np.random.default_rng(args.seed if args.seed is not None else 7)
+    rng = np.random.default_rng(7 if args.seed is None else _typed(args.seed, 7, "seed"))
     for name in PROBLEM_NAMES:
         overrides = {**_overrides(args), "problem": name}
         # a config file applies to the problem it names; others keep defaults

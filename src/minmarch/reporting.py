@@ -12,7 +12,8 @@ import os
 import numpy as np
 
 from .marching import Trajectory
-from .uq import DensityEstimate, SampleStudy, StudyErrorSummary
+from .newton import to_json_dict
+from .uq import _ORACLE_COLUMNS, DensityEstimate, SampleStudy, StudyErrorSummary
 
 
 def fmt(value) -> str:
@@ -27,40 +28,60 @@ def fmt(value) -> str:
 
 
 _FLOAT = "%.17g"  # fmt's rendering of every float, nan and inf included
+ROWS_PER_CHUNK = 512  # rows the writers render at once
+# the keys of study.json before its records, in order
+_HEAD_KEYS = "box seed num_samples N_list scheme with_oracle newton_config nominal".split()
 
 
-def _write_rows(path, header, cells, rows):
-    """Write a CSV file whose rows are rendered with one ``%`` format each.
+def _csv_cells(chunk) -> list:
+    """The values a column chunk's ``%`` conversions consume: fmt's text for bools."""
+    chunk = np.asarray(chunk)
+    return np.where(chunk, "true", "false").tolist() if chunk.dtype == bool else chunk.tolist()
 
-    ``cells`` holds one ``%`` conversion per column: _FLOAT for floats, "%d"
-    for integers, "%s" for text, or "" for a column left empty; each row is a
-    tuple of the values its conversions consume.  The text of every cell is
-    ``fmt``'s, and no cell needs csv quoting, so the bytes are those of
-    ``csv.writer`` on ``fmt`` cells, written several times faster.
+
+def _json_cells(chunk) -> list[str]:
+    """json.dumps's text of each entry of a column chunk; no entry's text may hold ", "."""
+    return json.dumps(chunk.tolist())[1:-1].split(", ")
+
+
+def _write_rows(path, head, row, columns, render=_csv_cells, sep="", tail=""):
+    """Write head, then ``row % cells`` for each row with sep between rows, then tail.
+
+    Each column holds one entry per row, and ``render`` turns ROWS_PER_CHUNK
+    rows of a column at a time into the values ``row`` consumes.  A CSV row
+    has one conversion per column: _FLOAT for floats, "%d" for integers,
+    "%s" for text and bools, or "" for a column left empty.  Every cell is
+    then ``fmt``'s text, and none needs csv quoting, so the bytes are those
+    of ``csv.writer`` on ``fmt`` cells, written several times faster.
     """
-    line = ",".join(cells) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
+        fh.write(head)
+        for a in range(0, len(columns[0]), ROWS_PER_CHUNK):
+            cells = [render(column[a : a + ROWS_PER_CHUNK]) for column in columns]
+            fh.write((sep if a else "") + sep.join([row % values for values in zip(*cells)]))
+        fh.write(tail)
+
+
+def _write_csv(path, header, cells, columns):
+    _write_rows(path, ",".join(header) + "\n", ",".join(cells) + "\n", columns)
 
 
 def write_samples_csv(path, study: SampleStudy) -> None:
     d, p = study.d, study.box.p
     header = ["sample_index"] + [f"theta_{k + 1}" for k in range(p)]
     cells = ["%d"] + [_FLOAT] * p
-    columns = [range(len(study.theta)), *study.theta.T.tolist()]
+    columns = [np.arange(len(study.theta)), *study.theta.T]
     for N, finals, status in zip(study.N_list, study.march_finals, study.march_status):
         header += [f"N{N}_m_{j + 1}" for j in range(d)] + [f"N{N}_status"]
         cells += [_FLOAT] * d + ["%s"]
-        columns += [*finals.T.tolist(), status.tolist()]
+        columns += [*finals.T, status]
     header += [f"oracle_m_{j + 1}" for j in range(d)] + ["oracle_converged"]
     if study.with_oracle:
         cells += [_FLOAT] * d + ["%s"]
-        converged = np.where(study.oracle.converged, "true", "false")
-        columns += [*study.oracle.minimizer.T.tolist(), converged.tolist()]
+        columns += [*study.oracle.minimizer.T, study.oracle.converged]
     else:
         cells += [""] * (d + 1)
-    _write_rows(path, header, cells, zip(*columns))
+    _write_csv(path, header, cells, columns)
 
 
 def write_errors_csv(path, summary: StudyErrorSummary) -> None:
@@ -72,27 +93,20 @@ def write_errors_csv(path, summary: StudyErrorSummary) -> None:
         + [f"std_err_{j + 1}" for j in range(d)]
         + ["per_sample_err"]
     )
-    rows = zip(
-        mean.N_list,
-        mean.h.tolist(),
-        *mean.errors.T.tolist(),
-        *summary.std.errors.T.tolist(),
-        summary.per_sample.errors.tolist(),
-    )
-    _write_rows(path, header, ["%d"] + [_FLOAT] * (2 * d + 2), rows)
+    errors = [*mean.errors.T, *summary.std.errors.T, summary.per_sample.errors]
+    _write_csv(path, header, ["%d"] + [_FLOAT] * (2 * d + 2), [mean.N_list, mean.h, *errors])
 
 
 def write_kde_marginal_csv(path, estimate: DensityEstimate) -> None:
     if estimate.dimension != 1:
         raise ValueError("marginal writer expects a 1-d estimate")
-    rows = zip(estimate.axes[0].tolist(), estimate.density.tolist())
-    _write_rows(path, ["x", "density"], [_FLOAT] * 2, rows)
+    _write_csv(path, ["x", "density"], [_FLOAT] * 2, [estimate.axes[0], estimate.density])
 
 
 def write_kde_joint_csv(path, estimate: DensityEstimate) -> None:
     if estimate.dimension != 2:
         raise ValueError("joint writer expects a 2-d estimate")
-    # the bytes of _write_rows with three _FLOAT cells, with each axis cell
+    # the bytes of _write_csv with three _FLOAT cells, with each axis cell
     # rendered once per axis value instead of once per row
     xs, ys = ([f"{value:.17g}," for value in axis.tolist()] for axis in estimate.axes)
     with open(path, "w", newline="") as fh:
@@ -105,27 +119,56 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     d = traj.states.shape[1]
     eigs = traj.min_eigenvalues.tolist()
     eigs += [float("nan")] * (traj.times.size - len(eigs))
-    rows = zip(traj.times.tolist(), *traj.states.T.tolist(), eigs)
     header = ["t"] + [f"m_{j + 1}" for j in range(d)] + ["min_eig"]
-    _write_rows(path, header, [_FLOAT] * (d + 2), rows)
+    _write_csv(path, header, [_FLOAT] * (d + 2), [traj.times, *traj.states.T, eigs])
 
 
 def write_sensitivity_csv(path, traj: Trajectory) -> None:
     """Per-step right-hand side of a march."""
     d = traj.states.shape[1]
     header = ["sample_index", "step", "t", "f_norm"] + [f"f_{j + 1}" for j in range(d)]
-    rows = (
-        (0, i, traj.times[i], np.linalg.norm(f), *f.tolist())
-        for i, f in enumerate(traj.rhs_values)
-    )
-    _write_rows(path, header, ["%d", "%d"] + [_FLOAT] * (d + 2), rows)
+    n = len(traj.rhs_values)
+    rhs = np.reshape(traj.rhs_values, (n, d))
+    columns = [np.zeros(n, int), np.arange(n), traj.times[:n], [np.linalg.norm(f) for f in rhs]]
+    _write_csv(path, header, ["%d", "%d"] + [_FLOAT] * (d + 2), [*columns, *rhs.T])
+
+
+def _json_object(fields) -> tuple[str, list]:
+    """A ``%`` template of one JSON object per row, and the columns that fill it.
+
+    ``fields`` are (key, value) pairs.  A value is a column, a 2-d array (a
+    list per row) or the (template, columns) pair of a nested object.
+    """
+    parts, columns = [], []
+    for key, value in fields:
+        if isinstance(value, tuple):
+            template, value_columns = value
+        elif value.ndim == 2:
+            template, value_columns = "[" + ", ".join(["%s"] * value.shape[1]) + "]", list(value.T)
+        else:
+            template, value_columns = "%s", [value]
+        parts.append(f"{json.dumps(key)}: {template}")
+        columns += value_columns
+    return "{" + ", ".join(parts) + "}", columns
 
 
 def save_study(path, study: SampleStudy) -> None:
-    # json.dumps encodes in C; json.dump's chunked encoder runs in Python
-    # and writes the same bytes several times slower
-    with open(path, "w") as fh:
-        fh.write(json.dumps(study.to_dict()))
+    """Write study.json a chunk of records at a time: json.dumps's bytes of it as one dict."""
+    by_N = zip(study.N_list, study.march_finals, study.march_status, study.left_basin)
+    outcomes = _json_object(
+        (str(N), _json_object([("final_state", finals), ("status", status), ("left_basin", left)]))
+        for N, finals, status, left in by_N
+    )
+    oracle = ("null", [])
+    if study.with_oracle:
+        oracle = _json_object((name, getattr(study.oracle, name)) for name in _ORACLE_COLUMNS)
+    index = np.arange(len(study.theta))
+    fields = [("index", index), ("theta", study.theta), ("outcomes", outcomes), ("oracle", oracle)]
+    record, columns = _json_object(fields)
+    head = {key: getattr(study, key) for key in _HEAD_KEYS} | {"records": []}
+    # dataclasses render as to_json_dict's dicts, the scheme (a str) as its value
+    head = json.dumps(head, default=to_json_dict)
+    _write_rows(path, head[:-2], record, columns, _json_cells, ", ", "]}")
 
 
 def load_study(path) -> SampleStudy:

@@ -10,12 +10,13 @@ import numpy as np
 
 from .exceptions import DegenerateBandwidthError
 from .marching import MarchConfig, MarchStatus, Scheme, march_block
-from .newton import NewtonConfig, SolveResult, newton_solve_block, solve_nominal, to_json_dict
+from .newton import NewtonConfig, SolveResult, newton_solve_block, solve_nominal
 from .problems.base import ParameterBox
 from .sensitivity import ParameterLine
 
 SLOPE_FLOOR = 1e-13  # errors at roundoff level carry no rate information
 KDE_PADDING = 4.0  # default kde grids extend this many bandwidths past the data
+KDE_BLOCK_ELEMENTS = 2**14  # kernel values a 1-d kde evaluates at once: 128 kB, cache-sized
 # the SolveResult fields study.json records per sample
 _ORACLE_COLUMNS = [f.name for f in fields(SolveResult) if f.name != "history"]
 
@@ -74,42 +75,6 @@ class SampleStudy:
         aborted = dict(zip(self.N_list, aborted.tolist()))
         not_converged = int((~self.oracle.converged).sum()) if self.with_oracle else 0
         return {"march_aborted": aborted, "newton_not_converged": not_converged}
-
-    def to_dict(self) -> dict:
-        """The study.json layout: one record per sample, one outcome per step count."""
-        columns = (self.march_finals, self.march_status, self.left_basin)
-        by_N = list(zip(map(str, self.N_list), *(c.tolist() for c in columns)))
-        if self.with_oracle:
-            solves = zip(*(getattr(self.oracle, name).tolist() for name in _ORACLE_COLUMNS))
-            oracles = [dict(zip(_ORACLE_COLUMNS, solve)) for solve in solves]
-        else:
-            oracles = [None] * len(self.theta)
-        return {
-            "box": to_json_dict(self.box),
-            "seed": self.seed,
-            "num_samples": self.num_samples,
-            "N_list": [int(N) for N in self.N_list],
-            "scheme": self.scheme.value,
-            "with_oracle": self.with_oracle,
-            "newton_config": to_json_dict(self.newton_config),
-            "nominal": to_json_dict(self.nominal),
-            "records": [
-                {
-                    "index": s,
-                    "theta": theta,
-                    "outcomes": {
-                        key: {
-                            "final_state": finals[s],
-                            "status": status[s],
-                            "left_basin": left[s],
-                        }
-                        for key, finals, status, left in by_N
-                    },
-                    "oracle": oracle,
-                }
-                for s, (theta, oracle) in enumerate(zip(self.theta.tolist(), oracles))
-            ],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampleStudy":
@@ -345,7 +310,8 @@ def kde(
     Bandwidths follow Silverman's rule per coordinate; two-dimensional
     estimates use a product kernel.  The default grid extends KDE_PADDING
     bandwidths beyond the sample range so the estimate integrates to one on
-    the grid.
+    the grid.  A 1d estimate holds KDE_BLOCK_ELEMENTS kernel values (or one
+    grid row) at a time, a 2d one a (grid, n) kernel matrix per axis.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
@@ -373,7 +339,11 @@ def kde(
             raise ValueError(f"grid must supply {d} axis/axes")
 
     if d == 1:
-        density = _gauss_columns(axes[0], values[:, 0], bw[0]).mean(axis=1)
+        # a block of grid rows at a time: a row's mean has the same bits in any block
+        axis, rows = axes[0], max(1, KDE_BLOCK_ELEMENTS // n)
+        density = np.empty(axis.size)
+        for a in range(0, axis.size, rows):
+            density[a : a + rows] = _gauss_columns(axis[a : a + rows], values[:, 0], bw[0]).mean(1)
     else:
         kx = _gauss_columns(axes[0], values[:, 0], bw[0])
         ky = _gauss_columns(axes[1], values[:, 1], bw[1])

@@ -57,6 +57,11 @@ class TestCheck:
         assert run(["check", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_negative_seed_names_the_key(self, capsys):
+        # the seed is validated before it seeds the random check points
+        assert run(["check", "--seed", "-1", "--random-points", "0"]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+
 
 class TestStudy:
     def test_quadratic_small_study_artifacts(self, tmp_path):
@@ -261,6 +266,30 @@ class TestStudy:
         )
         assert run(["study", "--config", str(cfg)]) == 2
         assert f"{key} must have 2 entries" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+    @pytest.mark.parametrize("problem,p", [("quadratic", 1), ("cubic", 2), ("advdiff", 3)])
+    @pytest.mark.parametrize("command", ["study", "trajectory"])
+    def test_box_of_wrong_length_rejected(
+        self, tmp_path, monkeypatch, capsys, command, problem, p
+    ):
+        # rejected before any output directory is made, naming both lengths
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.json"
+        nominal = [0.4, 0.5] if p != 2 else [0.3, 0.75, 0.5]
+        cfg.write_text(
+            json.dumps(
+                {
+                    "problem": problem, "num_samples": 2, "N_list": [1], "workers": 1,
+                    "output_dir": "never", "box": {"nominal": nominal, "relative": 0.2},
+                }
+            )
+        )
+        theta = ",".join(map(str, nominal))
+        argv = [command, "--config", str(cfg)] + (["--theta", theta] if command != "study" else [])
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: box has {len(nominal)} parameters, but {problem} takes {p}\n"
         assert os.listdir(tmp_path) == ["bad.json"]
 
     def test_analytic_studies_do_not_import_advdiff(self, tmp_path):

@@ -1,5 +1,7 @@
 import csv
 import json
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ import pytest
 import minmarch as mm
 from minmarch import reporting
 from minmarch.marching import MarchConfig
+from minmarch.newton import to_json_dict
 from minmarch.sensitivity import ParameterLine
 
-from conftest import THETA_LOGISTIC
+from conftest import THETA_LOGISTIC, records, rendered
 
 
 def read_header(path):
@@ -120,6 +123,60 @@ def test_kde_writers_match_the_general_row_writer(tmp_path):
     assert b",-inf\n" in (tmp_path / "joint.csv").read_bytes()
 
 
+def study_layout(study):
+    """The study.json layout built as one dict tree: the reference for save_study."""
+    columns = (study.march_finals, study.march_status, study.left_basin)
+    by_N = list(zip(map(str, study.N_list), *(c.tolist() for c in columns)))
+    if study.with_oracle:
+        names = [f.name for f in fields(mm.SolveResult) if f.name != "history"]
+        solves = zip(*(getattr(study.oracle, name).tolist() for name in names))
+        oracles = [dict(zip(names, solve)) for solve in solves]
+    else:
+        oracles = [None] * len(study.theta)
+    return {
+        "box": to_json_dict(study.box),
+        "seed": study.seed,
+        "num_samples": study.num_samples,
+        "N_list": [int(N) for N in study.N_list],
+        "scheme": study.scheme.value,
+        "with_oracle": study.with_oracle,
+        "newton_config": to_json_dict(study.newton_config),
+        "nominal": to_json_dict(study.nominal),
+        "records": [
+            {
+                "index": s,
+                "theta": theta,
+                "outcomes": {
+                    key: {"final_state": finals[s], "status": status[s], "left_basin": left[s]}
+                    for key, finals, status, left in by_N
+                },
+                "oracle": oracle,
+            }
+            for s, (theta, oracle) in enumerate(zip(study.theta.tolist(), oracles))
+        ],
+    }
+
+
+def samples_rows(study):
+    """The samples.csv header and rows, one fmt cell per value."""
+    d, p = study.d, study.box.p
+    header = ["sample_index"] + [f"theta_{k + 1}" for k in range(p)]
+    for N in study.N_list:
+        header += [f"N{N}_m_{j + 1}" for j in range(d)] + [f"N{N}_status"]
+    header += [f"oracle_m_{j + 1}" for j in range(d)] + ["oracle_converged"]
+    rows = []
+    for s in range(len(study.theta)):
+        row = [s, *study.theta[s]]
+        for finals, status in zip(study.march_finals, study.march_status):
+            row += [*finals[s], status[s]]
+        if study.with_oracle:
+            row += [*study.oracle.minimizer[s], study.oracle.converged[s]]
+        else:
+            row += [None] * (d + 1)
+        rows.append(row)
+    return header, rows
+
+
 @pytest.fixture(scope="module")
 def no_oracle_study(logistic, logistic_box):
     return mm.propagate_study(logistic, logistic_box, 40, [1, 2], seed=3, with_oracle=False)
@@ -146,7 +203,7 @@ def test_study_json_round_trips(tmp_path, request, fixture):
     reporting.save_study(tmp_path / "study.json", study)
     reporting.write_samples_csv(tmp_path / "samples.csv", study)
     with open(tmp_path / "study.json") as fh:
-        assert fh.read() == json.dumps(study.to_dict())
+        assert records(fh.read()) == records(json.dumps(study_layout(study)))
 
     loaded = reporting.load_study(tmp_path / "study.json")
     assert loaded.with_oracle == study.with_oracle
@@ -157,6 +214,67 @@ def test_study_json_round_trips(tmp_path, request, fixture):
     for stem, ext in (("study", "json"), ("samples", "csv")):
         again = (tmp_path / f"{stem}_again.{ext}").read_bytes()
         assert again == (tmp_path / f"{stem}.{ext}").read_bytes(), stem
+
+
+def nonfinite_oracle(study):
+    """study with NaN and infinite oracle objectives and gradient norms."""
+    objective, grad_norm = study.oracle.objective.copy(), study.oracle.grad_norm.copy()
+    objective[[0, 3, 5]] = [np.nan, np.inf, -np.inf]
+    grad_norm[[1, 3]] = [np.inf, np.nan]
+    return replace(study, oracle=replace(study.oracle, objective=objective, grad_norm=grad_norm))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["nonfinite_oracle", "fragile", "no_oracle", "one_sample", "chunk_plus_one", "chunks_plus_one"],
+)
+def test_streamed_outputs_equal_one_shot_renderings(
+    tmp_path, request, logistic, logistic_box, case
+):
+    """save_study writes json.dumps of the whole layout, samples.csv fmt of every cell.
+
+    small_study (40 samples) is below one chunk of rows; chunk_plus_one
+    leaves one row for a second chunk, chunks_plus_one for a third.
+    """
+    if case == "nonfinite_oracle":
+        study = nonfinite_oracle(request.getfixturevalue("small_study"))
+    elif case in ("fragile", "no_oracle"):
+        study = request.getfixturevalue(f"{case}_study")
+    else:
+        chunks = {"one_sample": 0, "chunk_plus_one": 1, "chunks_plus_one": 2}[case]
+        S = chunks * reporting.ROWS_PER_CHUNK + 1
+        study = mm.propagate_study(logistic, logistic_box, S, [1, 2], seed=3)
+    json_records, csv_lines = rendered(study, tmp_path)
+    assert json_records == records(json.dumps(study_layout(study)))
+    write_fmt_rows(tmp_path / "samples_ref.csv", *samples_rows(study))
+    assert csv_lines == (tmp_path / "samples_ref.csv").read_text().splitlines(keepends=True)
+    if case == "nonfinite_oracle":
+        json_text = "".join(json_records)
+        assert '"objective": NaN' in json_text and '"grad_norm": Infinity' in json_text
+        assert '"objective": -Infinity' in json_text
+
+
+def test_output_phase_memory_does_not_grow_with_the_samples(tmp_path, logistic, logistic_box):
+    """A 20000-sample 1-d kde, samples.csv and study.json each trace under 4 MB.
+
+    One (256, 20000) kernel matrix alone is 41 MB.
+    """
+    study = mm.propagate_study(logistic, logistic_box, 20000, [1, 2, 4, 8, 16], seed=7)
+    column = study.finals(16)[:, 0]
+    grid = np.linspace(column.min(), column.max(), 256)
+    steps = {
+        "kde": lambda: mm.kde(column, grid=(grid,)),
+        "samples.csv": lambda: reporting.write_samples_csv(tmp_path / "samples.csv", study),
+        "study.json": lambda: reporting.save_study(tmp_path / "study.json", study),
+    }
+    for name, step in steps.items():
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, (name, peak)
 
 
 def test_trajectory_csv_schema(tmp_path, logistic, logistic_box):

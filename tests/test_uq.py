@@ -7,9 +7,12 @@ import pytest
 
 import minmarch as mm
 from minmarch.marching import MarchConfig, MarchStatus, Scheme
-from minmarch.uq import _join_blocks, _propagate_block
+from minmarch import uq
+from minmarch.uq import _gauss_columns, _join_blocks, _propagate_block
 
-from conftest import THETA_LOGISTIC
+from conftest import THETA_LOGISTIC, rendered
+
+BLOCK = uq.KDE_BLOCK_ELEMENTS
 
 
 class TestKde:
@@ -68,6 +71,26 @@ class TestKde:
         assert mm.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
         assert mm.kde(x).integral() == pytest.approx(1.0, abs=1e-3)
 
+
+    @pytest.mark.parametrize(
+        "n", [30, 3000, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1, BLOCK, 70000], ids="n{}".format
+    )
+    def test_blocked_1d_kde_equals_the_whole_kernel_matrix(self, n):
+        # the 1-d kde evaluates BLOCK // n grid rows at a time: 2 rows up to
+        # n = BLOCK / 2, 1 above; an odd grid leaves a partial last block
+        x = np.random.default_rng(n).standard_normal(n)
+        grid = np.linspace(-5.0, 5.0, 25)
+        est = mm.kde(x, grid=(grid,))
+        whole = _gauss_columns(grid, x, est.bandwidth[0]).mean(axis=1)
+        assert np.array_equal(est.density, whole)
+
+    @pytest.mark.parametrize("rows", [1, 8, 21, 64, 255, 256])
+    def test_1d_kde_bits_do_not_depend_on_the_block(self, monkeypatch, rows):
+        x = np.random.default_rng(6).standard_normal(3000)
+        grid = np.linspace(-5.0, 5.0, 256)
+        whole = mm.kde(x, grid=(grid,)).density
+        monkeypatch.setattr(uq, "KDE_BLOCK_ELEMENTS", rows * x.size)
+        assert np.array_equal(mm.kde(x, grid=(grid,)).density, whole)
 
 def assert_same_oracles(oracle, expected):
     """Every column of two stacked oracle results agrees bit for bit."""
@@ -128,17 +151,19 @@ class TestPropagateStudy:
             assert np.array_equal(serial.finals(N), parallel.finals(N))
         assert np.array_equal(serial.oracle_minimizers(), parallel.oracle_minimizers())
 
-    def test_more_workers_than_samples(self, logistic, logistic_box):
+    def test_more_workers_than_samples(self, tmp_path, logistic, logistic_box):
         # one block per sample, and the records of the serial study
         args = (logistic, logistic_box, 3, [1, 4], 9)
         serial = mm.propagate_study(*args, workers=1)
         parallel = mm.propagate_study(*args, workers=4)
         assert parallel.counters["march_blocks"] == 3
-        assert parallel.to_dict() == serial.to_dict()
+        assert rendered(parallel, tmp_path) == rendered(serial, tmp_path)
         assert_same_oracles(parallel.oracle, serial.oracle)
 
     @pytest.mark.parametrize("name", ["logistic1d", "fragile"])
-    def test_blocks_do_not_change_records(self, name, logistic, logistic_box, fragile_problem):
+    def test_blocks_do_not_change_records(
+        self, tmp_path, name, logistic, logistic_box, fragile_problem
+    ):
         # one block (1 worker), 2 blocks (2 workers) and two hand-made
         # partitions all give the same finals, statuses and oracles; the
         # fragile box has aborted marches and unconverged oracles
@@ -154,8 +179,8 @@ class TestPropagateStudy:
         if name == "fragile":
             assert serial.failure_counts()["march_aborted"][8] > 0
             assert serial.failure_counts()["newton_not_converged"] > 0
-        expected = serial.to_dict()
-        assert parallel.to_dict() == expected
+        expected = rendered(serial, tmp_path)
+        assert rendered(parallel, tmp_path) == expected
         # each block makes one p-row call at the nominal point per step count
         rows = serial.counters["derivative_rows"]
         shared = {"march": rows["march"] + 3 * box.p, "oracle": rows["oracle"]}
@@ -172,7 +197,7 @@ class TestPropagateStudy:
         thetas = box.sample(4, 37)
         for cut in ([0, 1, 37], [0, 20, 29, 37]):
             columns, work = _join_blocks([run(thetas[a:b]) for a, b in zip(cut[:-1], cut[1:])])
-            assert replace(serial, **columns).to_dict() == expected
+            assert rendered(replace(serial, **columns), tmp_path) == expected
             assert_same_oracles(columns["oracle"], serial.oracle)
             blocks = len(cut) - 1
             assert list(work) == [
@@ -309,7 +334,7 @@ def test_study_serialization_roundtrip(tmp_path, logistic, logistic_box):
         np.testing.assert_array_equal(
             getattr(before, stat).slopes, getattr(after, stat).slopes
         )
-    assert loaded.to_dict() == study.to_dict()
+    assert rendered(loaded, tmp_path) == rendered(study, tmp_path)
 
 
 def test_fit_loglog_slope_edge_cases():
