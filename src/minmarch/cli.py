@@ -40,7 +40,7 @@ from .reporting import (
     write_sensitivity_csv,
     write_trajectory_csv,
 )
-from .sensitivity import ParameterLine
+from .sensitivity import ParameterLine, post_optimality_apply
 from .uq import SampleStudy, kde, propagate_study, shared_axis, summary_errors
 
 # Each built-in problem's setup, stated once: the class that builds it
@@ -80,7 +80,8 @@ PROBLEMS: dict[str, dict] = {
 }
 PROBLEM_NAMES = tuple(PROBLEMS)
 
-_BOX_KEYS = {"nominal", "relative", "half_widths"}
+# the keys a box may have, each mapped to a value of the type it takes (see _typed)
+_BOX_KEYS = {"nominal": [0.0], "relative": 0.0, "half_widths": [0.0]}
 
 # a config value must have the JSON type of its default: (default's type,
 # the types a value may have, what the error message asks for)
@@ -140,6 +141,7 @@ def _typed(value, default, key: str):
     """value, checked to have the JSON type of default, as default's Python type.
 
     A bool is neither an integer nor a number, and a string must not be empty.
+    Each entry of a list must have the type of the default's first entry.
     """
     kind, allowed, wanted = next(t for t in _JSON_TYPES if isinstance(default, t[0]))
     try:
@@ -150,6 +152,8 @@ def _typed(value, default, key: str):
         value = kind(value)  # raises ValueError for a string that names no Scheme
     except ValueError:
         raise ConfigError(f"{key} must be {wanted}, got {value!r}") from None
+    if kind is list:
+        value = [_typed(entry, default[0], f"{key} entry") for entry in value]
     if key in _MINIMUM and value < _MINIMUM[key]:
         raise ConfigError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
     return value
@@ -198,7 +202,8 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
                 **{k: _typed(v, options[k], f"problem_options.{k}") for k, v in value.items()},
             }
         elif key == "box":
-            _reject_unknown(value, _BOX_KEYS, "box")
+            _reject_unknown(value, set(_BOX_KEYS), "box")
+            value = {k: _typed(v, _BOX_KEYS[k], f"box.{k}") for k, v in value.items()}
         merged[key] = value
 
     box_cfg = merged["box"]
@@ -216,13 +221,13 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"invalid box: {err}") from err
 
-    N_list = [_typed(N, 1, "N_list entry") for N in merged["N_list"]]
+    N_list = merged["N_list"]
     if not N_list or len(set(N_list)) < len(N_list):
         raise ConfigError(f"N_list must be a non-empty list of distinct step counts, got {N_list}")
     if not merged["fd_step"] > 0:
         raise ConfigError("fd_step must be positive")
 
-    merged.update(box=box, N_list=N_list)
+    merged["box"] = box
     return RunConfig(problem=problem, **merged)
 
 
@@ -450,7 +455,15 @@ def cmd_trajectory(args) -> int:
         MarchConfig(N, cfg.scheme),
     )
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
-    write_sensitivity_csv(os.path.join(out_dir, "sensitivity.csv"), traj)
+    # the RHS at (m_n, theta(t_n)) of each completed step, theta(t_n) by line.at's arithmetic
+    t = traj.times[:-1, None]
+    rhs = post_optimality_apply(
+        problem,
+        traj.states[:-1],
+        line.start + t * line.direction,
+        np.broadcast_to(line.direction, (t.size, line.start.size)),
+    ).result
+    write_sensitivity_csv(os.path.join(out_dir, "sensitivity.csv"), traj, rhs)
 
     manifest = {
         "command": "trajectory",

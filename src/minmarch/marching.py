@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class Trajectory:
     """Iterates of one march from the nominal parameters to a sample.
 
     ``min_eigenvalues[n]`` is the smallest Hessian eigenvalue seen among the
-    stage evaluations of step n, and ``rhs_values[n]`` the right-hand side of
-    its first stage.
+    stage evaluations of step n.
     ``left_basin`` flags any iterate that exited the problem's basin hint;
     marching continues regardless, since the hint is analytical.
     """
@@ -81,7 +80,6 @@ class Trajectory:
     rhs_evals: int
     min_eigenvalues: np.ndarray
     status: MarchStatus
-    rhs_values: np.ndarray = field(repr=False)
     left_basin: bool = False
     failure_time: float | None = None
 
@@ -97,8 +95,8 @@ class BlockMarch:
     ``states`` (N+1, S, d) holds the iterates; from the step where a sample's
     march aborts on, its row repeats the last good state.  ``steps_done``
     counts each sample's completed steps, so an aborted march failed at
-    pseudo-time steps_done / N.  ``min_eigenvalues`` (N, S) and
-    ``rhs_values`` (N, S, d) are NaN past a sample's completed steps.
+    pseudo-time steps_done / N.  ``min_eigenvalues`` (N, S) is NaN past a
+    sample's completed steps.
     ``rhs_evals`` counts the stage evaluations made for each sample.
     """
 
@@ -109,7 +107,6 @@ class BlockMarch:
     rhs_evals: np.ndarray
     min_eigenvalues: np.ndarray
     left_basin: np.ndarray
-    rhs_values: np.ndarray = field(repr=False)
 
     @property
     def finals(self) -> np.ndarray:
@@ -126,7 +123,6 @@ class BlockMarch:
             min_eigenvalues=self.min_eigenvalues[:n, s].copy(),
             status=status,
             left_basin=bool(self.left_basin[s]),
-            rhs_values=self.rhs_values[:n, s].copy(),
             failure_time=None if status is MarchStatus.COMPLETED else n / self.num_steps,
         )
 
@@ -174,7 +170,6 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
     statuses = [MarchStatus.COMPLETED] * S
     rhs_evals = np.zeros(S, dtype=int)
     min_eigs = np.full((N, S), np.nan)
-    rhs_log = np.full((N, S, d), np.nan)
     marching = np.arange(S)  # samples not aborted yet
 
     def abort(rows, status, n):
@@ -219,7 +214,6 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
         rows = marching[live]
         states[n + 1, rows] = m_next[finite]
         min_eigs[n, rows] = step_min[live]
-        rhs_log[n, rows] = ks[0, live]
         marching = rows
 
     return BlockMarch(
@@ -230,7 +224,6 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
         rhs_evals=rhs_evals,
         min_eigenvalues=min_eigs,
         left_basin=~problem.in_basin(states),
-        rhs_values=rhs_log,
     )
 
 

@@ -72,7 +72,7 @@ class AdvectionDiffusionModel:
     ``source``, ``_bands`` and the ``_dA_*`` kernels also serve S points at
     once: their coefficients are then (S, 1) columns instead of floats, and
     ``source`` returns (S, n+1).  The kernels always act on a stack of
-    vectors, (S, n+1, k); the public ``apply_dA_*`` call them at one point.
+    vectors, (S, n+1, k), a single point's included.
     """
 
     grid_cells: int = 200

@@ -52,7 +52,10 @@ class Problem(abc.ABC):
     BvpSolveError where the objective is not finite.  All but the last two
     are S = 1 calls without directions; ``mixed`` and ``hessian_and_mixed``
     get the full B from one p-row call with the directions eye(p) (see
-    ``derivatives_at``).
+    ``derivatives_at``).  No code in this package calls ``objective_gradient``
+    or ``hessian_and_mixed``; they stay for the benchmark under
+    ``perfbench/``, whose correctness check calls ``objective_gradient`` and
+    ``hessian`` and whose tracer wraps them by name.
 
     ``basin_hint``, when set, is an open box in decision space inside which
     the minimizer is assumed unique for all admissible parameters; it is

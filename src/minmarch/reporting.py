@@ -123,12 +123,10 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     _write_csv(path, header, [_FLOAT] * (d + 2), [traj.times, *traj.states.T, eigs])
 
 
-def write_sensitivity_csv(path, traj: Trajectory) -> None:
-    """Per-step right-hand side of a march."""
-    d = traj.states.shape[1]
+def write_sensitivity_csv(path, traj: Trajectory, rhs) -> None:
+    """Per-step right-hand side of a march: row n of rhs (n, d) is step n's."""
+    n, d = rhs.shape
     header = ["sample_index", "step", "t", "f_norm"] + [f"f_{j + 1}" for j in range(d)]
-    n = len(traj.rhs_values)
-    rhs = np.reshape(traj.rhs_values, (n, d))
     columns = [np.zeros(n, int), np.arange(n), traj.times[:n], [np.linalg.norm(f) for f in rhs]]
     _write_csv(path, header, ["%d", "%d"] + [_FLOAT] * (d + 2), [*columns, *rhs.T])
 
@@ -169,11 +167,6 @@ def save_study(path, study: SampleStudy) -> None:
     # dataclasses render as to_json_dict's dicts, the scheme (a str) as its value
     head = json.dumps(head, default=to_json_dict)
     _write_rows(path, head[:-2], record, columns, _json_cells, ", ", "]}")
-
-
-def load_study(path) -> SampleStudy:
-    with open(path) as fh:
-        return SampleStudy.from_dict(json.load(fh))
 
 
 def write_manifest(path, manifest: dict) -> None:

@@ -76,40 +76,6 @@ class SampleStudy:
         not_converged = int((~self.oracle.converged).sum()) if self.with_oracle else 0
         return {"march_aborted": aborted, "newton_not_converged": not_converged}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SampleStudy":
-        records, N_list = data["records"], [int(N) for N in data["N_list"]]
-        nominal = SolveResult(**data["nominal"])
-        nominal.minimizer = np.asarray(nominal.minimizer, dtype=float)
-        box = ParameterBox(**data["box"])
-        shape = (len(N_list), len(records))
-        outcomes = _columns(
-            [rec["outcomes"][str(N)] for N in N_list for rec in records],
-            ("final_state", "status", "left_basin"),
-        )
-        oracle = None
-        if data["with_oracle"]:
-            oracle = SolveResult(**_columns([rec["oracle"] for rec in records], _ORACLE_COLUMNS))
-        return cls(
-            box=box,
-            seed=data["seed"],
-            num_samples=data["num_samples"],
-            N_list=N_list,
-            scheme=Scheme(data["scheme"]),
-            newton_config=NewtonConfig(**data["newton_config"]),
-            nominal=nominal,
-            theta=np.array([rec["theta"] for rec in records], dtype=float).reshape(-1, box.p),
-            march_finals=outcomes["final_state"].reshape(*shape, nominal.minimizer.size),
-            march_status=outcomes["status"].reshape(shape),
-            left_basin=outcomes["left_basin"].reshape(shape),
-            oracle=oracle,
-        )
-
-
-def _columns(rows: list[dict], keys) -> dict[str, np.ndarray]:
-    """One array per key, stacking that key's value over the rows."""
-    return {key: np.array([row[key] for row in rows]) for key in keys}
-
 
 class _RowCounter:
     """A problem whose ``derivatives`` calls are tallied by the rows they pass."""
@@ -295,7 +261,7 @@ def shared_axis(columns, dimension: int, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-def _gauss_columns(grid: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+def _gauss_kernels(grid: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     # (grid, samples) matrix of scaled kernels
     z = (grid[:, None] - x[None, :]) / h
     return np.exp(-0.5 * z**2) / (h * np.sqrt(2.0 * np.pi))
@@ -343,10 +309,10 @@ def kde(
         axis, rows = axes[0], max(1, KDE_BLOCK_ELEMENTS // n)
         density = np.empty(axis.size)
         for a in range(0, axis.size, rows):
-            density[a : a + rows] = _gauss_columns(axis[a : a + rows], values[:, 0], bw[0]).mean(1)
+            density[a : a + rows] = _gauss_kernels(axis[a : a + rows], values[:, 0], bw[0]).mean(1)
     else:
-        kx = _gauss_columns(axes[0], values[:, 0], bw[0])
-        ky = _gauss_columns(axes[1], values[:, 1], bw[1])
+        kx = _gauss_kernels(axes[0], values[:, 0], bw[0])
+        ky = _gauss_kernels(axes[1], values[:, 1], bw[1])
         density = (kx @ ky.T) / n
     return DensityEstimate(d, axes, density, bw)
 

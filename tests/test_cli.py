@@ -205,7 +205,11 @@ class TestStudy:
             ("fd_step", "1e-6"),
             ("output_dir", ["a"]),
             ("N_list", [4, 4]),
+            ("N_list", [1, 2.5]),
             ("scheme", "leapfrog"),
+            ("box", {"nominal": [1.0, 3.0, 0.1], "relative": True}),
+            ("box", {"nominal": [True, 3, 0.1], "relative": 0.4}),
+            ("box", {"nominal": [1.0, 3.0, 0.1], "half_widths": [0.1, "x", 0.01]}),
         ],
     )
     def test_config_value_of_wrong_type_rejected(
@@ -226,7 +230,14 @@ class TestStudy:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("grid_cells", 64.7), ("noise_seed", 1.9), ("beta", "1e-3"), ("m_true", 0.05)],
+        [
+            ("grid_cells", 64.7),
+            ("noise_seed", 1.9),
+            ("beta", "1e-3"),
+            ("m_true", 0.05),
+            ("m_true", [True, 0.4]),
+            ("m_prior", [0.06, "x"]),
+        ],
     )
     def test_advdiff_option_of_wrong_type_rejected(
         self, tmp_path, monkeypatch, capsys, key, value
@@ -415,6 +426,48 @@ class TestTrajectory:
         assert len(values) == 1
         sens = read_csv(out / "sensitivity.csv")
         assert all(float(r["f_norm"]) == 0.0 for r in sens)
+
+    @pytest.mark.parametrize(
+        "problem,theta,N",
+        [
+            ("logistic1d", "1.2,2.6,0.12", 16),
+            ("quadratic", "0.55", 4),
+            ("advdiff", "11,0.055,0.9", 20),
+        ],
+    )
+    def test_sensitivity_rows_are_the_euler_increments(self, tmp_path, problem, theta, N):
+        """Forward Euler steps m_{n+1} = m_n + h f_n with the f_n of sensitivity.csv.
+
+        Bit for bit, except at advdiff's step 0: the march takes it from the
+        full B at the nominal point, sensitivity.csv from the directional b.
+        """
+        out = tmp_path / problem
+        argv = ["trajectory", "--problem", problem, "--theta", theta, "--steps", str(N)]
+        assert run(argv + ["--out", str(out)]) == 0
+        traj, sens = read_csv(out / "trajectory.csv"), read_csv(out / "sensitivity.csv")
+        d = len(traj[0]) - 2
+        m = np.array([[float(row[f"m_{j + 1}"]) for j in range(d)] for row in traj])
+        f = np.array([[float(row[f"f_{j + 1}"]) for j in range(d)] for row in sens])
+        assert len(m) == N + 1 and len(f) == N
+        stepped = m[:-1] + (1.0 / N) * f
+        first = 1 if problem == "advdiff" else 0
+        assert np.array_equal(m[1 + first :], stepped[first:])
+        np.testing.assert_allclose(m[1], stepped[0], rtol=1e-12, atol=0.0)
+
+    def test_step_zero_abort_writes_header_only_sensitivity(
+        self, tmp_path, monkeypatch, fragile_problem
+    ):
+        # Heun's second stage at theta = -1 meets an indefinite Hessian
+        monkeypatch.setattr("minmarch.cli.build_problem", lambda cfg: fragile_problem)
+        cfg = tmp_path / "fragile.json"
+        box = {"nominal": [1.0], "half_widths": [2.5]}
+        cfg.write_text(json.dumps({"problem": "quadratic", "box": box}))
+        out = tmp_path / "aborted"
+        argv = ["trajectory", "--config", str(cfg), "--theta", "-1.0", "--steps", "1"]
+        assert run(argv + ["--scheme", "heun", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "aborted_indefinite"
+        assert len(read_csv(out / "trajectory.csv")) == 1
+        assert (out / "sensitivity.csv").read_text() == "sample_index,step,t,f_norm,f_1\n"
 
     def test_cubic_lands_on_second_parameter(self, tmp_path):
         out = tmp_path / "cubic_traj"

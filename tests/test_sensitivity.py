@@ -94,6 +94,14 @@ class TestPostOptimalityApply:
             )
         assert exc.value.min_eigenvalue < 0.0
 
+    @pytest.mark.parametrize("name", ["quadratic", "double_well", "logistic", "advdiff"])
+    def test_no_rows_give_no_rows(self, request, name):
+        # minmarch trajectory writes an empty sensitivity.csv from these
+        problem = request.getfixturevalue(name)
+        empty = np.empty((0, problem.p))
+        apply = mm.post_optimality_apply(problem, np.empty((0, problem.d)), empty, empty)
+        assert apply.result.shape == (0, problem.d) and apply.definite.shape == (0,)
+
     def test_residual_of_linear_solve(self, logistic, advdiff):
         points = [
             (logistic, np.array([0.9]), THETA_LOGISTIC, np.array([0.2, -0.5, 0.01])),

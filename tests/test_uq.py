@@ -1,3 +1,4 @@
+import csv
 import pickle
 from dataclasses import replace
 from functools import partial
@@ -8,7 +9,8 @@ import pytest
 import minmarch as mm
 from minmarch.marching import MarchConfig, MarchStatus, Scheme
 from minmarch import uq
-from minmarch.uq import _gauss_columns, _join_blocks, _propagate_block
+from minmarch.cli import main
+from minmarch.uq import _gauss_kernels, _join_blocks, _propagate_block
 
 from conftest import THETA_LOGISTIC, rendered
 
@@ -81,7 +83,7 @@ class TestKde:
         x = np.random.default_rng(n).standard_normal(n)
         grid = np.linspace(-5.0, 5.0, 25)
         est = mm.kde(x, grid=(grid,))
-        whole = _gauss_columns(grid, x, est.bandwidth[0]).mean(axis=1)
+        whole = _gauss_kernels(grid, x, est.bandwidth[0]).mean(axis=1)
         assert np.array_equal(est.density, whole)
 
     @pytest.mark.parametrize("rows", [1, 8, 21, 64, 255, 256])
@@ -286,55 +288,36 @@ class TestSummaryErrors:
 
 
 class TestSensitivityLog:
-    """Per-step right-hand sides recorded by a march (the sensitivity log)."""
+    """Per-step right-hand sides that ``minmarch trajectory`` writes to sensitivity.csv."""
 
     @staticmethod
-    def rhs_log(problem, box, theta, N):
-        nominal = mm.solve_nominal(problem, box)
-        line = mm.ParameterLine(box.nominal, theta)
-        return mm.march(problem, nominal.minimizer, line, MarchConfig(N)).rhs_values
+    def rhs_log(directory, problem, theta, N):
+        out = directory / f"{problem}_{N}_{'_'.join(map(str, theta))}"
+        theta = ",".join(str(float(v)) for v in theta)
+        argv = ["trajectory", "--problem", problem, "--theta", theta, "--steps", str(N)]
+        assert main(argv + ["--out", str(out)]) == 0
+        with open(out / "sensitivity.csv") as fh:
+            return np.array([[float(row["f_1"])] for row in csv.DictReader(fh)])
 
-    def test_zero_direction_rows_are_zero(self, logistic):
-        box = mm.ParameterBox(THETA_LOGISTIC, np.zeros(3))
-        rhs = self.rhs_log(logistic, box, THETA_LOGISTIC, 4)
+    def test_zero_direction_rows_are_zero(self, tmp_path):
+        rhs = self.rhs_log(tmp_path, "logistic1d", THETA_LOGISTIC, 4)
         assert rhs.shape == (4, 1)
-        assert np.all(np.linalg.norm(rhs, axis=1) == 0.0)
         np.testing.assert_array_equal(rhs, 0.0)
 
-    def test_quadratic_rows_constant(self, quadratic, quadratic_box):
+    def test_quadratic_rows_constant(self, tmp_path, quadratic_box):
         for theta in quadratic_box.sample(seed=8, count=3):
             dtheta1 = theta[0] - quadratic_box.nominal[0]
-            rhs = self.rhs_log(quadratic, quadratic_box, theta, 4)
+            rhs = self.rhs_log(tmp_path, "quadratic", theta, 4)
             assert rhs.shape == (4, 1)
             for row in rhs:
                 assert row[0] == pytest.approx(dtheta1, rel=1e-13)
 
-    def test_logistic_rows_vary_smoothly(self, logistic, logistic_box):
+    def test_logistic_rows_vary_smoothly(self, tmp_path, logistic_box):
         for theta in logistic_box.sample(seed=8, count=5):
-            f = self.rhs_log(logistic, logistic_box, theta, 16)[:, 0]
-            assert np.all(np.isfinite(f))
+            f = self.rhs_log(tmp_path, "logistic1d", theta, 16)[:, 0]
+            assert f.shape == (16,) and np.all(np.isfinite(f))
             scale = 1.0 + np.max(np.abs(f))
             assert np.max(np.abs(np.diff(f))) <= 0.3 * scale
-
-
-def test_study_serialization_roundtrip(tmp_path, logistic, logistic_box):
-    from minmarch.reporting import load_study, save_study
-
-    study = mm.propagate_study(logistic, logistic_box, 60, [1, 4, 16], seed=3)
-    path = tmp_path / "study.json"
-    save_study(path, study)
-    loaded = load_study(path)
-
-    before = mm.summary_errors(study)
-    after = mm.summary_errors(loaded)
-    for stat in ("mean", "std", "per_sample"):
-        np.testing.assert_array_equal(
-            getattr(before, stat).errors, getattr(after, stat).errors
-        )
-        np.testing.assert_array_equal(
-            getattr(before, stat).slopes, getattr(after, stat).slopes
-        )
-    assert rendered(loaded, tmp_path) == rendered(study, tmp_path)
 
 
 def test_fit_loglog_slope_edge_cases():
