@@ -96,14 +96,15 @@ class BlockMarch:
     march aborts on, its row repeats the last good state.  ``steps_done``
     counts each sample's completed steps, so an aborted march failed at
     pseudo-time steps_done / N.  ``min_eigenvalues`` (N, S) is NaN past a
-    sample's completed steps.
-    ``rhs_evals`` counts the stage evaluations made for each sample.
+    sample's completed steps.  ``statuses`` (S,) holds each march's
+    ``MarchStatus`` value as a string, a row of ``SampleStudy.march_status``,
+    and ``rhs_evals`` the stage evaluations made for each sample.
     """
 
     num_steps: int
     states: np.ndarray
     steps_done: np.ndarray
-    statuses: list[MarchStatus]
+    statuses: np.ndarray
     rhs_evals: np.ndarray
     min_eigenvalues: np.ndarray
     left_basin: np.ndarray
@@ -115,7 +116,7 @@ class BlockMarch:
     def trajectory(self, s: int) -> Trajectory:
         """Sample s's march on its own."""
         n = int(self.steps_done[s])
-        status = self.statuses[s]
+        status = MarchStatus(self.statuses[s])
         return Trajectory(
             times=np.arange(n + 1) / self.num_steps,
             states=self.states[: n + 1, s].copy(),
@@ -147,7 +148,8 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
     first stage of step 0 is at that point, so it is -H0^{-1} B0 dtheta_s
     with one eigendecomposition of H0, and no other evaluation is made
     there; every later stage is one ``post_optimality_apply`` call on the
-    samples still marching.
+    samples still marching, whose states and lines are kept as compact
+    rows, gathered again only in a stage or step where some sample aborts.
     """
     m0 = as_vector(start_minimizer, "start_minimizer")
     value, g, H0, B0 = derivatives_at(problem, m0, lines.start)
@@ -161,60 +163,68 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
     tableau = TABLEAUX[config.scheme]
     N = config.num_steps
     h = 1.0 / N
-    direction = lines.direction
-    S, d = direction.shape[0], m0.size
-    first_stage = apply_inverse_hessian(H0[None], -(B0 @ direction[..., None])[..., 0])
+    S, d = lines.end.shape[0], m0.size
+    first_stage = apply_inverse_hessian(H0[None], -(B0 @ lines.direction[..., None])[..., 0])
     states = np.empty((N + 1, S, d))
     states[0] = m0
     steps_done = np.full(S, N)
-    statuses = [MarchStatus.COMPLETED] * S
-    rhs_evals = np.zeros(S, dtype=int)
+    statuses = np.full(S, MarchStatus.COMPLETED.value)
+    rhs_evals = np.full(S, N * len(tableau.nodes))
     min_eigs = np.full((N, S), np.nan)
-    marching = np.arange(S)  # samples not aborted yet
+    # the samples not aborted yet, as compact rows of states (and of `lines`),
+    # and the stage evaluations made so far for each of them
+    marching, m, evals = np.arange(S), states[0], 0
 
-    def abort(rows, status, n):
-        for s in rows:
-            statuses[s] = status
-        steps_done[rows] = n
+    def abort(failed, status, n):
+        nonlocal statuses
+        rows = marching[failed]
+        if rows.size:
+            # as wide as the longest status present, as np.array(..., dtype=str) makes it
+            dtype = np.promote_types(statuses.dtype, f"U{len(status.value)}")
+            statuses = statuses.astype(dtype, copy=False)
+            statuses[rows] = status.value
+            steps_done[rows], rhs_evals[rows] = n, evals
 
     for n in range(N):
-        states[n + 1] = states[n]
-        m = states[n, marching]
-        ks = np.empty((len(tableau.nodes), marching.size, d))
-        step_min = np.full(marching.size, np.inf)
-        live = np.arange(marching.size)  # positions in `marching` still healthy this step
+        if not marching.size:
+            states[n + 1 :] = states[n]
+            break
+        ks, step_min = [], np.inf
         for i, (c, couplings) in enumerate(zip(tableau.nodes, tableau.couplings)):
-            if not live.size:
-                break
-            rows = marching[live]
-            state = m[live]
+            state = m
             for j, a in couplings:
-                state = state + (a * h) * ks[j, live]
-            if n == i == 0:
-                apply = first_stage
-            else:
-                apply = post_optimality_apply(
-                    problem, state, lines.at((n + c) / N)[rows], direction[rows]
-                )
-            rhs_evals[rows] += 1
-            ks[i, live] = apply.result
-            step_min[live] = np.minimum(step_min[live], apply.hessian_min_eigenvalue)
-            nonfinite = apply.definite & ~np.isfinite(apply.result).all(axis=1)
-            abort(rows[~apply.definite], MarchStatus.ABORTED_INDEFINITE, n)
-            abort(rows[nonfinite], MarchStatus.ABORTED_NONFINITE, n)
-            live = live[apply.definite & ~nonfinite]
+                state = state + (a * h) * ks[j]
+            apply = first_stage if n == i == 0 else post_optimality_apply(
+                problem, state, lines.at((n + c) / N), lines.direction
+            )
+            evals += 1
+            ks.append(apply.result)
+            step_min = np.minimum(step_min, apply.hessian_min_eigenvalue)
+            healthy = apply.definite & np.isfinite(apply.result).all(axis=1)
+            if not healthy.all():
+                abort(~apply.definite, MarchStatus.ABORTED_INDEFINITE, n)
+                abort(apply.definite & ~healthy, MarchStatus.ABORTED_NONFINITE, n)
+                # compact now, so that no aborted row is evaluated again
+                marching, m, step_min = marching[healthy], m[healthy], step_min[healthy]
+                ks = [k[healthy] for k in ks]
+                if not marching.size:
+                    break
+                lines = ParameterLine(lines.start, lines.end[healthy])
 
-        increment = tableau.weights[0] * ks[0, live]
+        increment = tableau.weights[0] * ks[0]
         for w, k in zip(tableau.weights[1:], ks[1:]):
-            increment = increment + w * k[live]
-        m_next = m[live] + h * (increment / tableau.denominator)
-        finite = np.isfinite(m_next).all(axis=1)
-        abort(marching[live[~finite]], MarchStatus.ABORTED_NONFINITE, n)
-        live = live[finite]
-        rows = marching[live]
-        states[n + 1, rows] = m_next[finite]
-        min_eigs[n, rows] = step_min[live]
-        marching = rows
+            increment = increment + w * k
+        m = m + h * (increment / tableau.denominator)
+        finite = np.isfinite(m).all(axis=1)
+        if not finite.all():
+            abort(~finite, MarchStatus.ABORTED_NONFINITE, n)
+            marching, m, step_min = marching[finite], m[finite], step_min[finite]
+            if marching.size:
+                lines = ParameterLine(lines.start, lines.end[finite])
+        # aborted samples keep their last good state
+        states[n + 1] = states[n]
+        states[n + 1, marching] = m
+        min_eigs[n, marching] = step_min
 
     return BlockMarch(
         num_steps=N,

@@ -321,9 +321,10 @@ class AdvDiffInverseProblem(Problem):
         at a time.  If a stacked solve meets a zero pivot, its rows are
         solved one at a time, so that only the singular row is left out.
         """
-        M = np.asarray(M, dtype=float)
-        Theta = np.asarray(Theta, dtype=float)
-        directions = [] if dTheta is None else [np.asarray(dTheta, dtype=float)]
+        # contiguous, so that a slice of rows has the layout of a gathered copy
+        M = np.ascontiguousarray(M, dtype=float)
+        Theta = np.ascontiguousarray(Theta, dtype=float)
+        directions = [] if dTheta is None else [np.ascontiguousarray(dTheta, dtype=float)]
         outs = [np.full((M.shape[0],) + shape, fill) for shape, fill in fills]
         with np.errstate(all="ignore"):
             bands = self.model._bands(M[:, :1], M[:, 1:], Theta[:, 2:])
@@ -340,7 +341,8 @@ class AdvDiffInverseProblem(Problem):
         for start in range(0, solvable.size, STACK_ROWS):
             rows = solvable[start : start + STACK_ROWS]
             try:
-                fill(rows)
+                # views, not copies, when every row is solvable
+                fill(slice(start, start + rows.size) if solvable.size == len(M) else rows)
             except BvpSolveError:
                 for s in rows:
                     try:

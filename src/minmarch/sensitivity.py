@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,11 +18,14 @@ class ParameterLine:
     """Straight segments from a nominal parameter vector to sampled ones.
 
     ``end`` is one sampled vector (p,) or a stack of them (S, p), one segment
-    per row, all starting at ``start``.
+    per row, all starting at ``start``.  ``direction`` = end - start is
+    computed once, and ``at`` adds it to the start repeated in end's shape.
     """
 
     start: np.ndarray
     end: np.ndarray
+    direction: np.ndarray = field(init=False, repr=False)
+    _start_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         start = as_vector(self.start, "start")
@@ -35,20 +38,18 @@ class ParameterLine:
             raise ValueError("start and end must have the same length")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
-
-    @property
-    def direction(self) -> np.ndarray:
-        return self.end - self.start
+        object.__setattr__(self, "direction", end - start)
+        object.__setattr__(self, "_start_rows", np.broadcast_to(start, end.shape).copy())
 
     def at(self, t: float) -> np.ndarray:
         """Point on each segment at pseudo-time t; endpoints are returned exactly."""
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t={t!r} outside [0, 1]")
         if t == 0.0:
-            return np.broadcast_to(self.start, self.end.shape).copy()
+            return self._start_rows.copy()
         if t == 1.0:
             return self.end.copy()
-        return self.start + t * (self.end - self.start)
+        return self._start_rows + t * self.direction
 
 
 @dataclass(frozen=True)

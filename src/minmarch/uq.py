@@ -28,12 +28,12 @@ class SampleStudy:
     Sample s is row s of ``theta`` (S, p) and of every column.  Per step
     count, in ``N_list`` order, ``march_finals`` (len(N_list), S, d) holds
     the last good state of each march, ``march_status`` (len(N_list), S) its
-    ``MarchStatus`` value as a string and ``left_basin`` whether an iterate
-    left the problem's basin hint; compare statuses with
-    ``MarchStatus.COMPLETED.value``, since numpy renders a member by its
-    name.  ``oracle`` is the Newton re-solve of every sample as one stacked
-    ``SolveResult`` (see ``newton_solve_block``), or None for a study run
-    without the oracle.
+    ``MarchStatus`` value as a string (``BlockMarch.statuses``) and
+    ``left_basin`` whether an iterate left the problem's basin hint; compare
+    statuses with ``MarchStatus.COMPLETED.value``, since numpy renders a
+    member by its name.  ``oracle`` is the Newton re-solve of every sample
+    as one stacked ``SolveResult`` (see ``newton_solve_block``), or None for
+    a study run without the oracle.
     """
 
     box: ParameterBox
@@ -112,14 +112,14 @@ def _propagate_block(
         rhs_evals += int(block.rhs_evals.sum())
         # a copy, so that the block's iterates are freed before the next step count
         finals.append(block.finals.copy())
-        statuses.append([status.value for status in block.statuses])
+        statuses.append(block.statuses)
         left_basin.append(block.left_basin)
     oracle_problem = _RowCounter(problem)
     oracle = (
         newton_solve_block(oracle_problem, thetas, start, newton_config) if with_oracle else None
     )
     work = (rhs_evals, march_problem.rows, oracle_problem.rows)
-    return np.array(finals), np.array(statuses, dtype=str), np.array(left_basin), oracle, work
+    return np.array(finals), np.array(statuses), np.array(left_basin), oracle, work
 
 
 def _join_blocks(blocks) -> tuple[dict, tuple]:

@@ -295,7 +295,7 @@ def test_block_march_equals_single_marches(
             single = mm.march(problem, start, ParameterLine(box.nominal, theta), config)
             _assert_same_march(block.trajectory(s), single)
             assert np.array_equal(block.finals[s], single.final_state)
-            assert block.statuses[s] is single.status
+            assert block.statuses[s] == single.status.value
             assert block.left_basin[s] == single.left_basin
 
 
@@ -387,8 +387,10 @@ def test_block_row_solver_failure_aborts_only_that_row():
     ends = np.array([[0.5], [3.0], [1.4]])
     config = MarchConfig(8)
     block = march_block(problem, start, ParameterLine(theta_bar, ends), config)
-    assert block.statuses == [
-        MarchStatus.COMPLETED, MarchStatus.ABORTED_NONFINITE, MarchStatus.COMPLETED
+    assert block.statuses.tolist() == [
+        MarchStatus.COMPLETED.value,
+        MarchStatus.ABORTED_NONFINITE.value,
+        MarchStatus.COMPLETED.value,
     ]
     assert block.trajectory(1).failure_time == 3 / 8
     np.testing.assert_allclose(block.finals[[0, 2]], [[0.5, 0.5], [1.4, 1.4]], rtol=1e-14)
@@ -400,7 +402,7 @@ def test_block_row_solver_failure_aborts_only_that_row():
 
 
 class _Recording(mm.Problem):
-    """A problem that records the rows of every ``derivatives`` call."""
+    """A problem that records the rows and directions of every ``derivatives`` call."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -411,7 +413,7 @@ class _Recording(mm.Problem):
         return self.problem.values(M, Theta)
 
     def derivatives(self, M, Theta, dTheta=None):
-        self.calls.append((M.copy(), Theta.copy()))
+        self.calls.append((M.copy(), Theta.copy(), None if dTheta is None else dTheta.copy()))
         return self.problem.derivatives(M, Theta, dTheta)
 
 
@@ -427,17 +429,68 @@ def test_block_march_evaluates_its_start_once(
     recording = _Recording(problem)
     N = 3
     block = march_block(recording, start, lines, MarchConfig(N, scheme))
-    assert all(status is MarchStatus.COMPLETED for status in block.statuses)
+    assert (block.statuses == MarchStatus.COMPLETED.value).all()
     at_start = [
         np.all((M == start) & (Theta == box.nominal).all(axis=1, keepdims=True), axis=1)
-        for M, Theta in recording.calls
+        for M, Theta, _ in recording.calls
     ]
     assert at_start[0].tolist() == [True] * box.p
     assert not any(rows.any() for rows in at_start[1:])
     # every stage evaluates every sample once, except the shared first one
     stages = len(TABLEAUX[scheme].nodes)
     assert block.rhs_evals.tolist() == [stages * N] * 6
-    assert sum(len(M) for M, _ in recording.calls) == box.p + 6 * (stages * N - 1)
+    assert sum(len(M) for M, _, _ in recording.calls) == box.p + 6 * (stages * N - 1)
+
+
+def _record_fragile_march(scheme):
+    """A block of _FragileWithPole marches, N = 8, whose rows abort at different stages.
+
+    theta_1(t) = 1 + t (end - 1): the ends 0.5 and 1.5 stay healthy, the
+    negative ends cross zero at t = 0.25, 0.5, 0.625 and 2 / 7 (between the
+    nodes 2 / 8 and 2.5 / 8, so RK4 aborts that row in the middle of a step),
+    and the ends 4 and 3.5 reach the pole at t = 1 / 3 and 0.4.
+    """
+    recording = _Recording(_FragileWithPole())
+    ends = np.array([[0.5], [-3.0], [-1.0], [4.0], [1.5], [-0.6], [-2.5], [3.5]])
+    lines = ParameterLine(np.array([1.0]), ends)
+    block = march_block(recording, np.array([0.0]), lines, MarchConfig(8, scheme))
+    return recording, lines, block
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_compact_march_passes_the_stage_parameters_of_the_rows_marching(scheme):
+    # a row marches on while every stage so far saw theta_1 in (0, 2), where
+    # the problem is healthy; each later call gets exactly its stage point
+    # and direction, and at t = 1 the sampled end itself
+    recording, lines, block = _record_fragile_march(scheme)
+    N = block.num_steps
+    marching = np.ones(len(lines.end), dtype=bool)
+    calls = iter(recording.calls[1:])  # after the p-row call at the start
+    for n in range(N):
+        for i, c in enumerate(TABLEAUX[scheme].nodes):
+            theta = lines.at((n + c) / N)
+            if (n, i) != (0, 0) and marching.any():
+                _, Theta, dTheta = next(calls)
+                assert np.array_equal(Theta, theta[marching])
+                assert np.array_equal(dTheta, lines.direction[marching])
+                if n + c == N:
+                    assert np.array_equal(Theta, lines.end[marching])
+            marching &= (theta[:, 0] > 0.0) & (theta[:, 0] < 2.0)
+    assert next(calls, None) is None
+    assert [block.trajectory(s).status is MarchStatus.COMPLETED for s in range(8)] == (
+        [True, False, False, False, True, False, False, False]
+    )
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_derivative_rows_under_aborts(scheme):
+    # the propagate_study identity with one block and one step count: every
+    # counted stage evaluation is one row passed, but for the S shared first
+    # stages, which cost one p-row call; so no row is evaluated after it aborts
+    recording, lines, block = _record_fragile_march(scheme)
+    S, p = lines.end.shape
+    rows = sum(len(M) for M, _, _ in recording.calls)
+    assert rows == block.rhs_evals.sum() - S + p
 
 
 @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])

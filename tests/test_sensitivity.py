@@ -19,6 +19,17 @@ class TestParameterLine:
         line = ParameterLine(np.array([1.0, 3.0, 0.1]), np.array([1.4, 2.4, 0.12]))
         np.testing.assert_allclose(line.at(0.5), [1.2, 2.7, 0.11], rtol=1e-15)
 
+    def test_stacked_points_are_the_segment_formula_bit_for_bit(self):
+        start = np.array([1.0, 3.0, 0.1])
+        end = start * (1.0 + 0.4 * np.random.default_rng(4).uniform(-1.0, 1.0, (50, 3)))
+        line = ParameterLine(start, end)
+        assert np.array_equal(line.direction, end - start)
+        for t in (0.0, 0.125, 1 / 3, 0.5, 0.9, 1.0):
+            point = line.at(t)
+            assert point.flags.c_contiguous
+            expected = {0.0: np.tile(start, (50, 1)), 1.0: end}.get(t, start + t * (end - start))
+            assert np.array_equal(point, expected)
+
     def test_rejects_t_outside_unit_interval(self):
         line = ParameterLine(np.array([0.0]), np.array([1.0]))
         for t in (-0.1, 1.1, 2.0):
