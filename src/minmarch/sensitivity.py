@@ -116,7 +116,9 @@ def apply_inverse_hessian(H, rhs) -> SensitivityApply:
         if H.shape[1] == 1:
             # NaN for a non-finite H, as in the eigh branch: +inf would give a
             # zero result and -inf a negative eigenvalue
-            H = np.where(np.isfinite(H), H, np.nan)
+            finite = np.isfinite(H)
+            if not finite.all():
+                H = np.where(finite, H, np.nan)
             min_eig = H[:, 0, 0]
             indefinite = min_eig <= 0.0
             result = rhs / H[:, 0]
@@ -133,5 +135,6 @@ def apply_inverse_hessian(H, rhs) -> SensitivityApply:
             )
             coords = (vecs.swapaxes(1, 2) @ rhs[..., None])[..., 0] / evals
             result = (vecs @ coords[..., None])[..., 0]
-    min_eig, indefinite = (np.broadcast_to(x, shape) for x in (min_eig, indefinite))
+    if len(H) != len(rhs):  # one Hessian shared by every row
+        min_eig, indefinite = (np.broadcast_to(x, shape) for x in (min_eig, indefinite))
     return SensitivityApply(result, min_eig, ~indefinite)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import pickle
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -138,6 +139,47 @@ def _join_blocks(blocks) -> tuple[dict, tuple]:
     return columns, tuple(map(sum, zip(*work)))
 
 
+def _run_child(payload: bytes, thetas, sender) -> None:
+    """A block's worker process: sends the block's result, or the exception it raised."""
+    try:
+        sender.send(pickle.loads(payload)(thetas))
+    except Exception as exc:
+        sender.send(exc)
+
+
+def _run_blocks(run, tasks) -> list:
+    """``run`` of each block: the first in this process, each other one in a child process.
+
+    ``run`` reaches each child pickled, under every start method.  A child's
+    exception is raised here, and no child outlives the call.
+    """
+    payload, children = pickle.dumps(run), []
+    try:
+        for thetas in tasks[1:]:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            args = (payload, thetas, sender)
+            child = multiprocessing.Process(target=_run_child, args=args, daemon=True)
+            child.start()
+            children.append((child, receiver))
+            sender.close()
+        results = [run(tasks[0])]
+        for child, receiver in children:
+            # receive before joining: a result larger than the pipe buffer blocks its sender
+            try:
+                value = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a block worker exited with code {child.exitcode}") from None
+            if isinstance(value, BaseException):
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for child, _ in children:
+            child.terminate()
+            child.join()
+
+
 def propagate_study(
     problem,
     box: ParameterBox,
@@ -155,16 +197,16 @@ def propagate_study(
     count in ``N_list``; with ``with_oracle`` each sample is also re-solved by
     Newton as ground truth, warm-started from the nominal minimizer.
     Samples are taken in ``min(workers, num_samples)`` contiguous blocks of
-    near-equal size.  A single block runs in this process; more blocks are
-    each one task of a pool with one process per block.  Each block is
-    marched in lockstep once per step count (``march_block``) and re-solved
-    in lockstep once (``newton_solve_block``), and returns its results as
-    arrays; the study's columns are their concatenation in sample order.  A
-    sample's march and re-solve do not depend on its block, so the output
-    is independent of the worker count and of scheduling.  Each pool task
+    near-equal size.  This process marches the first block, and each other
+    block runs meanwhile in a process of its own.  Each block is marched in
+    lockstep once per step count (``march_block``) and re-solved in lockstep
+    once (``newton_solve_block``), and returns its results as arrays; the
+    study's columns are their concatenation in sample order.  A sample's
+    march and re-solve do not depend on its block, so the output is
+    independent of the worker count and of scheduling.  Each worker process
     receives the problem and the block's other arguments pickled, whatever
     the platform's start method, so with more than one block the problem
-    must pickle.
+    must pickle.  An exception in a worker is raised here.
     ``SampleStudy.counters`` reports the RHS evaluations (stage evaluations
     summed over samples and step counts), the number of sample blocks, the
     total oracle iterations and ``derivative_rows``, the rows passed to
@@ -193,12 +235,7 @@ def propagate_study(
     )
     bounds = [num_samples * k // workers for k in range(workers + 1)]
     tasks = [thetas[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(tasks) == 1:
-        results = [run(tasks[0])]
-    else:
-        with multiprocessing.Pool(len(tasks)) as pool:
-            results = pool.map(run, tasks, chunksize=1)
-
+    results = _run_blocks(run, tasks) if len(tasks) > 1 else [run(tasks[0])]
     columns, (rhs_evals, march_rows, oracle_rows) = _join_blocks(results)
     oracle = columns["oracle"]
     counters = {

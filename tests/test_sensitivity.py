@@ -229,3 +229,26 @@ def test_nonfinite_hessian_gives_nan_for_every_d(d, value):
     assert np.isnan(apply.hessian_min_eigenvalue[0])
     assert np.array_equal(apply.result[1], np.ones(d))
     assert apply.hessian_min_eigenvalue[1] == 1.0
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["stacked", "shared"])
+def test_1d_kernel_is_the_nan_mapped_division_bit_for_bit(shared):
+    """d = 1 rows of finite, NaN and +-inf Hessians: result rhs / H, eigenvalue H,
+    with every non-finite H read as NaN, so such a row is NaN but not indefinite."""
+    rng = np.random.default_rng(11)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0])
+    for _ in range(50):
+        S = int(rng.integers(1, 40))
+        H = rng.normal(size=(1 if shared else S, 1, 1))
+        mix = rng.random(H.shape) < rng.random()
+        H[mix] = rng.choice(special, size=int(mix.sum()))
+        rhs = rng.normal(size=(S, 1))
+        apply = apply_inverse_hessian(H, rhs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mapped = np.broadcast_to(np.where(np.isfinite(H), H, np.nan), (S, 1, 1))
+            expected = (rhs / mapped[:, 0], mapped[:, 0, 0], ~(mapped[:, 0, 0] <= 0.0))
+        for got, want in zip(
+            (apply.result, apply.hessian_min_eigenvalue, apply.definite), expected, strict=True
+        ):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)

@@ -1,5 +1,10 @@
 import csv
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 from functools import partial
 
@@ -15,6 +20,70 @@ from minmarch.uq import _gauss_kernels, _join_blocks, _propagate_block
 from conftest import THETA_LOGISTIC, rendered
 
 BLOCK = uq.KDE_BLOCK_ELEMENTS
+
+
+class FailsInChild(mm.LogisticWellProblem):
+    """Logistic well whose ``derivatives`` fails in a block's worker process only."""
+
+    def derivatives(self, M, Theta, dTheta=None):
+        if multiprocessing.parent_process() is not None:
+            raise ValueError("derivatives failed in a worker")
+        return super().derivatives(M, Theta, dTheta)
+
+
+class DiesInChild(mm.LogisticWellProblem):
+    """Logistic well whose ``derivatives`` ends a block's worker process without a result."""
+
+    def derivatives(self, M, Theta, dTheta=None):
+        if multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return super().derivatives(M, Theta, dTheta)
+
+
+class InterruptedInCaller(mm.LogisticWellProblem):
+    """Logistic well interrupted while the calling process marches its block.
+
+    The nominal solve passes single rows and goes through; a stacked call of
+    the calling process raises KeyboardInterrupt, as Ctrl-C would.
+    """
+
+    def derivatives(self, M, Theta, dTheta=None):
+        if len(M) > 3 and multiprocessing.parent_process() is None:
+            raise KeyboardInterrupt
+        return super().derivatives(M, Theta, dTheta)
+
+
+class Unpicklable(mm.LogisticWellProblem):
+    """Logistic well holding a lock, which does not pickle."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+
+
+# run as a file in a fresh interpreter: spawned children re-import the main module
+SPAWN_SCRIPT = """\
+import multiprocessing
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import minmarch as mm
+from minmarch.reporting import save_study, write_samples_csv
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn", force=True)
+    out = Path(sys.argv[1])
+    problem = mm.LogisticWellProblem()
+    box = mm.ParameterBox.relative(np.array([1.0, 3.0, 0.1]), 0.40)
+    for workers in (1, 3):
+        study = mm.propagate_study(problem, box, 40, [1, 4], seed=5, workers=workers)
+        assert study.counters["march_blocks"] == workers
+        save_study(out / f"study-w{workers}.json", study)
+        write_samples_csv(out / f"samples-w{workers}.csv", study)
+    assert multiprocessing.get_start_method() == "spawn"
+    assert not multiprocessing.active_children()
+"""
 
 
 class TestKde:
@@ -166,30 +235,33 @@ class TestPropagateStudy:
     def test_blocks_do_not_change_records(
         self, tmp_path, name, logistic, logistic_box, fragile_problem
     ):
-        # one block (1 worker), 2 blocks (2 workers) and two hand-made
-        # partitions all give the same finals, statuses and oracles; the
-        # fragile box has aborted marches and unconverged oracles
+        # one block (1 worker), 2 and 3 blocks (the caller and one or two
+        # worker processes) and two hand-made partitions all give the same
+        # finals, statuses and oracles; the fragile box has aborted marches
+        # and unconverged oracles
         problem, box = {
             "logistic1d": (logistic, logistic_box),
             "fragile": (fragile_problem, mm.ParameterBox(np.array([1.0]), np.array([1.5]))),
         }[name]
         args = (problem, box, 37, [1, 3, 8], 4)
         serial = mm.propagate_study(*args, scheme=Scheme.HEUN, workers=1)
-        parallel = mm.propagate_study(*args, scheme=Scheme.HEUN, workers=2)
         assert serial.counters["march_blocks"] == 1
-        assert parallel.counters["march_blocks"] == 2
         if name == "fragile":
             assert serial.failure_counts()["march_aborted"][8] > 0
             assert serial.failure_counts()["newton_not_converged"] > 0
         expected = rendered(serial, tmp_path)
-        assert rendered(parallel, tmp_path) == expected
-        # each block makes one p-row call at the nominal point per step count
         rows = serial.counters["derivative_rows"]
-        shared = {"march": rows["march"] + 3 * box.p, "oracle": rows["oracle"]}
-        assert {**parallel.counters, "march_blocks": 1} == {
-            **serial.counters, "derivative_rows": shared
-        }
-        assert_same_oracles(parallel.oracle, serial.oracle)
+        for workers in (2, 3):
+            parallel = mm.propagate_study(*args, scheme=Scheme.HEUN, workers=workers)
+            assert not multiprocessing.active_children()
+            assert parallel.counters["march_blocks"] == workers
+            assert rendered(parallel, tmp_path) == expected
+            # each block makes one p-row call at the nominal point per step count
+            shared = {"march": rows["march"] + 3 * box.p * (workers - 1), "oracle": rows["oracle"]}
+            assert {**parallel.counters, "march_blocks": 1} == {
+                **serial.counters, "derivative_rows": shared
+            }
+            assert_same_oracles(parallel.oracle, serial.oracle)
 
         run = partial(
             _propagate_block,
@@ -213,7 +285,7 @@ class TestPropagateStudy:
         self, name, quadratic, double_well, logistic, advdiff,
         quadratic_box, cubic_box, logistic_box, advdiff_box,
     ):
-        # every pool task receives the bound block runner pickled
+        # every worker process receives the bound block runner pickled
         problem, box = {
             "quadratic": (quadratic, quadratic_box),
             "cubic": (double_well, cubic_box),
@@ -234,6 +306,49 @@ class TestPropagateStudy:
             assert np.array_equal(column_a, column_b)
         assert_same_oracles(a[3], b[3])
         assert a[4] == b[4]
+
+    def test_worker_exception_is_raised_in_the_caller(self, logistic_box):
+        # the caller marches block 0 fine; the two children raise
+        with pytest.raises(ValueError, match="^derivatives failed in a worker$"):
+            mm.propagate_study(FailsInChild(), logistic_box, 30, [1, 4], seed=9, workers=3)
+        assert not multiprocessing.active_children()
+
+    def test_worker_that_dies_names_its_exit_code(self, logistic_box):
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            mm.propagate_study(DiesInChild(), logistic_box, 30, [1, 4], seed=9, workers=2)
+        assert not multiprocessing.active_children()
+
+    def test_interrupt_in_the_callers_block_stops_every_worker(self, logistic_box):
+        with pytest.raises(KeyboardInterrupt):
+            mm.propagate_study(
+                InterruptedInCaller(), logistic_box, 30, [1, 4], seed=9, workers=3
+            )
+        assert not multiprocessing.active_children()
+
+    def test_blocks_reach_workers_pickled(self, logistic_box):
+        # also under fork, where a child could inherit the problem unpickled
+        problem = Unpicklable()
+        with pytest.raises(TypeError, match="pickle"):
+            mm.propagate_study(problem, logistic_box, 30, [1, 4], seed=9, workers=2)
+        assert not multiprocessing.active_children()
+        study = mm.propagate_study(problem, logistic_box, 30, [1, 4], seed=9, workers=1)
+        assert study.failure_counts()["march_aborted"] == {1: 0, 4: 0}
+
+    def test_spawned_workers_give_the_serial_records(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(mm.__file__))
+        script = tmp_path / "spawn_study.py"
+        script.write_text(SPAWN_SCRIPT)
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run(
+            [sys.executable, str(script), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        for name in ("study-w{}.json", "samples-w{}.csv"):
+            assert (tmp_path / name.format(3)).read_bytes() == (
+                tmp_path / name.format(1)
+            ).read_bytes()
 
     def test_bad_n_list(self, logistic, logistic_box):
         with pytest.raises(ValueError):

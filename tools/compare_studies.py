@@ -8,7 +8,8 @@ Each command runs in a fresh interpreter with ``PYTHONPATH`` set to one of
 them, and writes under OUT/parent and OUT/change (OUT must be new or empty):
 
 - ``minmarch study`` for every problem, scheme (euler, heun, rk4), worker
-  count (1, 2) and oracle setting (on, off), with a small sample count and
+  count (1, 2, 3: one block, or the calling process and one or two worker
+  processes) and oracle setting (on, off), with a small sample count and
   the step counts 1, 3, 6;
 - ``minmarch trajectory`` for every problem and scheme, with 1 and 4 steps,
   at the first three sampled parameters of the parent's study.
@@ -32,7 +33,7 @@ from pathlib import Path
 # problem and sample count: enough samples for the kde, few enough to be quick
 PROBLEMS = {"quadratic": 40, "cubic": 60, "logistic1d": 300, "advdiff": 24}
 SCHEMES = ("euler", "heun", "rk4")
-WORKERS = (1, 2)
+WORKERS = (1, 2, 3)
 ORACLE = ("--oracle", "--no-oracle")
 STEPS = "1,3,6"
 TRAJECTORY_STEPS = (1, 4)
