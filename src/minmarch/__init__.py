@@ -13,12 +13,11 @@ from .exceptions import (
     BvpSolveError,
     ConfigError,
     DegenerateBandwidthError,
-    IndefiniteHessianError,
     MinmarchError,
     NominalSolveError,
     StationarityError,
 )
-from .marching import MarchConfig, MarchStatus, Scheme, Trajectory, march, march_error_vs_oracle
+from .marching import MarchConfig, MarchStatus, Scheme, Trajectory, march_block
 from .newton import NewtonConfig, SolveResult, newton_solve, solve_nominal
 from .problems import (
     _ADVDIFF_NAMES,
@@ -61,7 +60,6 @@ __all__ = [
     "DegenerateBandwidthError",
     "DerivativeCheckReport",
     "DoubleWellProblem",
-    "IndefiniteHessianError",
     "LogisticWellProblem",
     "MarchConfig",
     "MarchStatus",
@@ -85,8 +83,7 @@ __all__ = [
     "fit_loglog_slope",
     "kde",
     "make_advdiff_problem",
-    "march",
-    "march_error_vs_oracle",
+    "march_block",
     "newton_solve",
     "post_optimality_apply",
     "propagate_study",

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .derivatives import check_derivatives
 from .exceptions import ConfigError, DegenerateBandwidthError, MinmarchError
-from .marching import MarchConfig, Scheme, march
+from .marching import MarchConfig, Scheme, march_block
 from .newton import solve_nominal, to_json_dict
 from .problems import (
     DoubleWellProblem,
@@ -447,13 +447,8 @@ def cmd_trajectory(args) -> int:
     N = cfg.N_list[0] if args.N_list else max(cfg.N_list)
 
     nominal = solve_nominal(problem, cfg.box)
-    line = ParameterLine(cfg.box.nominal, theta)
-    traj = march(
-        problem,
-        nominal.minimizer,
-        line,
-        MarchConfig(N, cfg.scheme),
-    )
+    line = ParameterLine(cfg.box.nominal, theta[None])
+    traj = march_block(problem, nominal.minimizer, line, MarchConfig(N, cfg.scheme)).trajectory(0)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     # the RHS at (m_n, theta(t_n)) of each completed step, theta(t_n) by line.at's arithmetic
     t = traj.times[:-1, None]
@@ -494,20 +489,11 @@ def _steps_list(text: str) -> list[int]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags of study and trajectory; a config file may set every key for both."""
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--problem", choices=PROBLEM_NAMES)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--samples", type=int, dest="num_samples")
     parser.add_argument("--steps", type=_steps_list, dest="N_list", metavar="N1,N2,...")
     parser.add_argument("--scheme", choices=[s.value for s in Scheme])
-    parser.add_argument(
-        "--oracle",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="with_oracle",
-        help="re-solve each sample with Newton as ground truth",
-    )
-    parser.add_argument("--workers", type=int)
     parser.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
 
 
@@ -529,6 +515,16 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_study = sub.add_parser("study", help="run the full propagation study")
     _add_common(p_study)
+    p_study.add_argument("--seed", type=int)
+    p_study.add_argument("--samples", type=int, dest="num_samples")
+    p_study.add_argument(
+        "--oracle",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        dest="with_oracle",
+        help="re-solve each sample with Newton as ground truth",
+    )
+    p_study.add_argument("--workers", type=int)
     p_study.set_defaults(func=cmd_study)
 
     p_traj = sub.add_parser("trajectory", help="march a single parameter sample")

@@ -11,17 +11,6 @@ class ConfigError(MinmarchError):
     """Invalid run configuration (unknown keys, bad values, unknown problem)."""
 
 
-class IndefiniteHessianError(MinmarchError):
-    """The decision-space Hessian is singular or not positive definite.
-
-    Carries the smallest eigenvalue seen at the offending point.
-    """
-
-    def __init__(self, message: str, min_eigenvalue: float):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
-
 class StationarityError(MinmarchError):
     """Initial state handed to the marcher is not a stationary point."""
 

@@ -69,6 +69,8 @@ class MarchConfig:
 class Trajectory:
     """Iterates of one march from the nominal parameters to a sample.
 
+    ``BlockMarch.trajectory`` cuts one from a block; an aborted march ends
+    at its last good state, at pseudo-time times[-1].
     ``min_eigenvalues[n]`` is the smallest Hessian eigenvalue seen among the
     stage evaluations of step n.
     ``left_basin`` flags any iterate that exited the problem's basin hint;
@@ -77,11 +79,9 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    rhs_evals: int
     min_eigenvalues: np.ndarray
     status: MarchStatus
     left_basin: bool = False
-    failure_time: float | None = None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -116,15 +116,12 @@ class BlockMarch:
     def trajectory(self, s: int) -> Trajectory:
         """Sample s's march on its own."""
         n = int(self.steps_done[s])
-        status = MarchStatus(self.statuses[s])
         return Trajectory(
             times=np.arange(n + 1) / self.num_steps,
             states=self.states[: n + 1, s].copy(),
-            rhs_evals=int(self.rhs_evals[s]),
             min_eigenvalues=self.min_eigenvalues[:n, s].copy(),
-            status=status,
+            status=MarchStatus(self.statuses[s]),
             left_basin=bool(self.left_basin[s]),
-            failure_time=None if status is MarchStatus.COMPLETED else n / self.num_steps,
         )
 
 
@@ -235,38 +232,3 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
         min_eigenvalues=min_eigs,
         left_basin=~problem.in_basin(states),
     )
-
-
-def march(problem, start_minimizer, line: ParameterLine, config: MarchConfig) -> Trajectory:
-    """March the minimizer from line.start to line.end in pseudo-time.
-
-    The single-sample case of ``march_block``; the final state approximates
-    the minimizer at line.end.
-    """
-    lines = ParameterLine(line.start, line.end[None])
-    return march_block(problem, start_minimizer, lines, config).trajectory(0)
-
-
-def march_error_vs_oracle(
-    problem,
-    start_minimizer,
-    line: ParameterLine,
-    N_list,
-    oracle_minimizer,
-    scheme: Scheme = Scheme.FORWARD_EULER,
-) -> list[tuple[int, float]]:
-    """March with each step count and measure the gap to a reference minimizer.
-
-    Failed marches are recorded with error NaN so downstream slope fits can
-    exclude and count them.
-    """
-    oracle = as_vector(oracle_minimizer, "oracle_minimizer")
-    out = []
-    for N in N_list:
-        traj = march(problem, start_minimizer, line, MarchConfig(N, scheme))
-        if traj.status is MarchStatus.COMPLETED:
-            err = float(np.linalg.norm(traj.final_state - oracle))
-        else:
-            err = float("nan")
-        out.append((int(N), err))
-    return out

@@ -110,22 +110,18 @@ class Problem(abc.ABC):
         """Default starting point for the nominal solve."""
         raise NotImplementedError
 
-    def in_basin(self, m: np.ndarray):
-        """Whether points lie strictly inside basin_hint (always, when no hint is set).
+    def in_basin(self, states: np.ndarray) -> np.ndarray:
+        """Whether each of S marches stayed strictly inside basin_hint.
 
-        ``m`` is one point (d,), the iterates of one march (n, d), or the
-        iterates of S marches (n, S, d).  The first two give one bool, inside
-        only when every point is; a stack of marches gives a bool array of
-        shape (S,), one answer per march.  The marcher checks all iterates of
-        a block of marches in one call, so overrides must accept all three.
+        ``states`` (n, S, d) holds the n iterates of S marches, as
+        ``march_block`` checks them in one call.  The answer, shape (S,), is
+        True for a march whose every iterate is inside, and always True when
+        no hint is set.
         """
-        m = np.asarray(m)
         if self.basin_hint is None:
-            inside = np.ones(m.shape[:-1], dtype=bool)
-        else:
-            lo, hi = self.basin_hint
-            inside = np.all((m > lo) & (m < hi), axis=-1)
-        return inside.all(axis=0) if m.ndim == 3 else bool(inside.all())
+            return np.ones(states.shape[1], dtype=bool)
+        lo, hi = self.basin_hint
+        return np.all((states > lo) & (states < hi), axis=(0, 2))
 
 
 def derivatives_at(problem, m, theta) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:

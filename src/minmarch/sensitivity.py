@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import IndefiniteHessianError
 from .problems.base import as_vector
 
 # relative eigenvalue threshold below which the Hessian counts as singular
@@ -17,9 +16,10 @@ _SINGULAR_RTOL = 1e-14
 class ParameterLine:
     """Straight segments from a nominal parameter vector to sampled ones.
 
-    ``end`` is one sampled vector (p,) or a stack of them (S, p), one segment
-    per row, all starting at ``start``.  ``direction`` = end - start is
-    computed once, and ``at`` adds it to the start repeated in end's shape.
+    ``end`` is a stack (S, p) of sampled vectors, one segment per row, all
+    starting at ``start`` (p,); one sample is the stack (1, p).
+    ``direction`` = end - start is computed once, and ``at`` adds it to the
+    start repeated in end's shape.
     """
 
     start: np.ndarray
@@ -30,12 +30,9 @@ class ParameterLine:
     def __post_init__(self):
         start = as_vector(self.start, "start")
         end = np.asarray(self.end, dtype=float)
-        if end.ndim == 2:
-            as_vector(end.ravel(), "end")
-        else:
-            end = as_vector(end, "end")
-        if end.shape[-1] != start.size:
-            raise ValueError("start and end must have the same length")
+        if end.ndim != 2 or end.shape[1] != start.size:
+            raise ValueError(f"end must have shape (S, {start.size}), got {end.shape}")
+        as_vector(end.ravel(), "end")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "direction", end - start)
@@ -54,48 +51,33 @@ class ParameterLine:
 
 @dataclass(frozen=True)
 class SensitivityApply:
-    """Action of the inverse Hessian at a point.
+    """Action of the inverse Hessian at a stack of S points, one row per point.
 
-    ``result`` solves H result = -B dtheta for the march and H result = -g
-    for a Newton step, and the smallest Hessian eigenvalue is recorded.
-    For a stack of points every field has one row per point, and
-    ``definite`` marks the rows whose Hessian is positive definite; a single
-    point with an indefinite Hessian raises instead.
+    ``result`` (S, d) solves H result = -B dtheta for the march and
+    H result = -g for a Newton step; ``hessian_min_eigenvalue`` (S,) is the
+    smallest Hessian eigenvalue, and ``definite`` (S,) marks the rows whose
+    Hessian is positive definite.
     """
 
     result: np.ndarray
-    hessian_min_eigenvalue: float | np.ndarray
-    definite: bool | np.ndarray = True
+    hessian_min_eigenvalue: np.ndarray
+    definite: np.ndarray
 
 
-def post_optimality_apply(problem, m, theta, dtheta) -> SensitivityApply:
-    """Apply D = -H^{-1} B to a parameter direction at the point (m, theta).
+def post_optimality_apply(problem, M, Theta, dTheta) -> SensitivityApply:
+    """Apply D = -H^{-1} B to parameter directions at S stacked points.
 
-    ``m``, ``theta`` and ``dtheta`` are one point, (d,), (p,) and (p,), or S
-    points stacked row-wise, (S, d), (S, p) and (S, p); every operation is
-    row-wise, so a row's result does not depend on its stack.  One
+    Row s of M (S, d), Theta (S, p) and dTheta (S, p) is the point
+    (M[s], Theta[s]) and its direction; every operation is row-wise, so a
+    row's result does not depend on its stack.  One
     ``problem.derivatives(M, Theta, dTheta)`` call gives H and b = B dtheta,
     and the result solves H result = -b (see ``apply_inverse_hessian``).  A
-    singular or indefinite Hessian raises IndefiniteHessianError for a
-    single point and clears ``definite`` for a stacked row: continuing there
-    would track a stationary point that is not a local minimizer.
+    row whose Hessian is singular or indefinite has ``definite`` False: the
+    march stops there, since it would track a stationary point that is not a
+    local minimizer.
     """
-    single = np.ndim(m) == 1
-    M = np.atleast_2d(np.asarray(m, dtype=float))
-    Theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    dTheta = np.atleast_2d(np.asarray(dtheta, dtype=float))
-
     _, _, H, b = problem.derivatives(M, Theta, dTheta)
-    apply = apply_inverse_hessian(H, -b)
-    if not single:
-        return apply
-    if not apply.definite[0]:
-        min_eig = apply.hessian_min_eigenvalue[0]
-        raise IndefiniteHessianError(
-            f"Hessian is singular or not positive definite (min eigenvalue {min_eig!r})",
-            float(min_eig),
-        )
-    return SensitivityApply(apply.result[0], float(apply.hessian_min_eigenvalue[0]))
+    return apply_inverse_hessian(H, -b)
 
 
 def apply_inverse_hessian(H, rhs) -> SensitivityApply:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import pickle
+import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -139,19 +140,36 @@ def _join_blocks(blocks) -> tuple[dict, tuple]:
     return columns, tuple(map(sum, zip(*work)))
 
 
+class _WorkerTraceback(Exception):
+    """A worker's formatted traceback: the cause of its exception raised again here."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
+
+
 def _run_child(payload: bytes, thetas, sender) -> None:
-    """A block's worker process: sends the block's result, or the exception it raised."""
+    """A block's worker process: sends (the block's result, None) or (its error, traceback).
+
+    An error that does not come back from pickle is sent as a RuntimeError
+    naming its type and message.
+    """
     try:
-        sender.send(pickle.loads(payload)(thetas))
+        sender.send((pickle.loads(payload)(thetas), None))
     except Exception as exc:
-        sender.send(exc)
+        trace = "".join(traceback.format_exception(exc))
+        try:
+            exc = pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"a block worker raised {type(exc).__qualname__}: {exc}")
+        sender.send((exc, trace))
 
 
 def _run_blocks(run, tasks) -> list:
     """``run`` of each block: the first in this process, each other one in a child process.
 
     ``run`` reaches each child pickled, under every start method.  A child's
-    exception is raised here, and no child outlives the call.
+    exception is raised here, chained from its traceback in the child, and
+    no child outlives the call.
     """
     payload, children = pickle.dumps(run), []
     try:
@@ -166,12 +184,12 @@ def _run_blocks(run, tasks) -> list:
         for child, receiver in children:
             # receive before joining: a result larger than the pipe buffer blocks its sender
             try:
-                value = receiver.recv()
+                value, trace = receiver.recv()
             except EOFError:
                 child.join()
                 raise RuntimeError(f"a block worker exited with code {child.exitcode}") from None
-            if isinstance(value, BaseException):
-                raise value
+            if trace is not None:
+                raise value from _WorkerTraceback(trace)
             results.append(value)
         return results
     finally:
@@ -304,17 +322,15 @@ def _gauss_kernels(grid: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     return np.exp(-0.5 * z**2) / (h * np.sqrt(2.0 * np.pi))
 
 
-def kde(
-    values: np.ndarray,
-    grid: tuple[np.ndarray, ...] | np.ndarray | None = None,
-) -> DensityEstimate:
+def kde(values: np.ndarray, grid: tuple[np.ndarray, ...] | None = None) -> DensityEstimate:
     """Kernel density estimate of a 1d or 2d sample cloud.
 
     Bandwidths follow Silverman's rule per coordinate; two-dimensional
-    estimates use a product kernel.  The default grid extends KDE_PADDING
-    bandwidths beyond the sample range so the estimate integrates to one on
-    the grid.  A 1d estimate holds KDE_BLOCK_ELEMENTS kernel values (or one
-    grid row) at a time, a 2d one a (grid, n) kernel matrix per axis.
+    estimates use a product kernel.  ``grid`` is a tuple of one axis per
+    coordinate; the default grid extends KDE_PADDING bandwidths beyond the
+    sample range so the estimate integrates to one on the grid.  A 1d
+    estimate holds KDE_BLOCK_ELEMENTS kernel values (or one grid row) at a
+    time, a 2d one a (grid, n) kernel matrix per axis.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
@@ -335,9 +351,7 @@ def kde(
     if grid is None:
         axes = tuple(shared_axis([values[:, k]], d, 401 if d == 1 else 101) for k in range(d))
     else:
-        axes = (np.asarray(grid, dtype=float),) if isinstance(grid, np.ndarray) else tuple(
-            np.asarray(g, dtype=float) for g in grid
-        )
+        axes = tuple(np.asarray(g, dtype=float) for g in grid)
         if len(axes) != d:
             raise ValueError(f"grid must supply {d} axis/axes")
 

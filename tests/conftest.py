@@ -4,6 +4,7 @@ import pytest
 import minmarch as mm
 from minmarch.derivatives import fd_jacobian
 from minmarch.problems.base import mixed_action
+from minmarch.sensitivity import ParameterLine
 
 THETA_LOGISTIC = np.array([1.0, 3.0, 0.1])
 THETA_ADVDIFF = np.array([10.0, 0.05, 1.0])
@@ -25,6 +26,11 @@ def rendered(study, directory) -> tuple[list[str], list[str]]:
     write_samples_csv(directory / "samples.csv", study)
     samples = (directory / "samples.csv").read_text().splitlines(keepends=True)
     return records((directory / "study.json").read_text()), samples
+
+
+def march_one(problem, start, theta_bar, theta_end, config):
+    """The march of one sample to theta_end: a one-row ``march_block``."""
+    return mm.march_block(problem, start, ParameterLine(theta_bar, theta_end[None]), config)
 
 
 def objective_second_differences(problem, m, theta, step=1e-5):

@@ -13,6 +13,7 @@ import pytest
 
 import minmarch as mm
 from minmarch.cli import main
+from minmarch.marching import MarchConfig, MarchStatus
 from minmarch.sensitivity import ParameterLine
 
 ACCEPT_SEED = 7
@@ -100,12 +101,14 @@ def test_criterion_3_exactness_on_affine_minimizer_maps(
         (double_well, cubic_box, lambda th: np.array([th[1]])),
     ):
         start = argmin(box.nominal)
-        for theta_end in box.sample(seed=ACCEPT_SEED, count=20):
-            line = ParameterLine(box.nominal, theta_end)
-            pairs = mm.march_error_vs_oracle(
-                problem, start, line, [1, 2, 3, 4, 8, 16, 64], argmin(theta_end)
-            )
-            worst = max(worst, max(err for _, err in pairs))
+        thetas = box.sample(seed=ACCEPT_SEED, count=20)
+        lines = ParameterLine(box.nominal, thetas)
+        for N in [1, 2, 3, 4, 8, 16, 64]:
+            block = mm.march_block(problem, start, lines, MarchConfig(N))
+            for final, status, theta_end in zip(block.finals, block.statuses, thetas):
+                completed = status == MarchStatus.COMPLETED.value
+                err = float(np.linalg.norm(final - argmin(theta_end))) if completed else np.nan
+                worst = max(worst, err)
     _report("CRITERION 3", worst <= 1e-12, f"worst error {worst:.2e} (<= 1e-12)")
 
 
@@ -139,8 +142,8 @@ def test_criterion_4_operator_matches_newton_fd(
                 assert r.grad_norm <= 1e-9 * (1 + abs(r.objective)), "oracle not tight"
             fd = (plus.minimizer - minus.minimizer) / (2 * delta)
             applied = mm.post_optimality_apply(
-                problem, nominal.minimizer, box.nominal, dtheta
-            ).result
+                problem, nominal.minimizer[None], box.nominal[None], dtheta[None]
+            ).result[0]
             worst = max(worst, np.linalg.norm(applied - fd) / np.linalg.norm(fd))
         details.append(f"{name} {worst:.1e}")
         passed = passed and worst <= 1e-3

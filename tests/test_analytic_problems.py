@@ -18,8 +18,8 @@ def test_double_well_minimizer_is_upper_root(double_well):
     assert double_well.hessian(np.array([0.75]), theta)[0, 0] > 0.0
     # the lower root is a minimum too, but outside the basin hint
     assert double_well.gradient(np.array([0.3]), theta)[0] == 0.0
-    assert not double_well.in_basin(np.array([0.3]))
-    assert double_well.in_basin(np.array([0.75]))
+    # two marches of one iterate each, at 0.3 and 0.75
+    assert double_well.in_basin(np.array([[[0.3], [0.75]]])).tolist() == [False, True]
 
 
 def test_double_well_rejects_bad_theta(double_well):

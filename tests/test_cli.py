@@ -484,6 +484,26 @@ class TestTrajectory:
         assert manifest["final_state"][0] == pytest.approx(0.8, abs=1e-10)
         assert manifest["status"] == "completed"
 
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--seed", "3"], ["--samples", "10"], ["--oracle"]]
+    )
+    def test_study_only_flags_rejected(self, tmp_path, capsys, flag):
+        argv = ["trajectory", "--problem", "logistic1d", "--theta", "1.0,3.0,0.1", *flag]
+        with pytest.raises(SystemExit) as exit_:
+            run(argv + ["--out", str(tmp_path / "x")])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_config_file_keeps_study_keys(self, tmp_path):
+        # study and trajectory share a config file
+        cfg = tmp_path / "shared.json"
+        cfg.write_text(json.dumps({"problem": "logistic1d", "workers": 2, "seed": 3}))
+        out = tmp_path / "traj"
+        argv = ["trajectory", "--config", str(cfg), "--theta", "1.0,3.0,0.1", "--steps", "2"]
+        assert run(argv + ["--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["workers"], config["seed"]) == (2, 3)
+
     def test_outside_box_names_coordinate(self, tmp_path, capsys):
         assert (
             run(

@@ -6,21 +6,23 @@ from minmarch.marching import TABLEAUX, MarchConfig, MarchStatus, Scheme, march_
 from minmarch.problems.base import mixed_action
 from minmarch.sensitivity import ParameterLine
 
-from conftest import THETA_LOGISTIC, FragileProblem
+from conftest import THETA_LOGISTIC, FragileProblem, march_one
 
 
 def test_zero_direction_trajectory_is_constant(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
-    line = ParameterLine(THETA_LOGISTIC, THETA_LOGISTIC)
-    traj = mm.march(logistic, nominal.minimizer, line, MarchConfig(5))
+    traj = march_one(
+        logistic, nominal.minimizer, THETA_LOGISTIC, THETA_LOGISTIC, MarchConfig(5)
+    ).trajectory(0)
     assert traj.status is MarchStatus.COMPLETED
     for state in traj.states:
         assert np.array_equal(state, nominal.minimizer)
 
 
 def test_quadratic_single_step_is_exact(quadratic):
-    line = ParameterLine(np.array([0.4]), np.array([0.7]))
-    traj = mm.march(quadratic, np.array([0.4]), line, MarchConfig(1))
+    traj = march_one(
+        quadratic, np.array([0.4]), np.array([0.4]), np.array([0.7]), MarchConfig(1)
+    ).trajectory(0)
     np.testing.assert_allclose(traj.final_state, [0.7], rtol=1e-15)
 
 
@@ -30,16 +32,19 @@ def test_quadratic_single_step_is_exact(quadratic):
 )
 def test_rhs_evaluation_accounting(logistic, logistic_box, scheme, evals_per_step):
     nominal = mm.solve_nominal(logistic, logistic_box)
-    line = ParameterLine(THETA_LOGISTIC, np.array([1.2, 2.6, 0.12]))
-    traj = mm.march(logistic, nominal.minimizer, line, MarchConfig(7, scheme))
-    assert traj.status is MarchStatus.COMPLETED
-    assert traj.rhs_evals == 7 * evals_per_step
+    block = march_one(
+        logistic, nominal.minimizer, THETA_LOGISTIC, np.array([1.2, 2.6, 0.12]),
+        MarchConfig(7, scheme),
+    )
+    assert block.trajectory(0).status is MarchStatus.COMPLETED
+    assert block.rhs_evals[0] == 7 * evals_per_step
 
 
 def test_completed_trajectory_invariants(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
-    line = ParameterLine(THETA_LOGISTIC, np.array([0.8, 3.9, 0.08]))
-    traj = mm.march(logistic, nominal.minimizer, line, MarchConfig(12))
+    traj = march_one(
+        logistic, nominal.minimizer, THETA_LOGISTIC, np.array([0.8, 3.9, 0.08]), MarchConfig(12)
+    ).trajectory(0)
     assert traj.status is MarchStatus.COMPLETED
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
     assert np.all(np.diff(traj.times) > 0)
@@ -51,8 +56,9 @@ def test_completed_trajectory_invariants(logistic, logistic_box):
 def test_logistic_march_close_to_newton(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     for theta_end in logistic_box.sample(seed=5, count=20):
-        line = ParameterLine(logistic_box.nominal, theta_end)
-        traj = mm.march(logistic, nominal.minimizer, line, MarchConfig(20))
+        traj = march_one(
+            logistic, nominal.minimizer, logistic_box.nominal, theta_end, MarchConfig(20)
+        ).trajectory(0)
         oracle = mm.newton_solve(logistic, theta_end, nominal.minimizer)
         assert np.linalg.norm(traj.final_state - oracle.minimizer) <= 1e-2
 
@@ -62,19 +68,28 @@ def test_first_order_convergence_average_slope(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     N_list = [2, 4, 8, 16, 32]
     h = np.array([1.0 / N for N in N_list])
+    thetas = logistic_box.sample(seed=31, count=50)
+    oracles = [mm.newton_solve(logistic, t, nominal.minimizer).minimizer for t in thetas]
+    lines = ParameterLine(logistic_box.nominal, thetas)
+    errors = np.array([
+        march_errors(march_block(logistic, nominal.minimizer, lines, MarchConfig(N)), oracles)
+        for N in N_list
+    ])
     slopes = []
-    for theta_end in logistic_box.sample(seed=31, count=50):
-        line = ParameterLine(logistic_box.nominal, theta_end)
-        oracle = mm.newton_solve(logistic, theta_end, nominal.minimizer)
-        pairs = mm.march_error_vs_oracle(
-            logistic, nominal.minimizer, line, N_list, oracle.minimizer
-        )
-        errs = np.array([e for _, e in pairs])
+    for errs in errors.T:
         slope = mm.fit_loglog_slope(h, errs)
         if np.isfinite(slope):
             slopes.append(slope)
     assert len(slopes) >= 45
     assert 0.8 <= np.mean(slopes) <= 1.2
+
+
+def march_errors(block, oracles) -> list[float]:
+    """Each row's distance from its oracle minimizer; NaN where the march aborted."""
+    return [
+        float(np.linalg.norm(final - oracle)) if status == MarchStatus.COMPLETED.value else np.nan
+        for final, status, oracle in zip(block.finals, block.statuses, oracles, strict=True)
+    ]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 16, 64])
@@ -90,28 +105,29 @@ def test_exactness_on_affine_minimizer_maps(quadratic, double_well, N):
         ),
     ]
     for problem, theta_bar, theta_end, argmin in cases:
-        line = ParameterLine(theta_bar, theta_end)
-        traj = mm.march(problem, argmin(theta_bar), line, MarchConfig(N))
+        block = march_one(problem, argmin(theta_bar), theta_bar, theta_end, MarchConfig(N))
+        traj = block.trajectory(0)
         assert traj.status is MarchStatus.COMPLETED
         assert np.linalg.norm(traj.final_state - argmin(theta_end)) <= 1e-12
 
 
 def test_aborted_indefinite_keeps_last_good_state(concave_problem):
     # stationary start, but the Hessian is negative definite everywhere
-    line = ParameterLine(np.array([1.0]), np.array([2.0]))
-    traj = mm.march(concave_problem, np.array([1.0]), line, MarchConfig(4))
+    traj = march_one(
+        concave_problem, np.array([1.0]), np.array([1.0]), np.array([2.0]), MarchConfig(4)
+    ).trajectory(0)
     assert traj.status is MarchStatus.ABORTED_INDEFINITE
-    assert traj.failure_time == 0.0
+    assert traj.times[-1] == 0.0
     np.testing.assert_array_equal(traj.final_state, [1.0])
     assert traj.times.size == 1
 
 
 def test_aborted_midway_on_degenerating_hessian(fragile_problem):
     # theta(t) crosses zero at t = 0.5; steps before that succeed
-    line = ParameterLine(np.array([1.0]), np.array([-1.0]))
-    traj = mm.march(fragile_problem, np.array([0.0]), line, MarchConfig(4))
+    traj = march_one(
+        fragile_problem, np.array([0.0]), np.array([1.0]), np.array([-1.0]), MarchConfig(4)
+    ).trajectory(0)
     assert traj.status is MarchStatus.ABORTED_INDEFINITE
-    assert traj.failure_time == 0.5
     assert traj.times[-1] == 0.5  # two completed steps out of four
 
 
@@ -131,8 +147,9 @@ class _NonfiniteRhsProblem(mm.Problem):
 
 def test_aborted_nonfinite(concave_problem):
     problem = _NonfiniteRhsProblem()
-    line = ParameterLine(np.array([0.0]), np.array([1.0]))
-    traj = mm.march(problem, np.array([0.0]), line, MarchConfig(3))
+    traj = march_one(
+        problem, np.array([0.0]), np.array([0.0]), np.array([1.0]), MarchConfig(3)
+    ).trajectory(0)
     assert traj.status is MarchStatus.ABORTED_NONFINITE
     assert np.all(np.isfinite(traj.final_state))
 
@@ -155,24 +172,27 @@ class _HessianPoleProblem(mm.Problem):
 
 def test_nonfinite_hessian_aborts_a_one_dimensional_march():
     # an infinite 1x1 Hessian must not read as a zero velocity
-    line = ParameterLine(np.array([0.4]), np.array([0.8]))
-    traj = mm.march(_HessianPoleProblem(), np.array([0.4]), line, MarchConfig(4))
+    traj = march_one(
+        _HessianPoleProblem(), np.array([0.4]), np.array([0.4]), np.array([0.8]), MarchConfig(4)
+    ).trajectory(0)
     assert traj.status is MarchStatus.ABORTED_NONFINITE
-    assert traj.failure_time == 0.5
+    assert traj.times[-1] == 0.5
     np.testing.assert_array_equal(traj.states[:, 0], [0.4, 0.5, 0.6])
 
 
 def test_stationarity_precondition(logistic):
-    line = ParameterLine(THETA_LOGISTIC, np.array([1.2, 2.9, 0.11]))
     with pytest.raises(mm.StationarityError):
-        mm.march(logistic, np.array([0.5]), line, MarchConfig(4))
+        march_one(
+            logistic, np.array([0.5]), THETA_LOGISTIC, np.array([1.2, 2.9, 0.11]), MarchConfig(4)
+        )
 
 
 def test_basin_exit_sets_flag_but_continues(quadratic):
     problem = mm.QuadraticProblem()
     problem.basin_hint = (np.array([0.35]), np.array([0.45]))  # deliberately tiny
-    line = ParameterLine(np.array([0.4]), np.array([0.9]))
-    traj = mm.march(problem, np.array([0.4]), line, MarchConfig(4))
+    traj = march_one(
+        problem, np.array([0.4]), np.array([0.4]), np.array([0.9]), MarchConfig(4)
+    ).trajectory(0)
     assert traj.status is MarchStatus.COMPLETED
     assert traj.left_basin
     np.testing.assert_allclose(traj.final_state, [0.9], rtol=1e-14)
@@ -180,28 +200,19 @@ def test_basin_exit_sets_flag_but_continues(quadratic):
 
 def test_march_is_deterministic(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
-    line = ParameterLine(THETA_LOGISTIC, np.array([1.3, 3.3, 0.13]))
-    a = mm.march(logistic, nominal.minimizer, line, MarchConfig(9))
-    b = mm.march(logistic, nominal.minimizer, line, MarchConfig(9))
+    end = np.array([1.3, 3.3, 0.13])
+    a = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, MarchConfig(9)).trajectory(0)
+    b = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, MarchConfig(9)).trajectory(0)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.times, b.times)
 
 
-def test_march_error_vs_oracle_cubic(double_well):
-    line = ParameterLine(np.array([0.3, 0.75]), np.array([0.35, 0.8]))
-    pairs = mm.march_error_vs_oracle(
-        double_well, np.array([0.75]), line, [1, 2, 4], np.array([0.8])
-    )
-    assert [N for N, _ in pairs] == [1, 2, 4]
-    assert all(err <= 1e-12 for _, err in pairs)
-
-
-def test_march_error_vs_oracle_records_nan_on_failure(fragile_problem):
-    line = ParameterLine(np.array([1.0]), np.array([-1.0]))
-    pairs = mm.march_error_vs_oracle(
-        fragile_problem, np.array([0.0]), line, [1, 4], np.array([0.0])
-    )
-    errs = dict(pairs)
+def test_march_errors_record_nan_on_failure(fragile_problem):
+    start, theta_bar, end = np.array([0.0]), np.array([1.0]), np.array([-1.0])
+    errs = {}
+    for N in (1, 4):
+        block = march_one(fragile_problem, start, theta_bar, end, MarchConfig(N))
+        errs[N] = march_errors(block, [np.array([0.0])])[0]
     # N=1 evaluates only at t=0 (healthy); N=4 hits the degenerate region
     assert np.isfinite(errs[1])
     assert np.isnan(errs[4])
@@ -237,12 +248,16 @@ class _SinhProblem(mm.Problem):
 )
 def test_tableau_convergence_order(scheme, order):
     # a wrong tableau coupling, node or weight lowers the fitted order
-    line = ParameterLine(np.array([0.0]), np.array([3.0]))
+    start, end = np.array([0.0]), np.array([3.0])
     N_list = [4, 8, 16, 32]
-    pairs = mm.march_error_vs_oracle(
-        _SinhProblem(), np.array([0.0]), line, N_list, np.array([np.arcsinh(3.0)]), scheme
-    )
-    slope = mm.fit_loglog_slope([1.0 / N for N in N_list], [e for _, e in pairs])
+    errors = [
+        march_errors(
+            march_one(_SinhProblem(), start, start, end, MarchConfig(N, scheme)),
+            [np.array([np.arcsinh(3.0)])],
+        )[0]
+        for N in N_list
+    ]
+    slope = mm.fit_loglog_slope([1.0 / N for N in N_list], errors)
     assert abs(slope - order) <= 0.25
 
 
@@ -251,22 +266,23 @@ def test_higher_order_schemes_are_sharper(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     tight = mm.NewtonConfig(grad_tol=1e-13)
     for theta_end in logistic_box.sample(seed=77, count=3):
-        line = ParameterLine(logistic_box.nominal, theta_end)
         oracle = mm.newton_solve(logistic, theta_end, nominal.minimizer, tight)
         errs = {}
         for scheme in Scheme:
-            traj = mm.march(logistic, nominal.minimizer, line, MarchConfig(8, scheme))
+            config = MarchConfig(8, scheme)
+            block = march_one(logistic, nominal.minimizer, logistic_box.nominal, theta_end, config)
+            traj = block.trajectory(0)
             errs[scheme] = np.linalg.norm(traj.final_state - oracle.minimizer)
         assert errs[Scheme.HEUN] <= 0.1 * errs[Scheme.FORWARD_EULER]
         assert errs[Scheme.RK4] <= 0.01 * errs[Scheme.HEUN]
 
 
-def _assert_same_march(a, b):
-    """Two Trajectory objects agree bit for bit."""
+def _assert_same_march(block_a, s, block_b, k):
+    """Row s of block_a and row k of block_b agree bit for bit."""
+    assert block_a.rhs_evals[s] == block_b.rhs_evals[k]
+    a, b = block_a.trajectory(s), block_b.trajectory(k)
     assert a.status is b.status
-    assert a.failure_time == b.failure_time
     assert a.left_basin == b.left_basin
-    assert a.rhs_evals == b.rhs_evals
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.min_eigenvalues, b.min_eigenvalues)
@@ -292,11 +308,11 @@ def test_block_march_equals_single_marches(
         config = MarchConfig(N, scheme)
         block = march_block(problem, start, ParameterLine(box.nominal, thetas), config)
         for s, theta in enumerate(thetas):
-            single = mm.march(problem, start, ParameterLine(box.nominal, theta), config)
-            _assert_same_march(block.trajectory(s), single)
-            assert np.array_equal(block.finals[s], single.final_state)
-            assert block.statuses[s] == single.status.value
-            assert block.left_basin[s] == single.left_basin
+            single = march_one(problem, start, box.nominal, theta, config)
+            _assert_same_march(block, s, single, 0)
+            assert np.array_equal(block.finals[s], single.trajectory(0).final_state)
+            assert block.statuses[s] == single.trajectory(0).status.value
+            assert block.left_basin[s] == single.trajectory(0).left_basin
 
 
 class _FragileWithPole(FragileProblem):
@@ -338,10 +354,8 @@ def test_mixed_block_abort_accounting(scheme, failure_steps):
 
     for s, (status, step) in enumerate(zip(statuses, failure_steps)):
         traj = block.trajectory(s)
-        single = mm.march(problem, start, ParameterLine(theta_bar, ends[s]), config)
-        _assert_same_march(traj, single)
+        _assert_same_march(block, s, march_one(problem, start, theta_bar, ends[s], config), 0)
         assert traj.status is status
-        assert traj.failure_time == (None if step is None else step / N)
         done = N if step is None else step
         assert block.steps_done[s] == done
         assert traj.min_eigenvalues.shape == (done,)
@@ -353,7 +367,7 @@ def test_mixed_block_abort_accounting(scheme, failure_steps):
     healthy = [0, 4]
     alone = march_block(problem, start, ParameterLine(theta_bar, ends[healthy]), config)
     for k, s in enumerate(healthy):
-        _assert_same_march(block.trajectory(s), alone.trajectory(k))
+        _assert_same_march(block, s, alone, k)
 
 
 class _BowlWithSolverFailure(mm.Problem):
@@ -392,13 +406,12 @@ def test_block_row_solver_failure_aborts_only_that_row():
         MarchStatus.ABORTED_NONFINITE.value,
         MarchStatus.COMPLETED.value,
     ]
-    assert block.trajectory(1).failure_time == 3 / 8
+    assert block.trajectory(1).times[-1] == 3 / 8
     np.testing.assert_allclose(block.finals[[0, 2]], [[0.5, 0.5], [1.4, 1.4]], rtol=1e-14)
     # frozen after three good steps of 2 h each
     np.testing.assert_allclose(block.finals[1], [1.75, 1.75], rtol=1e-14)
     for s, end in enumerate(ends):
-        single = mm.march(problem, start, ParameterLine(theta_bar, end), config)
-        _assert_same_march(block.trajectory(s), single)
+        _assert_same_march(block, s, march_one(problem, start, theta_bar, end, config), 0)
 
 
 class _Recording(mm.Problem):

@@ -10,9 +10,8 @@ import minmarch as mm
 from minmarch import reporting
 from minmarch.marching import MarchConfig
 from minmarch.newton import to_json_dict
-from minmarch.sensitivity import ParameterLine
 
-from conftest import THETA_LOGISTIC, records, rendered
+from conftest import THETA_LOGISTIC, march_one, records, rendered
 
 
 def read_header(path):
@@ -268,8 +267,8 @@ def test_output_phase_memory_does_not_grow_with_the_samples(tmp_path, logistic, 
 
 def test_trajectory_csv_schema(tmp_path, logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
-    line = ParameterLine(THETA_LOGISTIC, np.array([1.2, 2.8, 0.12]))
-    traj = mm.march(logistic, nominal.minimizer, line, MarchConfig(5))
+    end = np.array([1.2, 2.8, 0.12])
+    traj = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, MarchConfig(5)).trajectory(0)
     path = tmp_path / "trajectory.csv"
     reporting.write_trajectory_csv(path, traj)
     assert read_header(path) == ["t", "m_1", "min_eig"]
@@ -282,8 +281,8 @@ def test_trajectory_csv_schema(tmp_path, logistic, logistic_box):
 
 def test_sensitivity_csv_schema(tmp_path, logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
-    line = ParameterLine(THETA_LOGISTIC, np.array([1.2, 2.8, 0.12]))
-    traj = mm.march(logistic, nominal.minimizer, line, MarchConfig(3))
+    end = np.array([1.2, 2.8, 0.12])
+    traj = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, MarchConfig(3)).trajectory(0)
     path = tmp_path / "sensitivity.csv"
     reporting.write_sensitivity_csv(path, traj, np.array([[-3.0], [0.5], [0.25]]))
     assert read_header(path) == ["sample_index", "step", "t", "f_norm", "f_1"]

@@ -11,13 +11,13 @@ class TestParameterLine:
     def test_endpoints_exact(self):
         start = np.array([0.1, 0.2, 0.3])
         end = np.array([0.4, 0.1, 0.9])
-        line = ParameterLine(start, end)
-        assert np.array_equal(line.at(0.0), start)
-        assert np.array_equal(line.at(1.0), end)
+        line = ParameterLine(start, end[None])
+        assert np.array_equal(line.at(0.0)[0], start)
+        assert np.array_equal(line.at(1.0)[0], end)
 
     def test_midpoint(self):
-        line = ParameterLine(np.array([1.0, 3.0, 0.1]), np.array([1.4, 2.4, 0.12]))
-        np.testing.assert_allclose(line.at(0.5), [1.2, 2.7, 0.11], rtol=1e-15)
+        line = ParameterLine(np.array([1.0, 3.0, 0.1]), np.array([[1.4, 2.4, 0.12]]))
+        np.testing.assert_allclose(line.at(0.5)[0], [1.2, 2.7, 0.11], rtol=1e-15)
 
     def test_stacked_points_are_the_segment_formula_bit_for_bit(self):
         start = np.array([1.0, 3.0, 0.1])
@@ -31,24 +31,26 @@ class TestParameterLine:
             assert np.array_equal(point, expected)
 
     def test_rejects_t_outside_unit_interval(self):
-        line = ParameterLine(np.array([0.0]), np.array([1.0]))
+        line = ParameterLine(np.array([0.0]), np.array([[1.0]]))
         for t in (-0.1, 1.1, 2.0):
             with pytest.raises(ValueError):
                 line.at(t)
 
     def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            ParameterLine(np.array([0.0]), np.array([1.0, 2.0]))
+        # end is a stack (S, p), one sample included
+        for end in ([[1.0, 2.0]], [1.0]):
+            with pytest.raises(ValueError, match=r"shape \(S, 1\)"):
+                ParameterLine(np.array([0.0]), np.array(end))
 
 
 class TestPostOptimalityApply:
     def test_quadratic_identity_sensitivity(self, quadratic):
         # m*(theta) = theta, so the operator is the identity
         apply = mm.post_optimality_apply(
-            quadratic, np.array([0.4]), np.array([0.4]), np.array([0.3])
+            quadratic, np.array([[0.4]]), np.array([[0.4]]), np.array([[0.3]])
         )
-        np.testing.assert_allclose(apply.result, [0.3], rtol=1e-14)
-        assert apply.hessian_min_eigenvalue == 1.0
+        np.testing.assert_allclose(apply.result[0], [0.3], rtol=1e-14)
+        assert apply.hessian_min_eigenvalue[0] == 1.0
 
     def test_cubic_tracks_second_parameter_only(self, double_well):
         # oracle: FD of the closed-form minimizer theta_2 in each parameter
@@ -66,8 +68,8 @@ class TestPostOptimalityApply:
         np.testing.assert_allclose(fd, [0.0, 1.0])
 
         dtheta = np.array([0.05, -0.03])
-        apply = mm.post_optimality_apply(double_well, m, theta, dtheta)
-        np.testing.assert_allclose(apply.result, [fd @ dtheta], atol=1e-10)
+        apply = mm.post_optimality_apply(double_well, m[None], theta[None], dtheta[None])
+        np.testing.assert_allclose(apply.result[0], [fd @ dtheta], atol=1e-10)
 
     def test_cubic_operator_invariant_across_box(self, double_well, cubic_box):
         # evaluated at the minimizer, the operator is (0, 1) for every
@@ -76,8 +78,8 @@ class TestPostOptimalityApply:
         for theta in cubic_box.sample(seed=41, count=15):
             m = double_well.minimizer(theta)
             dtheta = rng.uniform(-0.1, 0.1, 2)
-            apply = mm.post_optimality_apply(double_well, m, theta, dtheta)
-            assert apply.result[0] == pytest.approx(dtheta[1], abs=1e-10)
+            apply = mm.post_optimality_apply(double_well, m[None], theta[None], dtheta[None])
+            assert apply.result[0, 0] == pytest.approx(dtheta[1], abs=1e-10)
 
     def test_logistic_matches_newton_fd(self, logistic):
         # oracle: Newton re-solves at theta +- delta e1
@@ -93,17 +95,17 @@ class TestPostOptimalityApply:
         fd = (plus.minimizer - minus.minimizer) / (2 * delta) * 0.1
 
         apply = mm.post_optimality_apply(
-            logistic, nominal.minimizer, THETA_LOGISTIC, e1 * 0.1
+            logistic, nominal.minimizer[None], THETA_LOGISTIC[None], e1[None] * 0.1
         )
-        np.testing.assert_allclose(apply.result, fd, rtol=1e-4)
+        np.testing.assert_allclose(apply.result[0], fd, rtol=1e-4)
 
-    def test_indefinite_hessian_raises(self, double_well):
+    def test_indefinite_hessian_is_flagged(self, double_well):
         # between the wells the curvature is negative
-        with pytest.raises(mm.IndefiniteHessianError) as exc:
-            mm.post_optimality_apply(
-                double_well, np.array([0.6]), np.array([0.3, 0.75]), np.array([0.0, 0.1])
-            )
-        assert exc.value.min_eigenvalue < 0.0
+        apply = mm.post_optimality_apply(
+            double_well, np.array([[0.6]]), np.array([[0.3, 0.75]]), np.array([[0.0, 0.1]])
+        )
+        assert not apply.definite[0]
+        assert apply.hessian_min_eigenvalue[0] < 0.0
 
     @pytest.mark.parametrize("name", ["quadratic", "double_well", "logistic", "advdiff"])
     def test_no_rows_give_no_rows(self, request, name):
@@ -125,25 +127,25 @@ class TestPostOptimalityApply:
         ]
         for problem, m, theta, dtheta in points:
             H, B = problem.hessian_and_mixed(m, theta)
-            apply = mm.post_optimality_apply(problem, m, theta, dtheta)
-            residual = H @ apply.result + B @ dtheta
+            apply = mm.post_optimality_apply(problem, m[None], theta[None], dtheta[None])
+            residual = H @ apply.result[0] + B @ dtheta
             rhs_norm = np.linalg.norm(B @ dtheta)
             assert np.max(np.abs(residual)) <= 1e-10 * (rhs_norm + 1.0)
 
 
 def ivp_rhs(problem, line, t, m):
-    """Right-hand side of the minimizer-transport ODE at pseudo-time t."""
-    return mm.post_optimality_apply(problem, m, line.at(t), line.direction).result
+    """Right-hand side of the minimizer-transport ODE at pseudo-time t, on a one-row line."""
+    return mm.post_optimality_apply(problem, m[None], line.at(t), line.direction).result[0]
 
 
 class TestIvpRhs:
     def test_zero_direction_gives_zero(self, logistic):
-        line = ParameterLine(THETA_LOGISTIC, THETA_LOGISTIC)
+        line = ParameterLine(THETA_LOGISTIC, THETA_LOGISTIC[None])
         rhs = ivp_rhs(logistic, line, 0.3, np.array([0.9]))
         np.testing.assert_array_equal(rhs, [0.0])
 
     def test_quadratic_rhs_constant(self, quadratic):
-        line = ParameterLine(np.array([0.4]), np.array([0.7]))
+        line = ParameterLine(np.array([0.4]), np.array([[0.7]]))
         for t in (0.0, 0.25, 1.0):
             rhs = ivp_rhs(quadratic, line, t, np.array([0.4 + 0.3 * t]))
             np.testing.assert_allclose(rhs, [0.3], rtol=1e-14)
@@ -151,11 +153,11 @@ class TestIvpRhs:
     def test_linearity_in_direction(self, logistic):
         theta_end = np.array([1.3, 2.5, 0.12])
         m = np.array([0.9])
-        base = ivp_rhs(logistic, ParameterLine(THETA_LOGISTIC, theta_end), 0.0, m)
+        base = ivp_rhs(logistic, ParameterLine(THETA_LOGISTIC, theta_end[None]), 0.0, m)
         for alpha in (0.25, 2.0, -1.0):
             scaled_end = THETA_LOGISTIC + alpha * (theta_end - THETA_LOGISTIC)
             scaled = ivp_rhs(
-                logistic, ParameterLine(THETA_LOGISTIC, scaled_end), 0.0, m
+                logistic, ParameterLine(THETA_LOGISTIC, scaled_end[None]), 0.0, m
             )
             np.testing.assert_allclose(scaled, alpha * base, rtol=1e-12)
 
@@ -163,7 +165,7 @@ class TestIvpRhs:
         # oracle: Newton re-solves at theta_bar +- delta * dtheta
         theta_end = np.array([1.2, 3.5, 0.08])
         nominal = mm.newton_solve(logistic, THETA_LOGISTIC, np.array([0.5]))
-        line = ParameterLine(THETA_LOGISTIC, theta_end)
+        line = ParameterLine(THETA_LOGISTIC, theta_end[None])
         rhs = ivp_rhs(logistic, line, 0.0, nominal.minimizer)
 
         delta = 1e-4
@@ -190,10 +192,10 @@ def test_rhs_consistency_with_minimizer_path(
     tight = mm.NewtonConfig(grad_tol=1e-12)
     n_checked = 0
     for theta_end in box.sample(seed=23, count=10):
-        line = ParameterLine(box.nominal, theta_end)
+        line = ParameterLine(box.nominal, theta_end[None])
         rhs = ivp_rhs(problem, line, 0.0, nominal.minimizer)
         delta = 1e-4
-        dtheta = line.direction
+        dtheta = line.direction[0]
         plus = mm.newton_solve(problem, box.nominal + delta * dtheta, nominal.minimizer, tight)
         minus = mm.newton_solve(problem, box.nominal - delta * dtheta, nominal.minimizer, tight)
         fd = (plus.minimizer - minus.minimizer) / (2 * delta)

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import traceback
 from dataclasses import replace
 from functools import partial
 
@@ -28,6 +29,22 @@ class FailsInChild(mm.LogisticWellProblem):
     def derivatives(self, M, Theta, dTheta=None):
         if multiprocessing.parent_process() is not None:
             raise ValueError("derivatives failed in a worker")
+        return super().derivatives(M, Theta, dTheta)
+
+
+class TwoArgError(Exception):
+    """An exception that does not unpickle: pickle calls it with its message alone."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+class RaisesTwoArgError(mm.LogisticWellProblem):
+    """Logistic well whose ``derivatives`` raises TwoArgError in a block's worker process."""
+
+    def derivatives(self, M, Theta, dTheta=None):
+        if multiprocessing.parent_process() is not None:
+            raise TwoArgError("boom", 7)
         return super().derivatives(M, Theta, dTheta)
 
 
@@ -312,6 +329,21 @@ class TestPropagateStudy:
         with pytest.raises(ValueError, match="^derivatives failed in a worker$"):
             mm.propagate_study(FailsInChild(), logistic_box, 30, [1, 4], seed=9, workers=3)
         assert not multiprocessing.active_children()
+
+    def test_worker_exception_keeps_its_traceback(self, logistic_box):
+        with pytest.raises(ValueError) as raised:
+            mm.propagate_study(FailsInChild(), logistic_box, 30, [1, 4], seed=9, workers=2)
+        text = "".join(traceback.format_exception(raised.value))
+        # the child's frames, down to the line of this file that raised
+        assert f'{__file__}", line' in text and ", in derivatives\n" in text
+        assert 'raise ValueError("derivatives failed in a worker")' in text
+
+    def test_worker_exception_that_does_not_unpickle(self, logistic_box):
+        with pytest.raises(RuntimeError, match="TwoArgError: boom$") as raised:
+            mm.propagate_study(RaisesTwoArgError(), logistic_box, 30, [1, 4], seed=9, workers=2)
+        assert not multiprocessing.active_children()
+        text = "".join(traceback.format_exception(raised.value))
+        assert 'raise TwoArgError("boom", 7)' in text
 
     def test_worker_that_dies_names_its_exit_code(self, logistic_box):
         with pytest.raises(RuntimeError, match="exited with code 3"):

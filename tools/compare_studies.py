@@ -12,7 +12,9 @@ them, and writes under OUT/parent and OUT/change (OUT must be new or empty):
   processes) and oracle setting (on, off), with a small sample count and
   the step counts 1, 3, 6;
 - ``minmarch trajectory`` for every problem and scheme, with 1 and 4 steps,
-  at the first three sampled parameters of the parent's study.
+  at the first three sampled parameters of the parent's study;
+- ``minmarch check`` once, with its default seed and 3 random points; its
+  stdout, the command's only output, is saved as ``check/stdout.txt``.
 
 Every file that differs, or exists on one side only, is listed.  In
 ``manifest.json`` the keys ``timings_sec`` and ``output_dir`` are ignored;
@@ -54,13 +56,15 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def run(src: Path, args: list[str]) -> None:
+def run(src: Path, args: list[str], ok=(0,)) -> str:
+    """The stdout of a command that exits with a status in ok."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
         [sys.executable, "-c", CHILD, *args], env=env, capture_output=True, text=True
     )
-    if done.returncode != 0:
+    if done.returncode not in ok:
         raise SystemExit(f"{' '.join(args)} failed under {src}:\n{done.stderr}")
+    return done.stdout
 
 
 def study_runs():
@@ -138,6 +142,10 @@ def main(argv: list[str]) -> int:
     for name, args in itertools.chain(study_runs(), trajectory_runs(out)):
         for side, src in trees.items():
             run(src, [*args, "--out", str(out / side / name)])
+    for side, src in trees.items():
+        # a check that fails (status 1) still prints its report, compared like a file
+        (out / side / "check").mkdir()
+        (out / side / "check" / "stdout.txt").write_text(run(src, ["check"], ok=(0, 1)))
     count, differ = differing_files(out / "parent", out / "change")
     for rel in differ:
         print(f"differs: {rel}")
