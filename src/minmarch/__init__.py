@@ -17,7 +17,7 @@ from .exceptions import (
     NominalSolveError,
     StationarityError,
 )
-from .marching import MarchConfig, MarchStatus, Scheme, Trajectory, march_block
+from .marching import MarchStatus, Scheme, Trajectory, march_block
 from .newton import NewtonConfig, SolveResult, newton_solve, solve_nominal
 from .problems import (
     _ADVDIFF_NAMES,
@@ -61,7 +61,6 @@ __all__ = [
     "DerivativeCheckReport",
     "DoubleWellProblem",
     "LogisticWellProblem",
-    "MarchConfig",
     "MarchStatus",
     "MinmarchError",
     "NewtonConfig",

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .derivatives import check_derivatives
 from .exceptions import ConfigError, DegenerateBandwidthError, MinmarchError
-from .marching import MarchConfig, Scheme, march_block
+from .marching import Scheme, march_block
 from .newton import solve_nominal, to_json_dict
 from .problems import (
     DoubleWellProblem,
@@ -224,8 +224,8 @@ def resolve_config(file_cfg: dict | None, overrides: dict) -> RunConfig:
     N_list = merged["N_list"]
     if not N_list or len(set(N_list)) < len(N_list):
         raise ConfigError(f"N_list must be a non-empty list of distinct step counts, got {N_list}")
-    if not merged["fd_step"] > 0:
-        raise ConfigError("fd_step must be positive")
+    if not 0 < merged["fd_step"] < np.inf:
+        raise ConfigError(f"fd_step must be positive and finite, got {merged['fd_step']}")
 
     merged["box"] = box
     return RunConfig(problem=problem, **merged)
@@ -256,6 +256,8 @@ def cmd_check(args) -> int:
             raise ConfigError(
                 f"unknown problem {named!r}; choose from {', '.join(PROBLEM_NAMES)}"
             )
+    if args.random_points < 0:
+        raise ConfigError(f"--random-points must be >= 0, got {args.random_points}")
     status = 0
     rng = np.random.default_rng(7 if args.seed is None else _typed(args.seed, 7, "seed"))
     for name in PROBLEM_NAMES:
@@ -448,7 +450,7 @@ def cmd_trajectory(args) -> int:
 
     nominal = solve_nominal(problem, cfg.box)
     line = ParameterLine(cfg.box.nominal, theta[None])
-    traj = march_block(problem, nominal.minimizer, line, MarchConfig(N, cfg.scheme)).trajectory(0)
+    traj = march_block(problem, nominal.minimizer, line, N, cfg.scheme).trajectory(0)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     # the RHS at (m_n, theta(t_n)) of each completed step, theta(t_n) by line.at's arithmetic
     t = traj.times[:-1, None]
@@ -546,7 +548,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except MinmarchError as err:
+    except (MinmarchError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -6,17 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems.base import derivatives_at
+
 DEFAULT_FD_STEP = 1e-6
 
 
 def _steps(x: np.ndarray, base: float) -> np.ndarray:
     # per-coordinate step, scaled away from zero components
     return base * np.maximum(1.0, np.abs(x))
-
-
-def fd_gradient(func, x: np.ndarray, base_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central differences of a scalar function: the one-row ``fd_jacobian``."""
-    return fd_jacobian(lambda xx: np.atleast_1d(func(xx)), x, base_step)[0]
 
 
 def fd_jacobian(vecfunc, x: np.ndarray, base_step: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -87,18 +84,18 @@ def check_derivatives(
     Evaluation failures at perturbed points (e.g. a PDE solve breaking down)
     propagate rather than being skipped.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
+    if not 0 < fd_step < np.inf:
+        raise ValueError("fd_step must be positive and finite")
     m = np.asarray(m, dtype=float)
     theta = np.asarray(theta, dtype=float)
 
     g = problem.gradient(m, theta)
-    g_fd = fd_gradient(lambda mm: problem.objective(mm, theta), m, fd_step)
+    g_fd = fd_jacobian(lambda mm: np.atleast_1d(problem.objective(mm, theta)), m, fd_step)[0]
 
     H = problem.hessian(m, theta)
     H_fd = _richardson_jacobian(lambda mm: problem.gradient(mm, theta), m, fd_step)
 
-    B = problem.mixed(m, theta)
+    B = derivatives_at(problem, m, theta)[3]
     B_fd = _richardson_jacobian(lambda tt: problem.gradient(m, tt), theta, fd_step)
 
     return DerivativeCheckReport(

@@ -54,17 +54,6 @@ class MarchStatus(str, enum.Enum):
     ABORTED_NONFINITE = "aborted_nonfinite"
 
 
-@dataclass(frozen=True)
-class MarchConfig:
-    num_steps: int
-    scheme: Scheme = Scheme.FORWARD_EULER
-
-    def __post_init__(self):
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-
-
 @dataclass
 class Trajectory:
     """Iterates of one march from the nominal parameters to a sample.
@@ -125,19 +114,22 @@ class BlockMarch:
         )
 
 
-def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchConfig) -> BlockMarch:
+def march_block(
+    problem, start_minimizer, lines: ParameterLine, num_steps: int, scheme=Scheme.FORWARD_EULER
+) -> BlockMarch:
     """March the minimizer from lines.start to each row of lines.end in lockstep.
 
     ``lines.end`` is a stack (S, p) of sampled parameters; all S marches
     start from ``start_minimizer``, which must already be stationary at
     lines.start: the marcher refuses to repair a bad initial condition
-    silently.  Each of the num_steps steps of length h = 1/num_steps runs the
-    stages of the scheme's tableau on the samples still marching; forward
-    Euler applies exactly m_{n+1} = m_n + h f(t_n, m_n).  A sample whose
-    Hessian turns indefinite (ABORTED_INDEFINITE) or whose right-hand side
-    or next state is non-finite (ABORTED_NONFINITE) stops at its last good
-    state and is not evaluated again; the others march on.  Every operation
-    is row-wise, so a sample's march does not depend on its blockmates.
+    silently.  Each of the num_steps (>= 1) steps of length h = 1/num_steps
+    runs the stages of the tableau of ``scheme`` (a ``Scheme`` or its value)
+    on the samples still marching; forward Euler applies exactly
+    m_{n+1} = m_n + h f(t_n, m_n).  A sample whose Hessian turns indefinite
+    (ABORTED_INDEFINITE) or whose right-hand side or next state is
+    non-finite (ABORTED_NONFINITE) stops at its last good state and is not
+    evaluated again; the others march on.  Every operation is row-wise, so
+    a sample's march does not depend on its blockmates.
 
     The stationarity check makes one p-row ``derivatives`` call at
     (start_minimizer, lines.start) (see ``derivatives_at``), which also gives
@@ -148,6 +140,9 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
     samples still marching, whose states and lines are kept as compact
     rows, gathered again only in a stage or step where some sample aborts.
     """
+    if num_steps < 1:
+        raise ValueError("num_steps must be >= 1")
+    tableau = TABLEAUX[Scheme(scheme)]
     m0 = as_vector(start_minimizer, "start_minimizer")
     value, g, H0, B0 = derivatives_at(problem, m0, lines.start)
     if np.linalg.norm(g) > STATIONARITY_TOL * (1.0 + abs(value)):
@@ -157,9 +152,7 @@ def march_block(problem, start_minimizer, lines: ParameterLine, config: MarchCon
             f"{STATIONARITY_TOL!r}*(1+|J|)"
         )
 
-    tableau = TABLEAUX[config.scheme]
-    N = config.num_steps
-    h = 1.0 / N
+    N, h = num_steps, 1.0 / num_steps
     S, d = lines.end.shape[0], m0.size
     first_stage = apply_inverse_hessian(H0[None], -(B0 @ lines.direction[..., None])[..., 0])
     states = np.empty((N + 1, S, d))

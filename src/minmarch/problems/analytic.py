@@ -25,17 +25,15 @@ class _ClosedFormProblem(Problem):
     ``_formulas(x, t)`` takes the decision variable x of shape (S,) and the
     tuple t of the p parameter columns, each (S,), and returns J, the
     gradient, the Hessian entry and the tuple of mixed-derivative entries,
-    all of shape (S,).  ``values`` keeps J only; the Newton oracle calls it
-    for its rare second and later backtracking steps alone.  ``derivatives``
-    forms the full B and applies it to the directions.
+    all of shape (S,).  ``derivatives`` forms the full B and applies it to
+    the directions; the base class's ``values`` keeps its J, which the
+    Newton oracle needs for its rare second and later backtracking steps
+    alone.
     """
 
     @abc.abstractmethod
     def _formulas(self, x, t):
         """(J, dJ/dm, d2J/dm2, (d2J/(dm dtheta_k) for each k)) at S points."""
-
-    def values(self, M, Theta):
-        return self._formulas(M[:, 0], tuple(Theta.T))[0]
 
     def derivatives(self, M, Theta, dTheta=None):
         J, g, h, b = self._formulas(M[:, 0], tuple(Theta.T))

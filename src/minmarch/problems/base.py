@@ -25,37 +25,35 @@ class Problem(abc.ABC):
     """Optimization problem whose objective depends on uncertain parameters.
 
     ``d`` and ``p`` are the lengths of the decision variable m and of the
-    parameters theta.  A concrete problem implements two methods on stacks
-    of S points, M of shape (S, d) and Theta of shape (S, p), row s being
-    the point (M[s], Theta[s]):
+    parameters theta.  A concrete problem implements one method on stacks
+    of S points, M (S, d) and Theta (S, p), row s being the point
+    (M[s], Theta[s]): ``derivatives(M, Theta, dTheta=None)`` returns J, the
+    gradient in m, the Hessian in m and b = B dTheta, of shapes (S,),
+    (S, d), (S, d, d) and (S, d), where B (S, d, p) is the mixed second
+    derivative once in m and once in theta, and row s of dTheta (S, p) is
+    the parameter direction of row s.  Without directions b is None.  The
+    march asks for B's action on its direction alone and the Newton oracle
+    for no B at all, so a problem can skip the work B needs; J, g and H
+    must not depend on whether directions are given.  A problem that has B
+    in full returns ``mixed_action(B, dTheta)``.
 
-    - ``values(M, Theta)``: the objective J, shape (S,);
-    - ``derivatives(M, Theta, dTheta=None)``: J, the gradient in m, the
-      Hessian in m and b = B dTheta, of shapes (S,), (S, d), (S, d, d) and
-      (S, d), where B is the mixed second derivative once in m and once in
-      theta, (S, d, p), and row s of dTheta (S, p) is the parameter
-      direction of row s.  Without directions b is None.  The march asks
-      for B's action on its direction alone and the Newton oracle for no B
-      at all, so a problem can skip the work B needs; J, g and H must not
-      depend on whether directions are given.  A problem that has B in
-      full returns ``mixed_action(B, dTheta)``.
+    ``values(M, Theta)``, J of shape (S,), is the J of ``derivatives``
+    unless a problem overrides it with a cheaper form; the Newton oracle's
+    line search calls it from its second backtracking round on.  A row the
+    problem cannot evaluate (a failed PDE solve, say) is +inf in ``values``,
+    so that a line search backtracks from it, and NaN in every output of
+    ``derivatives``; the other rows are unaffected.  Every operation must be
+    row-wise, so that a row's value does not depend on its stack.
 
-    A row the problem cannot evaluate (a failed PDE solve, say) is +inf in
-    ``values``, so that a line search backtracks from it, and NaN in every
-    output of ``derivatives``; the other rows are unaffected.  Every
-    operation must be row-wise, so that a row's value does not depend on
-    its stack.
-
-    ``objective``, ``gradient``, ``objective_gradient``, ``hessian``,
-    ``mixed`` and ``hessian_and_mixed`` are the calls of these two methods
-    at one point, m of shape (d,) and theta of shape (p,); they raise
-    BvpSolveError where the objective is not finite.  All but the last two
-    are S = 1 calls without directions; ``mixed`` and ``hessian_and_mixed``
-    get the full B from one p-row call with the directions eye(p) (see
-    ``derivatives_at``).  No code in this package calls ``objective_gradient``
-    or ``hessian_and_mixed``; they stay for the benchmark under
-    ``perfbench/``, whose correctness check calls ``objective_gradient`` and
-    ``hessian`` and whose tracer wraps them by name.
+    The one-point helpers ``objective``, ``gradient``, ``objective_gradient``,
+    ``hessian`` and ``hessian_and_mixed`` take m (d,) and theta (p,) and
+    raise BvpSolveError where J is not finite.  All but the last are S = 1
+    calls without directions; ``hessian_and_mixed`` gets the full B from one
+    p-row call with the directions eye(p) (see ``derivatives_at``).  No code
+    in this package calls ``objective_gradient`` or ``hessian_and_mixed``;
+    they stay for the benchmark under ``perfbench/``, whose correctness
+    check calls ``objective_gradient`` and ``hessian`` and whose tracer
+    wraps them by name.
 
     ``basin_hint``, when set, is an open box in decision space inside which
     the minimizer is assumed unique for all admissible parameters; it is
@@ -67,12 +65,13 @@ class Problem(abc.ABC):
     basin_hint: tuple[np.ndarray, np.ndarray] | None = None
 
     @abc.abstractmethod
-    def values(self, M: np.ndarray, Theta: np.ndarray) -> np.ndarray:
-        """J at S points, shape (S,); +inf where it cannot be evaluated."""
-
-    @abc.abstractmethod
     def derivatives(self, M: np.ndarray, Theta: np.ndarray, dTheta: np.ndarray | None = None):
         """(J, dJ/dm, d2J/dm2, d2J/(dm dtheta) dTheta) at S points; NaN rows where they fail."""
+
+    def values(self, M: np.ndarray, Theta: np.ndarray) -> np.ndarray:
+        """J at S points, shape (S,); +inf where it is not finite."""
+        J = self.derivatives(M, Theta)[0]
+        return np.where(np.isfinite(J), J, np.inf)
 
     def objective(self, m, theta) -> float:
         """J(m, theta) at one point."""
@@ -92,10 +91,6 @@ class Problem(abc.ABC):
     def hessian(self, m, theta) -> np.ndarray:
         """d2J/dm2 at one point, shape (d, d), symmetric."""
         return self._value_gradient_hessian(m, theta)[2]
-
-    def mixed(self, m, theta) -> np.ndarray:
-        """d2J/(dm dtheta) at one point, shape (d, p)."""
-        return derivatives_at(self, m, theta)[3]
 
     def hessian_and_mixed(self, m, theta) -> tuple[np.ndarray, np.ndarray]:
         """Hessian and mixed derivative at one point."""

@@ -28,9 +28,23 @@ def rendered(study, directory) -> tuple[list[str], list[str]]:
     return records((directory / "study.json").read_text()), samples
 
 
-def march_one(problem, start, theta_bar, theta_end, config):
+def march_one(problem, start, theta_bar, theta_end, num_steps, scheme=mm.Scheme.FORWARD_EULER):
     """The march of one sample to theta_end: a one-row ``march_block``."""
-    return mm.march_block(problem, start, ParameterLine(theta_bar, theta_end[None]), config)
+    lines = ParameterLine(theta_bar, theta_end[None])
+    return mm.march_block(problem, start, lines, num_steps, scheme)
+
+
+def fd_gradient(func, x):
+    """Central differences of a scalar function: the one-row ``fd_jacobian``."""
+    return fd_jacobian(lambda xx: np.atleast_1d(func(xx)), x)[0]
+
+
+def integral(est) -> float:
+    """The trapezoid-rule integral of a ``DensityEstimate`` over its grid."""
+    if est.dimension == 1:
+        return float(np.trapezoid(est.density, est.axes[0]))
+    inner = np.trapezoid(est.density, est.axes[1], axis=1)
+    return float(np.trapezoid(inner, est.axes[0]))
 
 
 def objective_second_differences(problem, m, theta, step=1e-5):

@@ -13,7 +13,7 @@ import pytest
 
 import minmarch as mm
 from minmarch.cli import main
-from minmarch.marching import MarchConfig, MarchStatus
+from minmarch.marching import MarchStatus
 from minmarch.sensitivity import ParameterLine
 
 ACCEPT_SEED = 7
@@ -104,7 +104,7 @@ def test_criterion_3_exactness_on_affine_minimizer_maps(
         thetas = box.sample(seed=ACCEPT_SEED, count=20)
         lines = ParameterLine(box.nominal, thetas)
         for N in [1, 2, 3, 4, 8, 16, 64]:
-            block = mm.march_block(problem, start, lines, MarchConfig(N))
+            block = mm.march_block(problem, start, lines, N)
             for final, status, theta_end in zip(block.finals, block.statuses, thetas):
                 completed = status == MarchStatus.COMPLETED.value
                 err = float(np.linalg.norm(final - argmin(theta_end))) if completed else np.nan

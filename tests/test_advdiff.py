@@ -6,8 +6,14 @@ import minmarch as mm
 import minmarch.problems.advdiff as advdiff_module
 from minmarch.derivatives import _max_rel_error
 from minmarch.problems.advdiff import AdvectionDiffusionModel
+from minmarch.problems.base import derivatives_at
 
-from conftest import THETA_ADVDIFF, gradient_differences, objective_second_differences
+from conftest import (
+    THETA_ADVDIFF,
+    fd_gradient,
+    gradient_differences,
+    objective_second_differences,
+)
 
 M_TRUE = np.array([0.05, 0.4])
 
@@ -89,8 +95,6 @@ def test_objective_nonnegative_at_random_points(advdiff, advdiff_box):
 
 
 def test_gradient_fd_at_random_points(advdiff, advdiff_box):
-    from minmarch.derivatives import fd_gradient
-
     rng = np.random.default_rng(11)
     for _ in range(10):
         m = np.array([rng.uniform(0.02, 0.15), rng.uniform(0.0, 0.8)])
@@ -160,7 +164,7 @@ def test_hessian_and_mixed_agree_with_single_evaluators(advdiff):
     m, theta = np.array([0.06, 0.32]), np.array([9.0, 0.055, 1.1])
     H, B = advdiff.hessian_and_mixed(m, theta)
     assert np.array_equal(advdiff.hessian(m, theta), H)
-    assert np.array_equal(advdiff.mixed(m, theta), B)
+    assert np.array_equal(derivatives_at(advdiff, m, theta)[3], B)
     assert np.array_equal(H, H.T)
 
 
@@ -367,7 +371,7 @@ def test_hessian_positive_definite_at_nominal_minimizer(advdiff, advdiff_box):
 
 def test_source_magnitude_column_is_nonzero(advdiff, advdiff_box):
     nominal = mm.solve_nominal(advdiff, advdiff_box)
-    B = advdiff.mixed(nominal.minimizer, advdiff_box.nominal)
+    B = derivatives_at(advdiff, nominal.minimizer, advdiff_box.nominal)[3]
     assert np.linalg.norm(B[:, 0]) > 0.0
 
 

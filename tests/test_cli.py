@@ -57,6 +57,16 @@ class TestCheck:
         assert run(["check", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_fd_step_that_is_not_positive_and_finite_rejected(self, capsys, step):
+        assert run(["check", "--fd-step", step, "--random-points", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: fd_step must be positive and finite, got {float(step)}\n"
+
+    def test_negative_point_count_rejected(self, capsys):
+        assert run(["check", "--random-points", "-2"]) == 2
+        assert capsys.readouterr() == ("", "config error: --random-points must be >= 0, got -2\n")
+
     def test_negative_seed_names_the_key(self, capsys):
         # the seed is validated before it seeds the random check points
         assert run(["check", "--seed", "-1", "--random-points", "0"]) == 2
@@ -210,6 +220,8 @@ class TestStudy:
             ("box", {"nominal": [1.0, 3.0, 0.1], "relative": True}),
             ("box", {"nominal": [True, 3, 0.1], "relative": 0.4}),
             ("box", {"nominal": [1.0, 3.0, 0.1], "half_widths": [0.1, "x", 0.01]}),
+            ("fd_step", float("inf")),
+            ("fd_step", float("nan")),
         ],
     )
     def test_config_value_of_wrong_type_rejected(
@@ -393,6 +405,29 @@ class TestStudy:
         )
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["scheme"] == "heun"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["study", "--problem", "quadratic", "--samples", "40", "--workers", "1"], "file"),
+        (["trajectory", "--problem", "quadratic", "--theta", "0.5"], "file/x"),
+    ],
+    ids=["study", "trajectory"],
+)
+def test_output_directory_that_cannot_be_made_is_an_error_line(tmp_path, argv, out):
+    """An --out that is a file, or lies under one, exits 1 with one line on stderr."""
+    (tmp_path / "file").write_text("")
+    result = subprocess.run(
+        [sys.executable, "-m", "minmarch.cli", *argv, "--out", str(tmp_path / out)],
+        env={**os.environ, "PYTHONPATH": str(Path(mm.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 def test_readme_example_config_is_the_advdiff_default():

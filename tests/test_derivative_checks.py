@@ -3,11 +3,12 @@ import pytest
 
 import minmarch as mm
 from minmarch.cli import PROBLEMS
-from minmarch.derivatives import fd_gradient
+from minmarch.problems.base import derivatives_at
 
 from conftest import (
     THETA_ADVDIFF,
     THETA_LOGISTIC,
+    fd_gradient,
     gradient_differences,
     objective_second_differences,
 )
@@ -40,8 +41,9 @@ def test_advdiff_check_near_lower_kappa_edge(advdiff):
 
 
 def test_fd_step_validation(quadratic):
-    with pytest.raises(ValueError):
-        mm.check_derivatives(quadratic, np.array([0.3]), np.array([0.1]), fd_step=0.0)
+    for fd_step in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            mm.check_derivatives(quadratic, np.array([0.3]), np.array([0.1]), fd_step=fd_step)
 
 
 def test_fd_second_derivatives_quadratic(quadratic):
@@ -115,13 +117,13 @@ def test_gradient_fd_invariant_random_points(
 def taylor_remainders(problem, m, theta, dm, dtheta, steps):
     """Remainders ||g(x + e dx) - g(x) - e D dx|| for D = H (x = m) and D = B (x = theta).
 
-    B dtheta is taken twice: from the full B of ``mixed`` and as the
+    B dtheta is taken twice: from the full B of ``derivatives_at`` and as the
     directional b of ``derivatives``.  All perturbed points of one kind are
     evaluated as one stack.
     """
     K = steps.size
     _, g0, H, b = problem.derivatives(m[None], theta[None], dtheta[None])
-    B = problem.mixed(m, theta)
+    B = derivatives_at(problem, m, theta)[3]
     g_m = problem.derivatives(m + steps[:, None] * dm, np.tile(theta, (K, 1)))[1]
     g_t = problem.derivatives(np.tile(m, (K, 1)), theta + steps[:, None] * dtheta)[1]
     r_m = np.linalg.norm(g_m - g0 - steps[:, None] * (H[0] @ dm), axis=1)
@@ -203,12 +205,12 @@ def problems(quadratic, double_well, logistic, advdiff, quadratic_box, cubic_box
 
 @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
 def test_directional_mixed_is_full_mixed_times_direction(name, problems):
-    """b = B dtheta from derivatives agrees with the full B of ``mixed`` applied to dtheta."""
+    """b = B dtheta from derivatives agrees with the full B of ``derivatives_at`` times dtheta."""
     problem, M, Theta, dTheta = _stack_with_directions(name, problems, 12, seed=5)
     b = problem.derivatives(M, Theta, dTheta)[3]
     assert b.shape == M.shape
     for s in range(len(M)):
-        expected = problem.mixed(M[s], Theta[s]) @ dTheta[s]
+        expected = derivatives_at(problem, M[s], Theta[s])[3] @ dTheta[s]
         assert np.linalg.norm(b[s] - expected) <= 1e-12 * np.linalg.norm(expected)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.marching import TABLEAUX, MarchConfig, MarchStatus, Scheme, march_block
+from minmarch.marching import TABLEAUX, MarchStatus, Scheme, march_block
 from minmarch.problems.base import mixed_action
 from minmarch.sensitivity import ParameterLine
 
@@ -12,7 +12,7 @@ from conftest import THETA_LOGISTIC, FragileProblem, march_one
 def test_zero_direction_trajectory_is_constant(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     traj = march_one(
-        logistic, nominal.minimizer, THETA_LOGISTIC, THETA_LOGISTIC, MarchConfig(5)
+        logistic, nominal.minimizer, THETA_LOGISTIC, THETA_LOGISTIC, 5
     ).trajectory(0)
     assert traj.status is MarchStatus.COMPLETED
     for state in traj.states:
@@ -21,7 +21,7 @@ def test_zero_direction_trajectory_is_constant(logistic, logistic_box):
 
 def test_quadratic_single_step_is_exact(quadratic):
     traj = march_one(
-        quadratic, np.array([0.4]), np.array([0.4]), np.array([0.7]), MarchConfig(1)
+        quadratic, np.array([0.4]), np.array([0.4]), np.array([0.7]), 1
     ).trajectory(0)
     np.testing.assert_allclose(traj.final_state, [0.7], rtol=1e-15)
 
@@ -34,7 +34,7 @@ def test_rhs_evaluation_accounting(logistic, logistic_box, scheme, evals_per_ste
     nominal = mm.solve_nominal(logistic, logistic_box)
     block = march_one(
         logistic, nominal.minimizer, THETA_LOGISTIC, np.array([1.2, 2.6, 0.12]),
-        MarchConfig(7, scheme),
+        7, scheme,
     )
     assert block.trajectory(0).status is MarchStatus.COMPLETED
     assert block.rhs_evals[0] == 7 * evals_per_step
@@ -43,7 +43,7 @@ def test_rhs_evaluation_accounting(logistic, logistic_box, scheme, evals_per_ste
 def test_completed_trajectory_invariants(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     traj = march_one(
-        logistic, nominal.minimizer, THETA_LOGISTIC, np.array([0.8, 3.9, 0.08]), MarchConfig(12)
+        logistic, nominal.minimizer, THETA_LOGISTIC, np.array([0.8, 3.9, 0.08]), 12
     ).trajectory(0)
     assert traj.status is MarchStatus.COMPLETED
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
@@ -57,7 +57,7 @@ def test_logistic_march_close_to_newton(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     for theta_end in logistic_box.sample(seed=5, count=20):
         traj = march_one(
-            logistic, nominal.minimizer, logistic_box.nominal, theta_end, MarchConfig(20)
+            logistic, nominal.minimizer, logistic_box.nominal, theta_end, 20
         ).trajectory(0)
         oracle = mm.newton_solve(logistic, theta_end, nominal.minimizer)
         assert np.linalg.norm(traj.final_state - oracle.minimizer) <= 1e-2
@@ -72,7 +72,7 @@ def test_first_order_convergence_average_slope(logistic, logistic_box):
     oracles = [mm.newton_solve(logistic, t, nominal.minimizer).minimizer for t in thetas]
     lines = ParameterLine(logistic_box.nominal, thetas)
     errors = np.array([
-        march_errors(march_block(logistic, nominal.minimizer, lines, MarchConfig(N)), oracles)
+        march_errors(march_block(logistic, nominal.minimizer, lines, N), oracles)
         for N in N_list
     ])
     slopes = []
@@ -105,7 +105,7 @@ def test_exactness_on_affine_minimizer_maps(quadratic, double_well, N):
         ),
     ]
     for problem, theta_bar, theta_end, argmin in cases:
-        block = march_one(problem, argmin(theta_bar), theta_bar, theta_end, MarchConfig(N))
+        block = march_one(problem, argmin(theta_bar), theta_bar, theta_end, N)
         traj = block.trajectory(0)
         assert traj.status is MarchStatus.COMPLETED
         assert np.linalg.norm(traj.final_state - argmin(theta_end)) <= 1e-12
@@ -114,7 +114,7 @@ def test_exactness_on_affine_minimizer_maps(quadratic, double_well, N):
 def test_aborted_indefinite_keeps_last_good_state(concave_problem):
     # stationary start, but the Hessian is negative definite everywhere
     traj = march_one(
-        concave_problem, np.array([1.0]), np.array([1.0]), np.array([2.0]), MarchConfig(4)
+        concave_problem, np.array([1.0]), np.array([1.0]), np.array([2.0]), 4
     ).trajectory(0)
     assert traj.status is MarchStatus.ABORTED_INDEFINITE
     assert traj.times[-1] == 0.0
@@ -125,7 +125,7 @@ def test_aborted_indefinite_keeps_last_good_state(concave_problem):
 def test_aborted_midway_on_degenerating_hessian(fragile_problem):
     # theta(t) crosses zero at t = 0.5; steps before that succeed
     traj = march_one(
-        fragile_problem, np.array([0.0]), np.array([1.0]), np.array([-1.0]), MarchConfig(4)
+        fragile_problem, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 4
     ).trajectory(0)
     assert traj.status is MarchStatus.ABORTED_INDEFINITE
     assert traj.times[-1] == 0.5  # two completed steps out of four
@@ -148,7 +148,7 @@ class _NonfiniteRhsProblem(mm.Problem):
 def test_aborted_nonfinite(concave_problem):
     problem = _NonfiniteRhsProblem()
     traj = march_one(
-        problem, np.array([0.0]), np.array([0.0]), np.array([1.0]), MarchConfig(3)
+        problem, np.array([0.0]), np.array([0.0]), np.array([1.0]), 3
     ).trajectory(0)
     assert traj.status is MarchStatus.ABORTED_NONFINITE
     assert np.all(np.isfinite(traj.final_state))
@@ -173,7 +173,7 @@ class _HessianPoleProblem(mm.Problem):
 def test_nonfinite_hessian_aborts_a_one_dimensional_march():
     # an infinite 1x1 Hessian must not read as a zero velocity
     traj = march_one(
-        _HessianPoleProblem(), np.array([0.4]), np.array([0.4]), np.array([0.8]), MarchConfig(4)
+        _HessianPoleProblem(), np.array([0.4]), np.array([0.4]), np.array([0.8]), 4
     ).trajectory(0)
     assert traj.status is MarchStatus.ABORTED_NONFINITE
     assert traj.times[-1] == 0.5
@@ -183,7 +183,7 @@ def test_nonfinite_hessian_aborts_a_one_dimensional_march():
 def test_stationarity_precondition(logistic):
     with pytest.raises(mm.StationarityError):
         march_one(
-            logistic, np.array([0.5]), THETA_LOGISTIC, np.array([1.2, 2.9, 0.11]), MarchConfig(4)
+            logistic, np.array([0.5]), THETA_LOGISTIC, np.array([1.2, 2.9, 0.11]), 4
         )
 
 
@@ -191,7 +191,7 @@ def test_basin_exit_sets_flag_but_continues(quadratic):
     problem = mm.QuadraticProblem()
     problem.basin_hint = (np.array([0.35]), np.array([0.45]))  # deliberately tiny
     traj = march_one(
-        problem, np.array([0.4]), np.array([0.4]), np.array([0.9]), MarchConfig(4)
+        problem, np.array([0.4]), np.array([0.4]), np.array([0.9]), 4
     ).trajectory(0)
     assert traj.status is MarchStatus.COMPLETED
     assert traj.left_basin
@@ -201,8 +201,8 @@ def test_basin_exit_sets_flag_but_continues(quadratic):
 def test_march_is_deterministic(logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     end = np.array([1.3, 3.3, 0.13])
-    a = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, MarchConfig(9)).trajectory(0)
-    b = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, MarchConfig(9)).trajectory(0)
+    a = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, 9).trajectory(0)
+    b = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, 9).trajectory(0)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.times, b.times)
 
@@ -211,19 +211,21 @@ def test_march_errors_record_nan_on_failure(fragile_problem):
     start, theta_bar, end = np.array([0.0]), np.array([1.0]), np.array([-1.0])
     errs = {}
     for N in (1, 4):
-        block = march_one(fragile_problem, start, theta_bar, end, MarchConfig(N))
+        block = march_one(fragile_problem, start, theta_bar, end, N)
         errs[N] = march_errors(block, [np.array([0.0])])[0]
     # N=1 evaluates only at t=0 (healthy); N=4 hits the degenerate region
     assert np.isfinite(errs[1])
     assert np.isnan(errs[4])
 
 
-def test_march_config_validation():
+def test_march_config_validation(quadratic):
+    start, lines = np.array([0.4]), ParameterLine(np.array([0.4]), np.array([[0.7]]))
     with pytest.raises(ValueError):
-        MarchConfig(0)
-    assert MarchConfig(4, "heun").scheme is Scheme.HEUN
+        march_block(quadratic, start, lines, 0)
+    heun = march_block(quadratic, start, lines, 4, "heun")
+    assert heun.rhs_evals[0] == 4 * len(TABLEAUX[Scheme.HEUN].nodes)
     with pytest.raises(ValueError):
-        MarchConfig(4, "midpoint")
+        march_block(quadratic, start, lines, 4, "midpoint")
 
 
 class _SinhProblem(mm.Problem):
@@ -252,7 +254,7 @@ def test_tableau_convergence_order(scheme, order):
     N_list = [4, 8, 16, 32]
     errors = [
         march_errors(
-            march_one(_SinhProblem(), start, start, end, MarchConfig(N, scheme)),
+            march_one(_SinhProblem(), start, start, end, N, scheme),
             [np.array([np.arcsinh(3.0)])],
         )[0]
         for N in N_list
@@ -269,8 +271,9 @@ def test_higher_order_schemes_are_sharper(logistic, logistic_box):
         oracle = mm.newton_solve(logistic, theta_end, nominal.minimizer, tight)
         errs = {}
         for scheme in Scheme:
-            config = MarchConfig(8, scheme)
-            block = march_one(logistic, nominal.minimizer, logistic_box.nominal, theta_end, config)
+            block = march_one(
+                logistic, nominal.minimizer, logistic_box.nominal, theta_end, 8, scheme
+            )
             traj = block.trajectory(0)
             errs[scheme] = np.linalg.norm(traj.final_state - oracle.minimizer)
         assert errs[Scheme.HEUN] <= 0.1 * errs[Scheme.FORWARD_EULER]
@@ -305,10 +308,9 @@ def test_block_march_equals_single_marches(
     start = mm.solve_nominal(problem, box).minimizer
     thetas = box.sample(seed=13, count=count)
     for N in N_list:
-        config = MarchConfig(N, scheme)
-        block = march_block(problem, start, ParameterLine(box.nominal, thetas), config)
+        block = march_block(problem, start, ParameterLine(box.nominal, thetas), N, scheme)
         for s, theta in enumerate(thetas):
-            single = march_one(problem, start, box.nominal, theta, config)
+            single = march_one(problem, start, box.nominal, theta, N, scheme)
             _assert_same_march(block, s, single, 0)
             assert np.array_equal(block.finals[s], single.trajectory(0).final_state)
             assert block.statuses[s] == single.trajectory(0).status.value
@@ -349,12 +351,11 @@ def test_mixed_block_abort_accounting(scheme, failure_steps):
         MarchStatus.ABORTED_INDEFINITE,
     ]
     N = 8
-    config = MarchConfig(N, scheme)
-    block = march_block(problem, start, ParameterLine(theta_bar, ends), config)
+    block = march_block(problem, start, ParameterLine(theta_bar, ends), N, scheme)
 
     for s, (status, step) in enumerate(zip(statuses, failure_steps)):
         traj = block.trajectory(s)
-        _assert_same_march(block, s, march_one(problem, start, theta_bar, ends[s], config), 0)
+        _assert_same_march(block, s, march_one(problem, start, theta_bar, ends[s], N, scheme), 0)
         assert traj.status is status
         done = N if step is None else step
         assert block.steps_done[s] == done
@@ -365,7 +366,7 @@ def test_mixed_block_abort_accounting(scheme, failure_steps):
 
     # failing rows neither stop nor perturb their blockmates
     healthy = [0, 4]
-    alone = march_block(problem, start, ParameterLine(theta_bar, ends[healthy]), config)
+    alone = march_block(problem, start, ParameterLine(theta_bar, ends[healthy]), N, scheme)
     for k, s in enumerate(healthy):
         _assert_same_march(block, s, alone, k)
 
@@ -399,8 +400,7 @@ def test_block_row_solver_failure_aborts_only_that_row():
     problem = _BowlWithSolverFailure()
     start, theta_bar = np.array([1.0, 1.0]), np.array([1.0])
     ends = np.array([[0.5], [3.0], [1.4]])
-    config = MarchConfig(8)
-    block = march_block(problem, start, ParameterLine(theta_bar, ends), config)
+    block = march_block(problem, start, ParameterLine(theta_bar, ends), 8)
     assert block.statuses.tolist() == [
         MarchStatus.COMPLETED.value,
         MarchStatus.ABORTED_NONFINITE.value,
@@ -411,7 +411,7 @@ def test_block_row_solver_failure_aborts_only_that_row():
     # frozen after three good steps of 2 h each
     np.testing.assert_allclose(block.finals[1], [1.75, 1.75], rtol=1e-14)
     for s, end in enumerate(ends):
-        _assert_same_march(block, s, march_one(problem, start, theta_bar, end, config), 0)
+        _assert_same_march(block, s, march_one(problem, start, theta_bar, end, 8), 0)
 
 
 class _Recording(mm.Problem):
@@ -441,7 +441,7 @@ def test_block_march_evaluates_its_start_once(
     lines = ParameterLine(box.nominal, box.sample(seed=21, count=6))
     recording = _Recording(problem)
     N = 3
-    block = march_block(recording, start, lines, MarchConfig(N, scheme))
+    block = march_block(recording, start, lines, N, scheme)
     assert (block.statuses == MarchStatus.COMPLETED.value).all()
     at_start = [
         np.all((M == start) & (Theta == box.nominal).all(axis=1, keepdims=True), axis=1)
@@ -466,7 +466,7 @@ def _record_fragile_march(scheme):
     recording = _Recording(_FragileWithPole())
     ends = np.array([[0.5], [-3.0], [-1.0], [4.0], [1.5], [-0.6], [-2.5], [3.5]])
     lines = ParameterLine(np.array([1.0]), ends)
-    block = march_block(recording, np.array([0.0]), lines, MarchConfig(8, scheme))
+    block = march_block(recording, np.array([0.0]), lines, 8, scheme)
     return recording, lines, block
 
 
@@ -526,7 +526,7 @@ def test_shared_first_stage_is_the_sensitivity_at_the_start(
     start = mm.solve_nominal(problem, box).minimizer
     thetas = box.sample(seed=22, count=8)
     lines = ParameterLine(box.nominal, thetas)
-    final = march_block(problem, start, lines, MarchConfig(1)).finals
+    final = march_block(problem, start, lines, 1).finals
     S = len(thetas)
     expected = start + mm.post_optimality_apply(
         problem, np.tile(start, (S, 1)), np.tile(box.nominal, (S, 1)), lines.direction

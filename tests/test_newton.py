@@ -3,7 +3,7 @@ import pytest
 
 import minmarch as mm
 from minmarch.newton import newton_solve_block
-from minmarch.problems.base import dot_rows
+from minmarch.problems.base import dot_rows, mixed_action
 
 from conftest import THETA_LOGISTIC, FragileProblem
 
@@ -337,3 +337,60 @@ def test_row_with_finite_hessian_but_nonfinite_value_stops(d, broken):
         assert wall.iterations == 0 and wall.minimizer[0] == M0[s, 0]
         assert np.isnan(wall.hessian_min_eigenvalue)
         assert np.isnan(wall.history[0].hessian_min_eigenvalue)
+
+
+class _PseudoHuber(mm.Problem):
+    """J = sqrt(1 + (m - theta)^2), which implements ``derivatives`` alone.
+
+    The minimizer is theta.  From r = m - theta, a unit Newton step lands on
+    -r^3, so for |r| >= 1 the line search backtracks, and its second round
+    on calls ``values``.
+    """
+
+    d = p = 1
+
+    def derivatives(self, M, Theta, dTheta=None):
+        r = M[:, 0] - Theta[:, 0]
+        J = np.sqrt(1.0 + r**2)
+        H = (1.0 / J**3)[:, None, None]
+        return J, (r / J)[:, None], H, mixed_action(-H, dTheta)
+
+    def initial_guess(self):
+        return np.array([0.0])
+
+
+class _PseudoHuberWithValues(_PseudoHuber):
+    """The same problem with ``values`` written out; it counts its calls."""
+
+    values_calls = 0
+
+    def values(self, M, Theta):
+        self.values_calls += 1
+        return np.sqrt(1.0 + (M[:, 0] - Theta[:, 0]) ** 2)
+
+
+def test_problem_with_derivatives_alone_runs_the_oracle():
+    """The base ``values`` gives the study of a problem that writes it out, bit for bit."""
+    box = mm.ParameterBox([0.0], [2.0])
+    args = (box, 200, [1, 4], 3)
+    alone = mm.propagate_study(_PseudoHuber(), *args, workers=1)
+    twin = _PseudoHuberWithValues()
+    written = mm.propagate_study(twin, *args, workers=1)
+    assert twin.values_calls > 0  # the line search reached its second round
+    assert written.oracle.converged.all()
+    for name in ("theta", "march_finals", "march_status", "left_basin"):
+        assert np.array_equal(getattr(alone, name), getattr(written, name))
+    for name in ("minimizer", "objective", "grad_norm", "iterations", "converged",
+                 "hessian_min_eigenvalue"):
+        assert np.array_equal(getattr(alone.oracle, name), getattr(written.oracle, name))
+    assert alone.counters == written.counters
+
+
+def test_base_values_are_inf_where_the_objective_is_not_finite():
+    class Identity(_PseudoHuber):
+        def derivatives(self, M, Theta, dTheta=None):
+            return M[:, 0], None, None, None
+
+    M = np.array([[np.nan], [np.inf], [-np.inf], [0.25]])
+    values = Identity().values(M, np.zeros((4, 1)))
+    assert values.tolist() == [np.inf, np.inf, np.inf, 0.25]

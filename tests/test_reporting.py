@@ -8,7 +8,6 @@ import pytest
 
 import minmarch as mm
 from minmarch import reporting
-from minmarch.marching import MarchConfig
 from minmarch.newton import to_json_dict
 
 from conftest import THETA_LOGISTIC, march_one, records, rendered
@@ -268,7 +267,7 @@ def test_output_phase_memory_does_not_grow_with_the_samples(tmp_path, logistic, 
 def test_trajectory_csv_schema(tmp_path, logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     end = np.array([1.2, 2.8, 0.12])
-    traj = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, MarchConfig(5)).trajectory(0)
+    traj = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, 5).trajectory(0)
     path = tmp_path / "trajectory.csv"
     reporting.write_trajectory_csv(path, traj)
     assert read_header(path) == ["t", "m_1", "min_eig"]
@@ -282,7 +281,7 @@ def test_trajectory_csv_schema(tmp_path, logistic, logistic_box):
 def test_sensitivity_csv_schema(tmp_path, logistic, logistic_box):
     nominal = mm.solve_nominal(logistic, logistic_box)
     end = np.array([1.2, 2.8, 0.12])
-    traj = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, MarchConfig(3)).trajectory(0)
+    traj = march_one(logistic, nominal.minimizer, THETA_LOGISTIC, end, 3).trajectory(0)
     path = tmp_path / "sensitivity.csv"
     reporting.write_sensitivity_csv(path, traj, np.array([[-3.0], [0.5], [0.25]]))
     assert read_header(path) == ["sample_index", "step", "t", "f_norm", "f_1"]

@@ -18,8 +18,11 @@ them, and writes under OUT/parent and OUT/change (OUT must be new or empty):
 
 Every file that differs, or exists on one side only, is listed.  In
 ``manifest.json`` the keys ``timings_sec`` and ``output_dir`` are ignored;
-everything else, the work counters included, must match.  The exit status
-is 0 when every file matches and 1 otherwise.
+everything else, the work counters included, must match.  Before the
+summary line, each tree's size is printed: its source lines, as
+``cat src/minmarch/*.py src/minmarch/problems/*.py | wc -l`` counts them,
+and ``len(minmarch.__all__)``.  The exit status is 0 when every file
+matches and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -43,24 +46,23 @@ TRAJECTORY_SAMPLES = 3
 SEED = 7
 IGNORED_KEYS = {"timings_sec", "output_dir"}
 
-# runs the command line in the tree on PYTHONPATH, after checking that
-# minmarch is imported from there
-CHILD = """\
+# imports minmarch and checks that it comes from the tree on PYTHONPATH
+IMPORT = """\
 import os, sys
 import minmarch
-from minmarch.cli import main
 src = os.path.realpath(os.environ["PYTHONPATH"])
 if not os.path.realpath(minmarch.__file__).startswith(src + os.sep):
     sys.exit(f"minmarch imported from {minmarch.__file__}, not from {src}")
-sys.exit(main(sys.argv[1:]))
 """
+# runs the command line of that tree
+CHILD = IMPORT + "from minmarch.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
 
-def run(src: Path, args: list[str], ok=(0,)) -> str:
+def run(src: Path, args: list[str], ok=(0,), code: str = CHILD) -> str:
     """The stdout of a command that exits with a status in ok."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, *args], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
     if done.returncode not in ok:
         raise SystemExit(f"{' '.join(args)} failed under {src}:\n{done.stderr}")
@@ -99,6 +101,15 @@ def trajectory_runs(out: Path):
                     "--steps", str(N), "--theta", theta,
                 ]
                 yield name, args
+
+
+def size(src: Path) -> str:
+    """The tree's source lines, as ``wc -l`` counts them, and its exported names."""
+    package = src / "minmarch"
+    files = [*sorted(package.glob("*.py")), *sorted((package / "problems").glob("*.py"))]
+    lines = sum(f.read_bytes().count(b"\n") for f in files)
+    names = run(src, [], code=IMPORT + "print(len(minmarch.__all__))\n").strip()
+    return f"{lines} source lines, {names} exported names"
 
 
 def without_ignored(value):
@@ -149,6 +160,8 @@ def main(argv: list[str]) -> int:
     count, differ = differing_files(out / "parent", out / "change")
     for rel in differ:
         print(f"differs: {rel}")
+    for side, src in trees.items():
+        print(f"{side}: {size(src)}")
     print(f"{count - len(differ)} of {count} files identical")
     return 1 if differ else 0
 
