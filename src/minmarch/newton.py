@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -29,26 +29,13 @@ class NewtonConfig:
             raise ValueError("max_iters and max_backtracks must be >= 1")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Per-iterate diagnostics; alpha and slope describe the step taken FROM here.
-
-    ``polish`` marks steps whose predicted objective decrease was below
-    floating-point resolution, accepted by gradient-norm contraction instead
-    of the Armijo test.
-    """
-
-    objective: float
-    grad_norm: float
-    hessian_min_eigenvalue: float
-    alpha: float | None = None
-    directional_derivative: float | None = None
-    polish: bool = False
-
-
 @dataclass
 class SolveResult:
-    """One re-solve, or S of them as columns: minimizer (S, d), fields (S,), S histories."""
+    """One re-solve, or S of them as columns: minimizer (S, d), the other fields (S,).
+
+    The fields describe the last iterate.  Iterate k of a solve is the last
+    iterate of the same solve with ``NewtonConfig(max_iters=k)``.
+    """
 
     minimizer: np.ndarray
     objective: float
@@ -56,7 +43,6 @@ class SolveResult:
     iterations: int
     converged: bool
     hessian_min_eigenvalue: float
-    history: list[IterationRecord] | None = field(default=None, repr=False)
 
     def row(self, s: int) -> "SolveResult":
         """Solve s of a stacked result, with scalar fields."""
@@ -67,16 +53,15 @@ class SolveResult:
             int(self.iterations[s]),
             bool(self.converged[s]),
             float(self.hessian_min_eigenvalue[s]),
-            self.history[s] if self.history is not None else None,
         )
 
 
 def to_json_dict(obj) -> dict:
-    """Fields of a dataclass for JSON, in field order; an iteration history is dropped.
+    """Fields of a dataclass for JSON, in field order.
 
     Nested dataclasses become dicts, arrays lists and enum members their values.
     """
-    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj) if f.name != "history"}
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _json_value(value):
@@ -89,30 +74,18 @@ def _json_value(value):
     return value
 
 
-def newton_solve(
-    problem,
-    theta,
-    m0,
-    config: NewtonConfig = NewtonConfig(),
-    record_history: bool = False,
-) -> SolveResult:
+def newton_solve(problem, theta, m0, config: NewtonConfig = NewtonConfig()) -> SolveResult:
     """Minimize J(., theta) from m0 by damped Newton iteration.
 
     The S = 1 call of ``newton_solve_block``, which re-solves a stack of
     parameter vectors in lockstep; see there for the method.
     """
     theta = np.asarray(theta, dtype=float)
-    block = newton_solve_block(problem, theta[None], as_vector(m0, "m0"), config, record_history)
+    block = newton_solve_block(problem, theta[None], as_vector(m0, "m0"), config)
     return block.row(0)
 
 
-def newton_solve_block(
-    problem,
-    Theta,
-    m0,
-    config: NewtonConfig = NewtonConfig(),
-    record_history: bool = False,
-) -> SolveResult:
+def newton_solve_block(problem, Theta, m0, config: NewtonConfig = NewtonConfig()) -> SolveResult:
     """Minimize J(., Theta[s]) for each row s of Theta (S, p), in lockstep.
 
     Every row starts from ``m0``, one point (d,) or one per row (S, d).
@@ -137,7 +110,8 @@ def newton_solve_block(
     operation is row-wise, so a row's result does not depend on its block.
 
     Returns one ``SolveResult`` whose fields are columns over the S rows;
-    ``SolveResult.row`` takes one of them out.
+    ``SolveResult.row`` takes one of them out.  It describes each row's last
+    iterate only; a solve with ``max_iters = k`` stops at iterate k or sooner.
     """
     Theta = np.asarray(Theta, dtype=float)
     S = Theta.shape[0]
@@ -148,12 +122,6 @@ def newton_solve_block(
     value, grad_norm, min_eig = np.full((3, S), np.nan)
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
-    histories = [[] for _ in range(S)] if record_history else None
-
-    def record(rows, *columns):
-        if histories is not None:
-            for row, *fields in zip(rows.tolist(), *(np.asarray(c).tolist() for c in columns)):
-                histories[row].append(IterationRecord(*fields))
 
     # derivatives at each row's current iterate, valid where ``known``: a
     # unit step evaluates them at its trial point, which the next iteration
@@ -181,7 +149,6 @@ def newton_solve_block(
         small = norm <= config.grad_tol * (1.0 + np.abs(J))
         converged[active[small]] = eig[small] > 0.0
         stop = small | ~evaluable | (iterations[active] >= config.max_iters)
-        record(active[stop], J[stop], norm[stop], eig[stop])
         go = np.flatnonzero(~stop)
         if not go.size:
             break
@@ -210,14 +177,12 @@ def newton_solve_block(
             searching = searching[~ok]
             alpha[searching] *= config.backtrack_factor
 
-        step = np.where(accepted, alpha, None)
-        record(rows, J, norm, eig, step, slope, polish)
         M[rows[accepted]] = m[accepted] + alpha[accepted, None] * p[accepted]
         iterations[rows[accepted]] += 1
         known[rows] = accepted & (alpha == 1.0)
         active = rows[accepted]
 
-    return SolveResult(M, value, grad_norm, iterations, converged, min_eig, histories)
+    return SolveResult(M, value, grad_norm, iterations, converged, min_eig)
 
 
 def solve_nominal(

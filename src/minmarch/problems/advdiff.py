@@ -219,6 +219,8 @@ def synthesize_observations(
     seed: int = 0,
 ) -> np.ndarray:
     """Forward-solve at the data-generating point, optionally adding node noise."""
+    if not 0.0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be >= 0 and finite, got {noise_std}")
     u = model.solve(m_true, theta_data)
     if noise_std > 0.0:
         rng = np.random.default_rng(seed)
@@ -281,8 +283,8 @@ class AdvDiffInverseProblem(Problem):
         u_obs = np.asarray(u_obs, dtype=float)
         if u_obs.shape != (model.grid_cells + 1,):
             raise ValueError("u_obs must live on the model grid")
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta}")
         self.model = model
         self.u_obs = u_obs
         self.m_prior = _decision_pair(m_prior, "m_prior")

@@ -6,6 +6,7 @@ losslessly and repeated runs can be compared byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .marching import Trajectory
 from .newton import to_json_dict
-from .uq import _ORACLE_COLUMNS, DensityEstimate, SampleStudy, StudyErrorSummary
+from .uq import DensityEstimate, SampleStudy, StudyErrorSummary
 
 
 def fmt(value) -> str:
@@ -159,7 +160,8 @@ def save_study(path, study: SampleStudy) -> None:
     )
     oracle = ("null", [])
     if study.with_oracle:
-        oracle = _json_object((name, getattr(study.oracle, name)) for name in _ORACLE_COLUMNS)
+        solve = study.oracle
+        oracle = _json_object((f.name, getattr(solve, f.name)) for f in dataclasses.fields(solve))
     index = np.arange(len(study.theta))
     fields = [("index", index), ("theta", study.theta), ("outcomes", outcomes), ("oracle", oracle)]
     record, columns = _json_object(fields)

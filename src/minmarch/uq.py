@@ -19,8 +19,6 @@ from .sensitivity import ParameterLine
 SLOPE_FLOOR = 1e-13  # errors at roundoff level carry no rate information
 KDE_PADDING = 4.0  # default kde grids extend this many bandwidths past the data
 KDE_BLOCK_ELEMENTS = 2**14  # kernel values a 1-d kde evaluates at once: 128 kB, cache-sized
-# the SolveResult fields study.json records per sample
-_ORACLE_COLUMNS = [f.name for f in fields(SolveResult) if f.name != "history"]
 
 
 @dataclass
@@ -129,8 +127,9 @@ def _join_blocks(blocks) -> tuple[dict, tuple]:
     finals, statuses, left_basin, oracles, work = zip(*blocks)
     oracle = None
     if oracles[0] is not None:
-        stacked = {key: [getattr(o, key) for o in oracles] for key in _ORACLE_COLUMNS}
-        oracle = SolveResult(**{key: np.concatenate(c) for key, c in stacked.items()})
+        oracle = SolveResult(
+            *(np.concatenate([getattr(o, f.name) for o in oracles]) for f in fields(SolveResult))
+        )
     columns = {
         "march_finals": np.concatenate(finals, axis=1),
         "march_status": np.concatenate(statuses, axis=1),

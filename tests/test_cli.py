@@ -57,6 +57,13 @@ class TestCheck:
         assert run(["check", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_bad_value_for_a_later_problem_rejected_before_any_check(self, tmp_path, capsys):
+        # advdiff is checked last; its config is still resolved before the first check
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"problem": "advdiff", "fd_step": "x"}))
+        assert run(["check", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "config error: fd_step must be a number, got 'x'\n")
+
     @pytest.mark.parametrize("step", ["inf", "nan"])
     def test_fd_step_that_is_not_positive_and_finite_rejected(self, capsys, step):
         assert run(["check", "--fd-step", step, "--random-points", "0"]) == 2
@@ -268,6 +275,31 @@ class TestStudy:
         assert run(["study", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"problem_options.{key}" in err
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("noise_std", v) for v in (-0.5, np.nan, np.inf)]
+        + [("beta", v) for v in (0.0, np.nan, np.inf)],
+    )
+    def test_advdiff_option_out_of_range_rejected(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # json writes nan and inf as NaN and Infinity, which json.load reads back
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "problem": "advdiff", "num_samples": 2, "N_list": [1],
+                    "with_oracle": False, "workers": 1, "output_dir": "never",
+                    "problem_options": {key: value},
+                }
+            )
+        )
+        assert run(["study", "--config", str(cfg)]) == 2
+        rule = {"noise_std": ">= 0 and finite", "beta": "positive and finite"}[key]
+        assert capsys.readouterr().err == f"error: {key} must be {rule}, got {value}\n"
         assert os.listdir(tmp_path) == ["bad.json"]
 
     @pytest.mark.parametrize(

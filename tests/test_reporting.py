@@ -126,7 +126,7 @@ def study_layout(study):
     columns = (study.march_finals, study.march_status, study.left_basin)
     by_N = list(zip(map(str, study.N_list), *(c.tolist() for c in columns)))
     if study.with_oracle:
-        names = [f.name for f in fields(mm.SolveResult) if f.name != "history"]
+        names = [f.name for f in fields(mm.SolveResult)]
         solves = zip(*(getattr(study.oracle, name).tolist() for name in names))
         oracles = [dict(zip(names, solve)) for solve in solves]
     else:
