@@ -23,7 +23,7 @@ from . import __version__
 from .derivatives import check_derivatives
 from .exceptions import ConfigError, DegenerateBandwidthError, MinmarchError
 from .marching import Scheme, march_block
-from .newton import solve_nominal, to_json_dict
+from .newton import solve_nominal
 from .problems import (
     DoubleWellProblem,
     LogisticWellProblem,
@@ -31,10 +31,10 @@ from .problems import (
     QuadraticProblem,
 )
 from .reporting import (
+    json_value,
     save_study,
     write_errors_csv,
-    write_kde_joint_csv,
-    write_kde_marginal_csv,
+    write_kde_csv,
     write_manifest,
     write_samples_csv,
     write_sensitivity_csv,
@@ -327,7 +327,7 @@ def _study_kde_files(study: SampleStudy, mask: np.ndarray, out_dir: str) -> list
             except DegenerateBandwidthError:
                 continue
             path = os.path.join(out_dir, f"kde_marginal_{k + 1}_{label}.csv")
-            write_kde_marginal_csv(path, est)
+            write_kde_csv(path, est)
             written.append(os.path.basename(path))
 
     if d == 2:
@@ -340,7 +340,7 @@ def _study_kde_files(study: SampleStudy, mask: np.ndarray, out_dir: str) -> list
             except DegenerateBandwidthError:
                 continue
             path = os.path.join(out_dir, f"kde_joint_{label}.csv")
-            write_kde_joint_csv(path, est)
+            write_kde_csv(path, est)
             written.append(os.path.basename(path))
     return written
 
@@ -368,23 +368,15 @@ def cmd_study(args) -> int:
     )
     timings["propagate"] = time.perf_counter() - t0
 
-    slopes = None
     t0 = time.perf_counter()
-    summary = None
+    summary = slopes = None
     if cfg.with_oracle:
         try:
             summary = summary_errors(study)
         except ValueError:
             pass  # fewer than two usable samples: no statistics to report
         else:
-            def _clean(values):
-                return [None if np.isnan(v) else float(v) for v in values]
-
-            slopes = {
-                "mean": _clean(summary.mean.slopes),
-                "std": _clean(summary.std.slopes),
-                "per_sample": _clean(summary.per_sample.slopes),
-            }
+            slopes = {f.name: json_value(getattr(summary, f.name).slopes) for f in fields(summary)}
     timings["statistics"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -404,13 +396,13 @@ def cmd_study(args) -> int:
     manifest = {
         "command": "study",
         "version": __version__,
-        "config": to_json_dict(cfg),
-        "newton": to_json_dict(study.newton_config),
+        "config": cfg,
+        "newton": study.newton_config,
         "timings_sec": timings,
         "failure_counts": counts,
         "counters": study.counters,
         "excluded_from_statistics": int(cfg.num_samples - mask.sum()),
-        "nominal": to_json_dict(study.nominal),
+        "nominal": study.nominal,
         "fitted_slopes": slopes,
         "kde_files": kde_files,
     }
@@ -464,13 +456,13 @@ def cmd_trajectory(args) -> int:
     manifest = {
         "command": "trajectory",
         "version": __version__,
-        "config": to_json_dict(cfg),
-        "theta": theta.tolist(),
+        "config": cfg,
+        "theta": theta,
         "num_steps": N,
-        "status": traj.status.value,
+        "status": traj.status,
         "left_basin": traj.left_basin,
-        "final_state": traj.final_state.tolist(),
-        "nominal": to_json_dict(nominal),
+        "final_state": traj.final_state,
+        "nominal": nominal,
     }
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"trajectory ({traj.status.value}) written to {out_dir}")

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,24 +53,6 @@ class SolveResult:
             bool(self.converged[s]),
             float(self.hessian_min_eigenvalue[s]),
         )
-
-
-def to_json_dict(obj) -> dict:
-    """Fields of a dataclass for JSON, in field order.
-
-    Nested dataclasses become dicts, arrays lists and enum members their values.
-    """
-    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
-
-
-def _json_value(value):
-    if is_dataclass(value):
-        return to_json_dict(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, enum.Enum):
-        return value.value
-    return value
 
 
 def newton_solve(problem, theta, m0, config: NewtonConfig = NewtonConfig()) -> SolveResult:

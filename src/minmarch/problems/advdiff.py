@@ -221,6 +221,8 @@ def synthesize_observations(
     """Forward-solve at the data-generating point, optionally adding node noise."""
     if not 0.0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be >= 0 and finite, got {noise_std}")
+    if seed < 0:
+        raise ValueError(f"noise_seed must be >= 0, got {seed}")
     u = model.solve(m_true, theta_data)
     if noise_std > 0.0:
         rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""CSV and JSON artifact writers.
+"""CSV and JSON artifact writers: the one module that renders an artifact.
 
 Floats are written with 17 significant digits so every output round-trips
 losslessly and repeated runs can be compared byte for byte.
@@ -7,13 +7,13 @@ losslessly and repeated runs can be compared byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import os
 
 import numpy as np
 
 from .marching import Trajectory
-from .newton import to_json_dict
 from .uq import DensityEstimate, SampleStudy, StudyErrorSummary
 
 
@@ -26,6 +26,23 @@ def fmt(value) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def json_value(value):
+    """The JSON form of value: the one converter of every JSON artifact.
+
+    A dataclass becomes a dict of its fields in field order, each converted in
+    turn; an array a list, with NaN as null; an enum member its value; else as is.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: json_value(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            value = np.where(np.isnan(value), None, value)
+        return value.tolist()
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
 _FLOAT = "%.17g"  # fmt's rendering of every float, nan and inf included
@@ -98,22 +115,13 @@ def write_errors_csv(path, summary: StudyErrorSummary) -> None:
     _write_csv(path, header, ["%d"] + [_FLOAT] * (2 * d + 2), [mean.N_list, mean.h, *errors])
 
 
-def write_kde_marginal_csv(path, estimate: DensityEstimate) -> None:
-    if estimate.dimension != 1:
-        raise ValueError("marginal writer expects a 1-d estimate")
-    _write_csv(path, ["x", "density"], [_FLOAT] * 2, [estimate.axes[0], estimate.density])
-
-
-def write_kde_joint_csv(path, estimate: DensityEstimate) -> None:
-    if estimate.dimension != 2:
-        raise ValueError("joint writer expects a 2-d estimate")
-    # the bytes of _write_csv with three _FLOAT cells, with each axis cell
-    # rendered once per axis value instead of once per row
-    xs, ys = ([f"{value:.17g}," for value in axis.tolist()] for axis in estimate.axes)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,density\n")
-        for x, values_at_x in zip(xs, estimate.density.tolist()):
-            fh.writelines([f"{x}{y}{value:.17g}\n" for y, value in zip(ys, values_at_x)])
+def write_kde_csv(path, estimate: DensityEstimate) -> None:
+    """One row per grid point: x (then y), then the density; axis cells are rendered once."""
+    axes = [np.array([f"{value:.17g}" for value in axis.tolist()]) for axis in estimate.axes]
+    if len(axes) == 2:
+        axes = [np.repeat(axes[0], axes[1].size), np.tile(axes[1], axes[0].size)]
+    header = ["x", "y"][: len(axes)] + ["density"]
+    _write_csv(path, header, ["%s"] * len(axes) + [_FLOAT], [*axes, estimate.density.ravel()])
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -166,15 +174,18 @@ def save_study(path, study: SampleStudy) -> None:
     fields = [("index", index), ("theta", study.theta), ("outcomes", outcomes), ("oracle", oracle)]
     record, columns = _json_object(fields)
     head = {key: getattr(study, key) for key in _HEAD_KEYS} | {"records": []}
-    # dataclasses render as to_json_dict's dicts, the scheme (a str) as its value
-    head = json.dumps(head, default=to_json_dict)
+    # the head goes through json_value, in field order; the records through _write_rows
+    head = json.dumps(head, default=json_value)
     _write_rows(path, head[:-2], record, columns, _json_cells, ", ", "]}")
 
 
 def write_manifest(path, manifest: dict) -> None:
-    """Write run metadata atomically so partial runs never leave a manifest."""
+    """Write run metadata atomically so partial runs never leave a manifest.
+
+    ``json_value`` converts what json cannot write itself; keys are sorted at every level.
+    """
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=json_value)
         fh.write("\n")
     os.replace(tmp, path)

@@ -10,7 +10,7 @@ import pytest
 
 import minmarch as mm
 from minmarch.cli import PROBLEM_NAMES, PROBLEMS, main, resolve_config
-from minmarch.newton import to_json_dict
+from minmarch.reporting import json_value
 
 
 def run(argv):
@@ -158,6 +158,17 @@ class TestStudy:
         assert not (out / "errors_vs_N.csv").exists()
         assert (out / "samples.csv").exists()
 
+    def test_nan_slopes_are_written_as_null(self, tmp_path, capsys):
+        # two step counts leave fewer than three points to fit, so every slope is NaN
+        out = tmp_path / "two_steps"
+        args = ["study", "--problem", "logistic1d", "--samples", "40", "--steps", "1,2"]
+        assert run(args + ["--workers", "1", "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text()
+        assert "NaN" not in text
+        slopes = json.loads(text)["fitted_slopes"]
+        assert slopes == {"mean": [None], "std": [None], "per_sample": [None]}
+        assert "fitted slopes: mean=[None] std=[None]\n" in capsys.readouterr().out
+
     def test_zero_spread_study_skips_densities(self, tmp_path):
         # every sample equals the nominal parameters, so no minimizer spreads
         out = tmp_path / "flat"
@@ -206,7 +217,7 @@ class TestStudy:
         args = ["study", "--problem", problem, "--samples", "2", "--steps", "1"]
         assert run(args + ["--no-oracle", "--workers", "1", "--out", str(out)]) == 0
         echo = json.loads((out / "manifest.json").read_text())["config"]
-        assert to_json_dict(resolve_config(echo, {})) == echo
+        assert json_value(resolve_config(echo, {})) == echo
 
     @pytest.mark.parametrize(
         "key,value",
@@ -280,7 +291,8 @@ class TestStudy:
     @pytest.mark.parametrize(
         "key,value",
         [("noise_std", v) for v in (-0.5, np.nan, np.inf)]
-        + [("beta", v) for v in (0.0, np.nan, np.inf)],
+        + [("beta", v) for v in (0.0, np.nan, np.inf)]
+        + [("noise_seed", -1)],
     )
     def test_advdiff_option_out_of_range_rejected(
         self, tmp_path, monkeypatch, capsys, key, value
@@ -298,7 +310,11 @@ class TestStudy:
             )
         )
         assert run(["study", "--config", str(cfg)]) == 2
-        rule = {"noise_std": ">= 0 and finite", "beta": "positive and finite"}[key]
+        rule = {
+            "noise_std": ">= 0 and finite",
+            "beta": "positive and finite",
+            "noise_seed": ">= 0",
+        }[key]
         assert capsys.readouterr().err == f"error: {key} must be {rule}, got {value}\n"
         assert os.listdir(tmp_path) == ["bad.json"]
 
@@ -467,9 +483,9 @@ def test_readme_example_config_is_the_advdiff_default():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("### Example config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
     example = json.loads(block)
-    resolved = to_json_dict(resolve_config(example, {}))
+    resolved = json_value(resolve_config(example, {}))
     default = resolve_config(None, {"problem": "advdiff", "workers": example["workers"]})
-    assert resolved == to_json_dict(default)
+    assert resolved == json_value(default)
     assert example["box"] == PROBLEMS["advdiff"]["box"]
     assert example["N_list"] == PROBLEMS["advdiff"]["N_list"]
     assert example["problem_options"] == PROBLEMS["advdiff"]["problem_options"]

@@ -8,7 +8,7 @@ import pytest
 
 import minmarch as mm
 from minmarch import reporting
-from minmarch.newton import to_json_dict
+from minmarch.reporting import json_value
 
 from conftest import THETA_LOGISTIC, march_one, records, rendered
 
@@ -72,21 +72,16 @@ def test_kde_csv_schemas(tmp_path):
     rng = np.random.default_rng(1)
     est1 = mm.kde(rng.standard_normal(200))
     path1 = tmp_path / "kde_marginal_1.csv"
-    reporting.write_kde_marginal_csv(path1, est1)
+    reporting.write_kde_csv(path1, est1)
     assert read_header(path1) == ["x", "density"]
 
     axis = np.linspace(-4.0, 4.0, 21)
     est2 = mm.kde(rng.standard_normal((200, 2)), grid=(axis, axis))
     path2 = tmp_path / "kde_joint.csv"
-    reporting.write_kde_joint_csv(path2, est2)
+    reporting.write_kde_csv(path2, est2)
     assert read_header(path2) == ["x", "y", "density"]
     with open(path2) as fh:
         assert sum(1 for _ in fh) == 1 + 21 * 21
-
-    with pytest.raises(ValueError):
-        reporting.write_kde_marginal_csv(tmp_path / "x.csv", est2)
-    with pytest.raises(ValueError):
-        reporting.write_kde_joint_csv(tmp_path / "x.csv", est1)
 
 
 def write_fmt_rows(path, header, rows):
@@ -106,13 +101,13 @@ def test_kde_writers_match_the_general_row_writer(tmp_path):
     joint = mm.DensityEstimate(2, (xs, ys), density, np.ones(2))
     marginal = mm.DensityEstimate(1, (xs,), density[:, 0], np.ones(1))
 
-    reporting.write_kde_joint_csv(tmp_path / "joint.csv", joint)
+    reporting.write_kde_csv(tmp_path / "joint.csv", joint)
     write_fmt_rows(
         tmp_path / "joint_ref.csv",
         ["x", "y", "density"],
         ((xs[i], ys[j], density[i, j]) for i in range(7) for j in range(5)),
     )
-    reporting.write_kde_marginal_csv(tmp_path / "marginal.csv", marginal)
+    reporting.write_kde_csv(tmp_path / "marginal.csv", marginal)
     write_fmt_rows(tmp_path / "marginal_ref.csv", ["x", "density"], zip(xs, density[:, 0]))
     for name in ("joint", "marginal"):
         written = (tmp_path / f"{name}.csv").read_bytes()
@@ -132,14 +127,14 @@ def study_layout(study):
     else:
         oracles = [None] * len(study.theta)
     return {
-        "box": to_json_dict(study.box),
+        "box": json_value(study.box),
         "seed": study.seed,
         "num_samples": study.num_samples,
         "N_list": [int(N) for N in study.N_list],
         "scheme": study.scheme.value,
         "with_oracle": study.with_oracle,
-        "newton_config": to_json_dict(study.newton_config),
-        "nominal": to_json_dict(study.nominal),
+        "newton_config": json_value(study.newton_config),
+        "nominal": json_value(study.nominal),
         "records": [
             {
                 "index": s,

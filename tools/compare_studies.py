@@ -36,7 +36,7 @@ import sys
 from pathlib import Path
 
 # problem and sample count: enough samples for the kde, few enough to be quick
-PROBLEMS = {"quadratic": 40, "cubic": 60, "logistic1d": 300, "advdiff": 24}
+PROBLEMS = {"quadratic": 40, "cubic": 60, "logistic1d": 300, "advdiff": 40}
 SCHEMES = ("euler", "heun", "rk4")
 WORKERS = (1, 2, 3)
 ORACLE = ("--oracle", "--no-oracle")
