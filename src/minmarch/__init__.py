@@ -27,7 +27,7 @@ from .problems import (
     Problem,
     QuadraticProblem,
 )
-from .sensitivity import ParameterLine, SensitivityApply, post_optimality_apply
+from .sensitivity import SensitivityApply, post_optimality_apply
 from .uq import (
     ConvergenceReport,
     DensityEstimate,
@@ -66,7 +66,6 @@ __all__ = [
     "NewtonConfig",
     "NominalSolveError",
     "ParameterBox",
-    "ParameterLine",
     "Problem",
     "QuadraticProblem",
     "Scheme",

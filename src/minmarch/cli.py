@@ -40,7 +40,7 @@ from .reporting import (
     write_sensitivity_csv,
     write_trajectory_csv,
 )
-from .sensitivity import ParameterLine, post_optimality_apply
+from .sensitivity import post_optimality_apply
 from .uq import SampleStudy, kde, propagate_study, shared_axis, summary_errors
 
 # Each built-in problem's setup, stated once: the class that builds it
@@ -440,16 +440,16 @@ def cmd_trajectory(args) -> int:
     N = cfg.N_list[0] if args.N_list else max(cfg.N_list)
 
     nominal = solve_nominal(problem, cfg.box)
-    line = ParameterLine(cfg.box.nominal, theta[None])
-    traj = march_block(problem, nominal.minimizer, line, N, cfg.scheme).trajectory(0)
+    block = march_block(problem, nominal.minimizer, cfg.box.nominal, theta[None], N, cfg.scheme)
+    traj = block.trajectory(0)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
-    # the RHS at (m_n, theta(t_n)) of each completed step, theta(t_n) by line.at's arithmetic
-    t = traj.times[:-1, None]
+    # the RHS at (m_n, theta(t_n)) of each completed step, theta(t_n) by the march's arithmetic
+    t, direction = traj.times[:-1, None], theta - cfg.box.nominal
     rhs = post_optimality_apply(
         problem,
         traj.states[:-1],
-        line.start + t * line.direction,
-        np.broadcast_to(line.direction, (t.size, line.start.size)),
+        cfg.box.nominal + t * direction,
+        np.broadcast_to(direction, (t.size, direction.size)),
     ).result
     write_sensitivity_csv(os.path.join(out_dir, "sensitivity.csv"), traj, rhs)
 

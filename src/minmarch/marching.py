@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import StationarityError
 from .problems.base import as_vector, derivatives_at
-from .sensitivity import ParameterLine, apply_inverse_hessian, post_optimality_apply
+from .sensitivity import apply_inverse_hessian, post_optimality_apply
 
 STATIONARITY_TOL = 1e-8
 
@@ -115,65 +115,80 @@ class BlockMarch:
 
 
 def march_block(
-    problem, start_minimizer, lines: ParameterLine, num_steps: int, scheme=Scheme.FORWARD_EULER
+    problem, start_minimizer, theta_start, thetas, num_steps: int, scheme=Scheme.FORWARD_EULER
 ) -> BlockMarch:
-    """March the minimizer from lines.start to each row of lines.end in lockstep.
+    """March the minimizer from theta_start to each row of thetas in lockstep.
 
-    ``lines.end`` is a stack (S, p) of sampled parameters; all S marches
-    start from ``start_minimizer``, which must already be stationary at
-    lines.start: the marcher refuses to repair a bad initial condition
+    ``thetas`` is a stack (S, p) of sampled parameters; sample s moves along
+    the segment theta_start + t (thetas[s] - theta_start), t in [0, 1],
+    from ``start_minimizer``, which must already be stationary at
+    theta_start: the marcher refuses to repair a bad initial condition
     silently.  Each of the num_steps (>= 1) steps of length h = 1/num_steps
     runs the stages of the tableau of ``scheme`` (a ``Scheme`` or its value)
     on the samples still marching; forward Euler applies exactly
-    m_{n+1} = m_n + h f(t_n, m_n).  A sample whose Hessian turns indefinite
-    (ABORTED_INDEFINITE) or whose right-hand side or next state is
-    non-finite (ABORTED_NONFINITE) stops at its last good state and is not
-    evaluated again; the others march on.  Every operation is row-wise, so
-    a sample's march does not depend on its blockmates.
+    m_{n+1} = m_n + h f(t_n, m_n), and a stage at t = 1 is at thetas[s]
+    itself.  A sample whose Hessian turns indefinite (ABORTED_INDEFINITE) or
+    whose right-hand side or next state is non-finite (ABORTED_NONFINITE)
+    stops at its last good state and is not evaluated again; the others
+    march on.  Every operation is row-wise, so a sample's march does not
+    depend on its blockmates.
 
     The stationarity check makes one p-row ``derivatives`` call at
-    (start_minimizer, lines.start) (see ``derivatives_at``), which also gives
-    the Hessian H0 and the full mixed derivative B0 there.  Every march's
-    first stage of step 0 is at that point, so it is -H0^{-1} B0 dtheta_s
-    with one eigendecomposition of H0, and no other evaluation is made
-    there; every later stage is one ``post_optimality_apply`` call on the
-    samples still marching, whose states and lines are kept as compact
-    rows, gathered again only in a stage or step where some sample aborts.
+    (start_minimizer, theta_start) (see ``derivatives_at``), which also
+    gives the Hessian H0 and the full mixed derivative B0 there.  Every
+    march's first stage of step 0 is at that point, so it is
+    -H0^{-1} B0 dtheta_s with one eigendecomposition of H0; every later
+    stage is one ``post_optimality_apply`` call on the samples still
+    marching, whose states and segments are kept as compact rows.
     """
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
     tableau = TABLEAUX[Scheme(scheme)]
     m0 = as_vector(start_minimizer, "start_minimizer")
-    value, g, H0, B0 = derivatives_at(problem, m0, lines.start)
+    theta0 = as_vector(theta_start, "theta_start")
+    thetas = np.asarray(thetas, dtype=float)
+    for name, x, n in (("start_minimizer", m0, problem.d), ("theta_start", theta0, problem.p)):
+        if x.size != n:
+            raise ValueError(f"{name} must have length {n}, got {x.size}")
+    if thetas.shape[1:] != (problem.p,) or not len(thetas):
+        raise ValueError(f"thetas must have shape (S, {problem.p}) with S >= 1, got {thetas.shape}")
+    as_vector(thetas.ravel(), "thetas")  # rejects non-finite entries
+    value, g, H0, B0 = derivatives_at(problem, m0, theta0)
     if np.linalg.norm(g) > STATIONARITY_TOL * (1.0 + abs(value)):
         raise StationarityError(
-            f"start_minimizer is not stationary at the line start: "
-            f"||g||={np.linalg.norm(g)!r} exceeds "
-            f"{STATIONARITY_TOL!r}*(1+|J|)"
+            f"start_minimizer is not stationary at theta_start: ||g||={np.linalg.norm(g)!r} "
+            f"exceeds {STATIONARITY_TOL!r}*(1+|J|)"
         )
 
-    N, h = num_steps, 1.0 / num_steps
-    S, d = lines.end.shape[0], m0.size
-    first_stage = apply_inverse_hessian(H0[None], -(B0 @ lines.direction[..., None])[..., 0])
-    states = np.empty((N + 1, S, d))
+    N, h, S = num_steps, 1.0 / num_steps, len(thetas)
+    direction = thetas - theta0
+    first_stage = apply_inverse_hessian(H0[None], -(B0 @ direction[..., None])[..., 0])
+    states = np.empty((N + 1, S, m0.size))
     states[0] = m0
     steps_done = np.full(S, N)
     statuses = np.full(S, MarchStatus.COMPLETED.value)
     rhs_evals = np.full(S, N * len(tableau.nodes))
     min_eigs = np.full((N, S), np.nan)
-    # the samples not aborted yet, as compact rows of states (and of `lines`),
-    # and the stage evaluations made so far for each of them
+    # the samples not aborted yet, as compact rows of states and segments (starts
+    # contiguous: a broadcast is slower), and the stage evaluations made so far
     marching, m, evals = np.arange(S), states[0], 0
+    starts, ends = np.broadcast_to(theta0, thetas.shape).copy(), thetas
 
-    def abort(failed, status, n):
-        nonlocal statuses
-        rows = marching[failed]
-        if rows.size:
-            # as wide as the longest status present, as np.array(..., dtype=str) makes it
-            dtype = np.promote_types(statuses.dtype, f"U{len(status.value)}")
-            statuses = statuses.astype(dtype, copy=False)
-            statuses[rows] = status.value
-            steps_done[rows], rhs_evals[rows] = n, evals
+    def drop(keep, n, *failures):
+        """Record each (failed, status) row's abort at step n, then keep only rows `keep`."""
+        nonlocal statuses, marching, m, starts, ends, direction, ks, step_min
+        for failed, status in failures:
+            rows = marching[failed]
+            if rows.size:
+                # as wide as the longest status present, as np.array(..., dtype=str) makes it
+                dtype = np.promote_types(statuses.dtype, f"U{len(status.value)}")
+                statuses = statuses.astype(dtype, copy=False)
+                statuses[rows] = status.value
+                steps_done[rows], rhs_evals[rows] = n, evals
+        marching, m, starts, ends, direction, step_min = (
+            x[keep] for x in (marching, m, starts, ends, direction, step_min)
+        )
+        ks = [k[keep] for k in ks]
 
     for n in range(N):
         if not marching.size:
@@ -184,22 +199,22 @@ def march_block(
             state = m
             for j, a in couplings:
                 state = state + (a * h) * ks[j]
-            apply = first_stage if n == i == 0 else post_optimality_apply(
-                problem, state, lines.at((n + c) / N), lines.direction
-            )
+            if n == i == 0:
+                apply = first_stage
+            else:
+                t = (n + c) / N
+                theta = ends if t == 1.0 else starts + t * direction
+                apply = post_optimality_apply(problem, state, theta, direction)
             evals += 1
             ks.append(apply.result)
             step_min = np.minimum(step_min, apply.hessian_min_eigenvalue)
             healthy = apply.definite & np.isfinite(apply.result).all(axis=1)
             if not healthy.all():
-                abort(~apply.definite, MarchStatus.ABORTED_INDEFINITE, n)
-                abort(apply.definite & ~healthy, MarchStatus.ABORTED_NONFINITE, n)
                 # compact now, so that no aborted row is evaluated again
-                marching, m, step_min = marching[healthy], m[healthy], step_min[healthy]
-                ks = [k[healthy] for k in ks]
+                drop(healthy, n, (~apply.definite, MarchStatus.ABORTED_INDEFINITE),
+                     (apply.definite & ~healthy, MarchStatus.ABORTED_NONFINITE))
                 if not marching.size:
                     break
-                lines = ParameterLine(lines.start, lines.end[healthy])
 
         increment = tableau.weights[0] * ks[0]
         for w, k in zip(tableau.weights[1:], ks[1:]):
@@ -207,10 +222,7 @@ def march_block(
         m = m + h * (increment / tableau.denominator)
         finite = np.isfinite(m).all(axis=1)
         if not finite.all():
-            abort(~finite, MarchStatus.ABORTED_NONFINITE, n)
-            marching, m, step_min = marching[finite], m[finite], step_min[finite]
-            if marching.size:
-                lines = ParameterLine(lines.start, lines.end[finite])
+            drop(finite, n, (~finite, MarchStatus.ABORTED_NONFINITE))
         # aborted samples keep their last good state
         states[n + 1] = states[n]
         states[n + 1, marching] = m

@@ -1,52 +1,13 @@
-"""Post-optimality sensitivity operator and the parameter line it is applied along."""
+"""Post-optimality sensitivity operator: the one Hessian solve of the march and the oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .problems.base import as_vector
-
 # relative eigenvalue threshold below which the Hessian counts as singular
 _SINGULAR_RTOL = 1e-14
-
-
-@dataclass(frozen=True)
-class ParameterLine:
-    """Straight segments from a nominal parameter vector to sampled ones.
-
-    ``end`` is a stack (S, p) of sampled vectors, one segment per row, all
-    starting at ``start`` (p,); one sample is the stack (1, p).
-    ``direction`` = end - start is computed once, and ``at`` adds it to the
-    start repeated in end's shape.
-    """
-
-    start: np.ndarray
-    end: np.ndarray
-    direction: np.ndarray = field(init=False, repr=False)
-    _start_rows: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        start = as_vector(self.start, "start")
-        end = np.asarray(self.end, dtype=float)
-        if end.ndim != 2 or end.shape[1] != start.size:
-            raise ValueError(f"end must have shape (S, {start.size}), got {end.shape}")
-        as_vector(end.ravel(), "end")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "direction", end - start)
-        object.__setattr__(self, "_start_rows", np.broadcast_to(start, end.shape).copy())
-
-    def at(self, t: float) -> np.ndarray:
-        """Point on each segment at pseudo-time t; endpoints are returned exactly."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t={t!r} outside [0, 1]")
-        if t == 0.0:
-            return self._start_rows.copy()
-        if t == 1.0:
-            return self.end.copy()
-        return self._start_rows + t * self.direction
 
 
 @dataclass(frozen=True)

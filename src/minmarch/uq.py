@@ -14,7 +14,6 @@ from .exceptions import DegenerateBandwidthError
 from .marching import MarchStatus, Scheme, march_block
 from .newton import NewtonConfig, SolveResult, newton_solve_block, solve_nominal
 from .problems.base import ParameterBox
-from .sensitivity import ParameterLine
 
 SLOPE_FLOOR = 1e-13  # errors at roundoff level carry no rate information
 KDE_PADDING = 4.0  # default kde grids extend this many bandwidths past the data
@@ -103,12 +102,11 @@ def _propagate_block(
     marching and in the oracle.  The block is marched in lockstep once per
     step count, and the Newton oracle re-solves it in lockstep once.
     """
-    lines = ParameterLine(nominal_theta, thetas)
     finals, statuses, left_basin = [], [], []
     rhs_evals = 0
     march_problem = _RowCounter(problem)
     for N in N_list:
-        block = march_block(march_problem, start, lines, N, scheme)
+        block = march_block(march_problem, start, nominal_theta, thetas, N, scheme)
         rhs_evals += int(block.rhs_evals.sum())
         # a copy, so that the block's iterates are freed before the next step count
         finals.append(block.finals.copy())
@@ -252,8 +250,9 @@ def propagate_study(
         _propagate_block,
         problem, box.nominal, nominal.minimizer, tuple(N_list), scheme, with_oracle, newton_config,
     )
-    bounds = [num_samples * k // workers for k in range(workers + 1)]
-    tasks = [thetas[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    blocks = min(workers, num_samples)
+    bounds = [num_samples * k // blocks for k in range(blocks + 1)]
+    tasks = [thetas[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     results = _run_blocks(run, tasks) if len(tasks) > 1 else [run(tasks[0])]
     columns, (rhs_evals, march_rows, oracle_rows) = _join_blocks(results)
     oracle = columns["oracle"]

@@ -4,7 +4,6 @@ import pytest
 import minmarch as mm
 from minmarch.derivatives import fd_jacobian
 from minmarch.problems.base import mixed_action
-from minmarch.sensitivity import ParameterLine
 
 THETA_LOGISTIC = np.array([1.0, 3.0, 0.1])
 THETA_ADVDIFF = np.array([10.0, 0.05, 1.0])
@@ -30,8 +29,7 @@ def rendered(study, directory) -> tuple[list[str], list[str]]:
 
 def march_one(problem, start, theta_bar, theta_end, num_steps, scheme=mm.Scheme.FORWARD_EULER):
     """The march of one sample to theta_end: a one-row ``march_block``."""
-    lines = ParameterLine(theta_bar, theta_end[None])
-    return mm.march_block(problem, start, lines, num_steps, scheme)
+    return mm.march_block(problem, start, theta_bar, theta_end[None], num_steps, scheme)
 
 
 def fd_gradient(func, x):

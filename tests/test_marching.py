@@ -4,7 +4,6 @@ import pytest
 import minmarch as mm
 from minmarch.marching import TABLEAUX, MarchStatus, Scheme, march_block
 from minmarch.problems.base import mixed_action
-from minmarch.sensitivity import ParameterLine
 
 from conftest import THETA_LOGISTIC, FragileProblem, march_one
 
@@ -70,9 +69,10 @@ def test_first_order_convergence_average_slope(logistic, logistic_box):
     h = np.array([1.0 / N for N in N_list])
     thetas = logistic_box.sample(seed=31, count=50)
     oracles = [mm.newton_solve(logistic, t, nominal.minimizer).minimizer for t in thetas]
-    lines = ParameterLine(logistic_box.nominal, thetas)
     errors = np.array([
-        march_errors(march_block(logistic, nominal.minimizer, lines, N), oracles)
+        march_errors(
+            march_block(logistic, nominal.minimizer, logistic_box.nominal, thetas, N), oracles
+        )
         for N in N_list
     ])
     slopes = []
@@ -218,14 +218,39 @@ def test_march_errors_record_nan_on_failure(fragile_problem):
     assert np.isnan(errs[4])
 
 
-def test_march_config_validation(quadratic):
-    start, lines = np.array([0.4]), ParameterLine(np.array([0.4]), np.array([[0.7]]))
+def test_march_config_validation(quadratic, logistic):
+    start, theta_bar, thetas = np.array([0.4]), np.array([0.4]), np.array([[0.7]])
     with pytest.raises(ValueError):
-        march_block(quadratic, start, lines, 0)
-    heun = march_block(quadratic, start, lines, 4, "heun")
+        march_block(quadratic, start, theta_bar, thetas, 0)
+    heun = march_block(quadratic, start, theta_bar, thetas, 4, "heun")
     assert heun.rhs_evals[0] == 4 * len(TABLEAUX[Scheme.HEUN].nodes)
     with pytest.raises(ValueError):
-        march_block(quadratic, start, lines, 4, "midpoint")
+        march_block(quadratic, start, theta_bar, thetas, 4, "midpoint")
+    # every argument must fit the problem's d and p
+    mismatched = [
+        (quadratic, "start_minimizer", np.array([0.4, 5.0]), theta_bar, thetas),
+        (logistic, "start_minimizer", np.array([0.5, 5.0]), THETA_LOGISTIC, THETA_LOGISTIC[None]),
+        (quadratic, "theta_start", start, np.array([0.4, 0.4]), thetas),
+        (logistic, "theta_start", np.array([0.5]), THETA_LOGISTIC[:2], THETA_LOGISTIC[None]),
+        (logistic, "thetas", np.array([0.5]), THETA_LOGISTIC, THETA_LOGISTIC[None, :2]),
+    ]
+    for problem, name, *args in mismatched:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            march_block(problem, *args, 4)
+
+
+def test_march_rejects_malformed_thetas(quadratic):
+    # thetas is a finite, non-empty stack (S, p), one sample included
+    start, theta_bar = np.array([0.4]), np.array([0.4])
+    malformed = [
+        np.array([[1.0, 2.0]]),
+        np.array([1.0]),
+        np.array([[0.7], [np.nan]]),
+        np.empty((0, 1)),
+    ]
+    for thetas in malformed:
+        with pytest.raises(ValueError, match="^thetas "):
+            march_block(quadratic, start, theta_bar, thetas, 4)
 
 
 class _SinhProblem(mm.Problem):
@@ -308,7 +333,7 @@ def test_block_march_equals_single_marches(
     start = mm.solve_nominal(problem, box).minimizer
     thetas = box.sample(seed=13, count=count)
     for N in N_list:
-        block = march_block(problem, start, ParameterLine(box.nominal, thetas), N, scheme)
+        block = march_block(problem, start, box.nominal, thetas, N, scheme)
         for s, theta in enumerate(thetas):
             single = march_one(problem, start, box.nominal, theta, N, scheme)
             _assert_same_march(block, s, single, 0)
@@ -351,7 +376,7 @@ def test_mixed_block_abort_accounting(scheme, failure_steps):
         MarchStatus.ABORTED_INDEFINITE,
     ]
     N = 8
-    block = march_block(problem, start, ParameterLine(theta_bar, ends), N, scheme)
+    block = march_block(problem, start, theta_bar, ends, N, scheme)
 
     for s, (status, step) in enumerate(zip(statuses, failure_steps)):
         traj = block.trajectory(s)
@@ -366,7 +391,7 @@ def test_mixed_block_abort_accounting(scheme, failure_steps):
 
     # failing rows neither stop nor perturb their blockmates
     healthy = [0, 4]
-    alone = march_block(problem, start, ParameterLine(theta_bar, ends[healthy]), N, scheme)
+    alone = march_block(problem, start, theta_bar, ends[healthy], N, scheme)
     for k, s in enumerate(healthy):
         _assert_same_march(block, s, alone, k)
 
@@ -400,7 +425,7 @@ def test_block_row_solver_failure_aborts_only_that_row():
     problem = _BowlWithSolverFailure()
     start, theta_bar = np.array([1.0, 1.0]), np.array([1.0])
     ends = np.array([[0.5], [3.0], [1.4]])
-    block = march_block(problem, start, ParameterLine(theta_bar, ends), 8)
+    block = march_block(problem, start, theta_bar, ends, 8)
     assert block.statuses.tolist() == [
         MarchStatus.COMPLETED.value,
         MarchStatus.ABORTED_NONFINITE.value,
@@ -438,10 +463,9 @@ def test_block_march_evaluates_its_start_once(
     """One p-row call at (m0, theta0) serves the stationarity check and every first stage."""
     problem, box = {"logistic1d": (logistic, logistic_box), "advdiff": (advdiff, advdiff_box)}[name]
     start = mm.solve_nominal(problem, box).minimizer
-    lines = ParameterLine(box.nominal, box.sample(seed=21, count=6))
     recording = _Recording(problem)
     N = 3
-    block = march_block(recording, start, lines, N, scheme)
+    block = march_block(recording, start, box.nominal, box.sample(seed=21, count=6), N, scheme)
     assert (block.statuses == MarchStatus.COMPLETED.value).all()
     at_start = [
         np.all((M == start) & (Theta == box.nominal).all(axis=1, keepdims=True), axis=1)
@@ -465,9 +489,8 @@ def _record_fragile_march(scheme):
     """
     recording = _Recording(_FragileWithPole())
     ends = np.array([[0.5], [-3.0], [-1.0], [4.0], [1.5], [-0.6], [-2.5], [3.5]])
-    lines = ParameterLine(np.array([1.0]), ends)
-    block = march_block(recording, np.array([0.0]), lines, 8, scheme)
-    return recording, lines, block
+    block = march_block(recording, np.array([0.0]), np.array([1.0]), ends, 8, scheme)
+    return recording, ends, block
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -475,19 +498,21 @@ def test_compact_march_passes_the_stage_parameters_of_the_rows_marching(scheme):
     # a row marches on while every stage so far saw theta_1 in (0, 2), where
     # the problem is healthy; each later call gets exactly its stage point
     # and direction, and at t = 1 the sampled end itself
-    recording, lines, block = _record_fragile_march(scheme)
-    N = block.num_steps
-    marching = np.ones(len(lines.end), dtype=bool)
+    recording, ends, block = _record_fragile_march(scheme)
+    N, start = block.num_steps, np.array([1.0])
+    direction = ends - start
+    marching = np.ones(len(ends), dtype=bool)
     calls = iter(recording.calls[1:])  # after the p-row call at the start
     for n in range(N):
         for i, c in enumerate(TABLEAUX[scheme].nodes):
-            theta = lines.at((n + c) / N)
+            t = (n + c) / N
+            theta = ends if t == 1.0 else start + t * direction
             if (n, i) != (0, 0) and marching.any():
                 _, Theta, dTheta = next(calls)
                 assert np.array_equal(Theta, theta[marching])
-                assert np.array_equal(dTheta, lines.direction[marching])
+                assert np.array_equal(dTheta, direction[marching])
                 if n + c == N:
-                    assert np.array_equal(Theta, lines.end[marching])
+                    assert np.array_equal(Theta, ends[marching])
             marching &= (theta[:, 0] > 0.0) & (theta[:, 0] < 2.0)
     assert next(calls, None) is None
     assert [block.trajectory(s).status is MarchStatus.COMPLETED for s in range(8)] == (
@@ -495,13 +520,24 @@ def test_compact_march_passes_the_stage_parameters_of_the_rows_marching(scheme):
     )
 
 
+@pytest.mark.parametrize("scheme", [Scheme.HEUN, Scheme.RK4])
+def test_stage_at_t_one_is_at_the_sampled_rows_themselves(scheme, quadratic):
+    # theta_start + 1.0 * (end - theta_start) rounds away from these ends,
+    # so the last stage sees them only if it takes the rows of thetas as given
+    theta_bar, ends = np.array([0.3]), np.array([[-1.8975812444104436], [-0.49660633350713024]])
+    assert np.all(theta_bar + 1.0 * (ends - theta_bar) != ends)
+    recording = _Recording(quadratic)
+    march_block(recording, theta_bar, theta_bar, ends, 2, scheme)
+    assert np.array_equal(recording.calls[-1][1], ends)
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_derivative_rows_under_aborts(scheme):
     # the propagate_study identity with one block and one step count: every
     # counted stage evaluation is one row passed, but for the S shared first
     # stages, which cost one p-row call; so no row is evaluated after it aborts
-    recording, lines, block = _record_fragile_march(scheme)
-    S, p = lines.end.shape
+    recording, ends, block = _record_fragile_march(scheme)
+    S, p = ends.shape
     rows = sum(len(M) for M, _, _ in recording.calls)
     assert rows == block.rhs_evals.sum() - S + p
 
@@ -525,11 +561,10 @@ def test_shared_first_stage_is_the_sensitivity_at_the_start(
     }[name]
     start = mm.solve_nominal(problem, box).minimizer
     thetas = box.sample(seed=22, count=8)
-    lines = ParameterLine(box.nominal, thetas)
-    final = march_block(problem, start, lines, 1).finals
+    final = march_block(problem, start, box.nominal, thetas, 1).finals
     S = len(thetas)
     expected = start + mm.post_optimality_apply(
-        problem, np.tile(start, (S, 1)), np.tile(box.nominal, (S, 1)), lines.direction
+        problem, np.tile(start, (S, 1)), np.tile(box.nominal, (S, 1)), thetas - box.nominal
     ).result
     if name == "advdiff":
         scale = np.linalg.norm(expected - start, axis=1)

@@ -2,45 +2,9 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.sensitivity import ParameterLine, apply_inverse_hessian
+from minmarch.sensitivity import apply_inverse_hessian
 
 from conftest import THETA_LOGISTIC
-
-
-class TestParameterLine:
-    def test_endpoints_exact(self):
-        start = np.array([0.1, 0.2, 0.3])
-        end = np.array([0.4, 0.1, 0.9])
-        line = ParameterLine(start, end[None])
-        assert np.array_equal(line.at(0.0)[0], start)
-        assert np.array_equal(line.at(1.0)[0], end)
-
-    def test_midpoint(self):
-        line = ParameterLine(np.array([1.0, 3.0, 0.1]), np.array([[1.4, 2.4, 0.12]]))
-        np.testing.assert_allclose(line.at(0.5)[0], [1.2, 2.7, 0.11], rtol=1e-15)
-
-    def test_stacked_points_are_the_segment_formula_bit_for_bit(self):
-        start = np.array([1.0, 3.0, 0.1])
-        end = start * (1.0 + 0.4 * np.random.default_rng(4).uniform(-1.0, 1.0, (50, 3)))
-        line = ParameterLine(start, end)
-        assert np.array_equal(line.direction, end - start)
-        for t in (0.0, 0.125, 1 / 3, 0.5, 0.9, 1.0):
-            point = line.at(t)
-            assert point.flags.c_contiguous
-            expected = {0.0: np.tile(start, (50, 1)), 1.0: end}.get(t, start + t * (end - start))
-            assert np.array_equal(point, expected)
-
-    def test_rejects_t_outside_unit_interval(self):
-        line = ParameterLine(np.array([0.0]), np.array([[1.0]]))
-        for t in (-0.1, 1.1, 2.0):
-            with pytest.raises(ValueError):
-                line.at(t)
-
-    def test_mismatched_lengths(self):
-        # end is a stack (S, p), one sample included
-        for end in ([[1.0, 2.0]], [1.0]):
-            with pytest.raises(ValueError, match=r"shape \(S, 1\)"):
-                ParameterLine(np.array([0.0]), np.array(end))
 
 
 class TestPostOptimalityApply:
@@ -133,40 +97,38 @@ class TestPostOptimalityApply:
             assert np.max(np.abs(residual)) <= 1e-10 * (rhs_norm + 1.0)
 
 
-def ivp_rhs(problem, line, t, m):
-    """Right-hand side of the minimizer-transport ODE at pseudo-time t, on a one-row line."""
-    return mm.post_optimality_apply(problem, m[None], line.at(t), line.direction).result[0]
+def ivp_rhs(problem, theta_start, theta_end, t, m):
+    """Right-hand side of the minimizer-transport ODE at pseudo-time t on the segment
+    from theta_start to theta_end, which it evaluates as ``march_block`` does."""
+    direction = theta_end - theta_start
+    theta = theta_end if t == 1.0 else theta_start + t * direction
+    return mm.post_optimality_apply(problem, m[None], theta[None], direction[None]).result[0]
 
 
 class TestIvpRhs:
     def test_zero_direction_gives_zero(self, logistic):
-        line = ParameterLine(THETA_LOGISTIC, THETA_LOGISTIC[None])
-        rhs = ivp_rhs(logistic, line, 0.3, np.array([0.9]))
+        rhs = ivp_rhs(logistic, THETA_LOGISTIC, THETA_LOGISTIC, 0.3, np.array([0.9]))
         np.testing.assert_array_equal(rhs, [0.0])
 
     def test_quadratic_rhs_constant(self, quadratic):
-        line = ParameterLine(np.array([0.4]), np.array([[0.7]]))
         for t in (0.0, 0.25, 1.0):
-            rhs = ivp_rhs(quadratic, line, t, np.array([0.4 + 0.3 * t]))
+            rhs = ivp_rhs(quadratic, np.array([0.4]), np.array([0.7]), t, np.array([0.4 + 0.3 * t]))
             np.testing.assert_allclose(rhs, [0.3], rtol=1e-14)
 
     def test_linearity_in_direction(self, logistic):
         theta_end = np.array([1.3, 2.5, 0.12])
         m = np.array([0.9])
-        base = ivp_rhs(logistic, ParameterLine(THETA_LOGISTIC, theta_end[None]), 0.0, m)
+        base = ivp_rhs(logistic, THETA_LOGISTIC, theta_end, 0.0, m)
         for alpha in (0.25, 2.0, -1.0):
             scaled_end = THETA_LOGISTIC + alpha * (theta_end - THETA_LOGISTIC)
-            scaled = ivp_rhs(
-                logistic, ParameterLine(THETA_LOGISTIC, scaled_end[None]), 0.0, m
-            )
+            scaled = ivp_rhs(logistic, THETA_LOGISTIC, scaled_end, 0.0, m)
             np.testing.assert_allclose(scaled, alpha * base, rtol=1e-12)
 
     def test_logistic_rhs_matches_argmin_derivative(self, logistic):
         # oracle: Newton re-solves at theta_bar +- delta * dtheta
         theta_end = np.array([1.2, 3.5, 0.08])
         nominal = mm.newton_solve(logistic, THETA_LOGISTIC, np.array([0.5]))
-        line = ParameterLine(THETA_LOGISTIC, theta_end[None])
-        rhs = ivp_rhs(logistic, line, 0.0, nominal.minimizer)
+        rhs = ivp_rhs(logistic, THETA_LOGISTIC, theta_end, 0.0, nominal.minimizer)
 
         delta = 1e-4
         dtheta = theta_end - THETA_LOGISTIC
@@ -192,10 +154,9 @@ def test_rhs_consistency_with_minimizer_path(
     tight = mm.NewtonConfig(grad_tol=1e-12)
     n_checked = 0
     for theta_end in box.sample(seed=23, count=10):
-        line = ParameterLine(box.nominal, theta_end[None])
-        rhs = ivp_rhs(problem, line, 0.0, nominal.minimizer)
+        rhs = ivp_rhs(problem, box.nominal, theta_end, 0.0, nominal.minimizer)
         delta = 1e-4
-        dtheta = line.direction[0]
+        dtheta = theta_end - box.nominal
         plus = mm.newton_solve(problem, box.nominal + delta * dtheta, nominal.minimizer, tight)
         minus = mm.newton_solve(problem, box.nominal - delta * dtheta, nominal.minimizer, tight)
         fd = (plus.minimizer - minus.minimizer) / (2 * delta)

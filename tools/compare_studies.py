@@ -10,7 +10,8 @@ them, and writes under OUT/parent and OUT/change (OUT must be new or empty):
 - ``minmarch study`` for every problem, scheme (euler, heun, rk4), worker
   count (1, 2, 3: one block, or the calling process and one or two worker
   processes) and oracle setting (on, off), with a small sample count and
-  the step counts 1, 3, 6;
+  the step counts 1, 3, 6; and one more study with more workers than
+  samples, whose ``manifest.json`` counts the blocks it was split into;
 - ``minmarch trajectory`` for every problem and scheme, with 1 and 4 steps,
   at the first three sampled parameters of the parent's study;
 - ``minmarch check`` once, with its default seed and 3 random points; its
@@ -45,6 +46,8 @@ TRAJECTORY_STEPS = (1, 4)
 TRAJECTORY_SAMPLES = 3
 SEED = 7
 IGNORED_KEYS = {"timings_sec", "output_dir"}
+# (problem, sample count), scheme, workers, oracle of the study with more workers than samples
+FEW_SAMPLES = (("quadratic", 3), "euler", 5, "--oracle")
 
 # imports minmarch and checks that it comes from the tree on PYTHONPATH
 IMPORT = """\
@@ -70,10 +73,9 @@ def run(src: Path, args: list[str], ok=(0,), code: str = CHILD) -> str:
 
 
 def study_runs():
-    """(directory name, study arguments) over the whole matrix."""
-    for (problem, samples), scheme, workers, oracle in itertools.product(
-        PROBLEMS.items(), SCHEMES, WORKERS, ORACLE
-    ):
+    """(directory name, study arguments) over the whole matrix, then FEW_SAMPLES."""
+    matrix = itertools.product(PROBLEMS.items(), SCHEMES, WORKERS, ORACLE)
+    for (problem, samples), scheme, workers, oracle in [*matrix, FEW_SAMPLES]:
         name = f"study-{problem}-{scheme}-w{workers}-{oracle.lstrip('-')}"
         args = [
             "study", "--problem", problem, "--samples", str(samples), "--seed", str(SEED),
