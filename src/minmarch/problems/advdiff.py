@@ -10,6 +10,8 @@ uncertain.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,11 +22,41 @@ from ..exceptions import BvpSolveError
 from .base import Problem, as_vector, dot_rows
 
 _GTSV = get_lapack_funcs(("gtsv",), (np.empty(0),))[0]
-# rows per stacked solve: an evaluation holds a few (rows, grid_cells + 1, k)
-# float arrays at once, k = 2 sensitivity columns (3 with directions): at
-# most 33 kB per row without directions and 41 kB with them on the default
-# grid (tracemalloc peak of one 256-row call)
+# rows per stacked solve: an evaluation works in (rows, grid_cells + 1)
+# float arrays kept between calls (see _Scratch), 9 of them with directions,
+# 8 without and 5 for values, so 14.5 kB per row held on the default grid;
+# what a call allocates besides peaks below 1 kB per row (tracemalloc peak
+# of one 256-row call)
 STACK_ROWS = 256
+
+
+class _Scratch(threading.local):
+    """This thread's scratch floats for the stacked kernels, kept between calls.
+
+    A kernel call carves its temporaries out of one flat buffer, a few
+    (STACK_ROWS, n+1) arrays at most, so that calls of a steady size neither
+    allocate nor fault memory in.  The buffer grows to a call that needs
+    more, and a call that needs less than a quarter of it replaces it by
+    one of the size it needs: the oracle's stacks shrink as its rows
+    converge, and the process does not keep the largest buffer after them.
+    Each call overwrites what the previous one left, and a result is always
+    copied out of it.  It is per process and per thread, never part of a
+    pickled problem.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+
+    def take(self, shape) -> np.ndarray:
+        """A C-contiguous view of the buffer of this shape."""
+        size = math.prod(shape)
+        if size > self.buffer.size or 4 * size < self.buffer.size:
+            self.buffer = np.empty(0)  # freed before its successor is allocated
+            self.buffer = np.empty(size)
+        return self.buffer[:size].reshape(shape)
+
+
+_SCRATCH = _Scratch()
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
@@ -33,23 +65,22 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     Calls LAPACK gtsv, the routine ``solve_banded((1, 1), ...)`` calls, so
     the result is the same bit for bit without its argument handling.
     Non-finite input raises ValueError, as ``check_finite`` does there, and a
-    zero pivot raises BvpSolveError.
+    zero pivot raises BvpSolveError.  The kernels pass views of the buffers
+    they reuse (``_Scratch``), and those are solved in place: gtsv destroys
+    the bands and writes x over a Fortran-contiguous rhs, which it returns.
+    Any other array is left unchanged, and x is new.
     """
-    for band in (lower, diag, upper, rhs):
+    arrays = (lower, diag, upper, rhs)
+    for band in arrays:
         if not np.isfinite(band).all():
             raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = _GTSV(lower, diag, upper, rhs)
+    scratch = _SCRATCH.buffer
+    *_, x, info = _GTSV(*arrays, *[a.base is scratch for a in arrays])
     if info > 0:
         raise BvpSolveError(f"singular system (zero pivot in row {info})")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gtsv")
     return x
-
-
-def _flat(bands):
-    """Padded bands, (n+1,) or (S, n+1), as the bands of one tridiagonal matrix."""
-    lower, diag, upper = bands
-    return lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1]
 
 
 def _powers(x, exponent):
@@ -69,10 +100,11 @@ class AdvectionDiffusionModel:
     Robin conditions are imposed through ghost nodes eliminated with the
     centered derivative, which keeps the boundary rows second order.
 
-    ``source``, ``_bands`` and the ``_dA_*`` kernels also serve S points at
+    ``source``, ``_bump`` and the ``_dA_*`` kernels also serve S points at
     once: their coefficients are then (S, 1) columns instead of floats, and
     ``source`` returns (S, n+1).  The kernels always act on a stack of
-    vectors, (S, n+1, k), a single point's included.
+    vectors, (S, n+1, k), a single point's included, and like ``_bump`` and
+    ``_bands`` they write into arrays the caller passes.
     """
 
     grid_cells: int = 200
@@ -94,31 +126,61 @@ class AdvectionDiffusionModel:
     def source(self, a, c) -> np.ndarray:
         return a * np.exp(-200.0 * (self.nodes - c) ** 2)
 
-    def _bands(self, kappa, v, alpha):
-        """Sub-, main and super-diagonal of A, each padded to n+1 entries.
+    def _bump(self, c, out, work):
+        """source(1.0, c), which is exp(-200 (x - c)^2) exactly, into out (S, n+1).
 
-        The last entry of each off-diagonal is 0; ``_flat`` drops it.  For
-        (S, 1) coefficient columns the bands are (S, n+1), and flattened they
-        are those of one matrix of size S (n+1) with the S systems side by
-        side and these zeros as the coupling entries between consecutive
-        systems.  gtsv's elimination factor is 0 at a zero coupling, so it
-        never pivots across systems, and each system's solution equals its
-        own solve's bit for bit.  The adjoint solve swaps the off-diagonal
-        bands, which transposes every system.
+        ``c`` is an (S, 1) column and ``work`` is another (S, n+1) array; the
+        operations are those of ``source``.
+        """
+        np.subtract(self.nodes, c, out=work)
+        np.square(work, out=work)
+        np.multiply(-200.0, work, out=work)
+        return np.exp(work, out=out)
+
+    def _band_entries(self, kappa, v, alpha) -> np.ndarray:
+        """The six values A's bands are made of, along a last axis, for float or (S,) coefficients.
+
+        In order: the sub-, main and super-diagonal entries of the interior
+        rows, the first and last main-diagonal entries, and -2 kappa/dx^2,
+        the off-diagonal entry of the two boundary rows.  The bands are
+        finite where these are.
+        """
+        dx = self.dx
+        diag = 2.0 * kappa / dx**2
+        return np.stack(
+            [
+                -kappa / dx**2 - v / (2.0 * dx),
+                diag,
+                -kappa / dx**2 + v / (2.0 * dx),
+                diag + (2.0 * alpha / dx + v * alpha / kappa),
+                diag + (2.0 * alpha / dx - v * alpha / kappa),
+                -2.0 * kappa / dx**2,
+            ],
+            axis=-1,
+        )
+
+    def _bands(self, entries, out):
+        """Sub-, main and super-diagonal of A from ``_band_entries``, as one matrix's bands.
+
+        They are written into out, (3, n+1) or (3, S, n+1), each padded to
+        n+1 entries per system; the last entry of each off-diagonal is 0, and
+        the flattened bands returned drop it.  For S systems they are those
+        of one matrix of size S (n+1) with the systems side by side and these
+        zeros as the coupling entries between consecutive systems.  gtsv's
+        elimination factor is 0 at a zero coupling, so it never pivots
+        across systems, and each system's solution equals its own solve's
+        bit for bit.  The adjoint solve swaps the off-diagonal bands, which
+        transposes every system.
         """
         n = self.grid_cells
-        dx = self.dx
-        shape = np.shape(kappa)[:-1] + (n + 1,)
-        diag = np.full(shape, 2.0 * kappa / dx**2)
-        lower = np.full(shape, -kappa / dx**2 - v / (2.0 * dx))
-        upper = np.full(shape, -kappa / dx**2 + v / (2.0 * dx))
-        diag[..., :1] += 2.0 * alpha / dx + v * alpha / kappa
-        diag[..., n:] += 2.0 * alpha / dx - v * alpha / kappa
-        upper[..., :1] = -2.0 * kappa / dx**2
-        lower[..., n - 1 : n] = -2.0 * kappa / dx**2
+        lower, diag, upper = out
+        out[...] = entries[..., :3].T[..., None]
+        diag[..., 0] = entries[..., 3]
+        diag[..., n] = entries[..., 4]
+        upper[..., 0] = lower[..., n - 1] = entries[..., 5]
         # the last entry of a system's off-diagonal couples it to the next one
         lower[..., n] = upper[..., n] = 0.0
-        return lower, diag, upper
+        return lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1]
 
     def solve(
         self,
@@ -139,7 +201,8 @@ class AdvectionDiffusionModel:
         _require_positive_kappa(kappa)
         n = self.grid_cells
         dx = self.dx
-        lower, diag, upper = _flat(self._bands(kappa, v, alpha))
+        entries = self._band_entries(kappa, v, alpha)
+        lower, diag, upper = self._bands(entries, np.empty((3, n + 1)))
         rhs = self.source(a, c) if source_values is None else np.array(source_values, dtype=float)
         r0, r1 = robin_data
         if r0 != 0.0 or r1 != 0.0:
@@ -152,58 +215,72 @@ class AdvectionDiffusionModel:
         """A(m, theta) y, for residual checks."""
         kappa, v = float(m[0]), float(m[1])
         alpha = float(theta[2])
-        lower, diag, upper = _flat(self._bands(kappa, v, alpha))
+        entries = self._band_entries(kappa, v, alpha)
+        lower, diag, upper = self._bands(entries, np.empty((3, self.grid_cells + 1)))
         out = diag * y
         out[1:] += lower * y[:-1]
         out[:-1] += upper * y[1:]
         return out
 
-    def _dA_dkappa(self, y, kappa, v, alpha):
+    # The kernels write A_j y into out, an array of y's shape that does not
+    # overlap it, with the operations of the expressions in their comments.
+
+    def _dA_dkappa(self, y, kappa, v, alpha, out):
         dx = self.dx
         boundary = v * alpha / _powers(kappa, 2)
-        out = np.empty_like(y)
-        out[:, 1:-1] = -(y[:, :-2] - 2.0 * y[:, 1:-1] + y[:, 2:]) / dx**2
+        _negative_second_difference(y, dx, out)
         out[:, 0] = (2.0 / dx**2 - boundary) * y[:, 0] - 2.0 / dx**2 * y[:, 1]
         out[:, -1] = -2.0 / dx**2 * y[:, -2] + (2.0 / dx**2 + boundary) * y[:, -1]
         return out
 
-    def _dA_dv(self, y, kappa, v, alpha):
+    def _dA_dv(self, y, kappa, v, alpha, out):
         dx = self.dx
-        out = np.empty_like(y)
-        out[:, 1:-1] = (y[:, 2:] - y[:, :-2]) / (2.0 * dx)
+        # out[:, 1:-1] = (y[:, 2:] - y[:, :-2]) / (2.0 * dx)
+        np.subtract(y[:, 2:], y[:, :-2], out=out[:, 1:-1])
+        np.divide(out[:, 1:-1], 2.0 * dx, out=out[:, 1:-1])
         out[:, 0] = (alpha / kappa) * y[:, 0]
         out[:, -1] = -(alpha / kappa) * y[:, -1]
         return out
 
-    def _dAT_dkappa(self, y, kappa, v, alpha):
+    def _dAT_dkappa(self, y, kappa, v, alpha, out):
         """A_kappa^T y: the off-diagonal bands of ``_dA_dkappa`` swapped."""
         dx = self.dx
         boundary = v * alpha / _powers(kappa, 2)
-        out = np.empty_like(y)
-        out[:, 1:-1] = -(y[:, :-2] - 2.0 * y[:, 1:-1] + y[:, 2:]) / dx**2
+        _negative_second_difference(y, dx, out)
         out[:, 1] -= y[:, 0] / dx**2
         out[:, -2] -= y[:, -1] / dx**2
         out[:, 0] = (2.0 / dx**2 - boundary) * y[:, 0] - y[:, 1] / dx**2
         out[:, -1] = -y[:, -2] / dx**2 + (2.0 / dx**2 + boundary) * y[:, -1]
         return out
 
-    def _dAT_dv(self, y, kappa, v, alpha):
+    def _dAT_dv(self, y, kappa, v, alpha, out):
         """A_v^T y: the off-diagonal bands of ``_dA_dv`` swapped."""
         dx = self.dx
-        out = np.empty_like(y)
-        out[:, 1:-1] = (y[:, :-2] - y[:, 2:]) / (2.0 * dx)
+        # out[:, 1:-1] = (y[:, :-2] - y[:, 2:]) / (2.0 * dx)
+        np.subtract(y[:, :-2], y[:, 2:], out=out[:, 1:-1])
+        np.divide(out[:, 1:-1], 2.0 * dx, out=out[:, 1:-1])
         out[:, 1] = -y[:, 2] / (2.0 * dx)
         out[:, -2] = y[:, -3] / (2.0 * dx)
         out[:, 0] = (alpha / kappa) * y[:, 0] - y[:, 1] / (2.0 * dx)
         out[:, -1] = -(alpha / kappa) * y[:, -1] + y[:, -2] / (2.0 * dx)
         return out
 
-    def _dA_dalpha(self, y, kappa, v, alpha):
+    def _dA_dalpha(self, y, kappa, v, alpha, out):
         dx = self.dx
-        out = np.zeros_like(y)
+        out[:, 1:-1] = 0.0
         out[:, 0] = (2.0 / dx + v / kappa) * y[:, 0]
         out[:, -1] = (2.0 / dx - v / kappa) * y[:, -1]
         return out
+
+
+def _negative_second_difference(y, dx, out) -> None:
+    """out[:, 1:-1] = -(y[:, :-2] - 2.0 * y[:, 1:-1] + y[:, 2:]) / dx**2, in place."""
+    mid = out[:, 1:-1]
+    np.multiply(2.0, y[:, 1:-1], out=mid)
+    np.subtract(y[:, :-2], mid, out=mid)
+    np.add(mid, y[:, 2:], out=mid)
+    np.negative(mid, out=mid)
+    np.divide(mid, dx**2, out=mid)
 
 
 def _require_positive_kappa(kappa: float) -> None:
@@ -274,7 +351,10 @@ class AdvDiffInverseProblem(Problem):
     block-diagonal matrix of the S systems side by side, and the dot
     products are stacked matmuls, so every row equals its S = 1 value bit
     for bit.  gtsv solves each right-hand-side column on its own, so J, g
-    and H are the same bit for bit with or without directions.
+    and H are the same bit for bit with or without directions.  The calls
+    work in (S, n+1) arrays that this process keeps between them (see
+    ``_Scratch``), with the operations and memory layouts of fresh arrays;
+    every result is a new array, never a view of them.
     """
 
     d = 2
@@ -317,9 +397,9 @@ class AdvDiffInverseProblem(Problem):
         """``kernel`` on the rows whose systems can be solved; the other rows keep their fill.
 
         A row is left out when kappa <= 0 or a coefficient, a direction, a
-        band entry or the source is not finite.  ``kernel(M, Theta, bands)``,
-        or ``kernel(M, Theta, bands, dTheta)`` with directions, gets the rows
-        left in and their bands, each (S, n+1), and returns one array per
+        band entry or the source is not finite.  ``kernel(M, Theta, entries)``,
+        or ``kernel(M, Theta, entries, dTheta)`` with directions, gets the
+        rows left in and their ``_band_entries`` and returns one array per
         entry of ``fills``, which gives that output's shape past the row axis
         and its value for the rows left out.  It gets at most STACK_ROWS rows
         at a time.  If a stacked solve meets a zero pivot, its rows are
@@ -331,13 +411,13 @@ class AdvDiffInverseProblem(Problem):
         directions = [] if dTheta is None else [np.ascontiguousarray(dTheta, dtype=float)]
         outs = [np.full((M.shape[0],) + shape, fill) for shape, fill in fills]
         with np.errstate(all="ignore"):
-            bands = self.model._bands(M[:, :1], M[:, 1:], Theta[:, 2:])
+            entries = self.model._band_entries(M[:, 0], M[:, 1], Theta[:, 2])
         solvable = M[:, 0] > 0.0
-        for x in (Theta, *directions, *bands):
+        for x in (Theta, *directions, entries):
             solvable &= np.isfinite(x).all(axis=1)
 
         def fill(rows):
-            parts = M[rows], Theta[rows], [b[rows] for b in bands], *(x[rows] for x in directions)
+            parts = M[rows], Theta[rows], entries[rows], *(x[rows] for x in directions)
             for out, value in zip(outs, kernel(*parts)):
                 out[rows] = value
 
@@ -355,72 +435,103 @@ class AdvDiffInverseProblem(Problem):
                         pass
         return outs
 
-    def _objective(self, u, M):
-        """J of S rows from their states, with the reductions of one-point dot products."""
-        r = u - self.u_obs
+    def _objective(self, r, M):
+        """J of S rows from their residuals r = u - u_obs, which it squares in place.
+
+        The reductions are those of one-point dot products.
+        """
         dm = M - self.m_prior
-        return 0.5 * dot_rows(r**2, self._trap) + 0.5 * self.beta * dot_rows(dm, dm)
+        r = np.square(r, out=r)
+        return 0.5 * dot_rows(r, self._trap) + 0.5 * self.beta * dot_rows(dm, dm)
 
-    def _values(self, M, Theta, bands):
-        lower, diag, upper = _flat(bands)
-        a, c = Theta[:, :1], Theta[:, 1:2]
-        u = _solve_tridiagonal(lower, diag, upper, self.model.source(a, c).ravel())
-        return (self._objective(u.reshape(a.shape[0], -1), M),)
+    def _values(self, M, Theta, entries):
+        model = self.model
+        S, n1 = M.shape[0], model.grid_cells + 1
+        scratch = _SCRATCH.take((5, S, n1))
+        bands, work, u = scratch[:3], scratch[3], scratch[4]
+        # source(a, c) is a * bump
+        bump = model._bump(Theta[:, 1:2], work, u)
+        np.multiply(Theta[:, :1], bump, out=u)
+        u = _solve_tridiagonal(*model._bands(entries, bands), u.ravel()).reshape(S, n1)
+        return (self._objective(np.subtract(u, self.u_obs, out=work), M),)
 
-    def _derivatives(self, M, Theta, bands, dTheta=None):
+    def _derivatives(self, M, Theta, entries, dTheta=None):
         """J, g, H and, with directions, B dTheta of S solvable rows by three stacked solves.
 
         The sensitivity solve has the columns u_kappa and u_v, and u_dtheta
         with directions; J, g and H come from the first two alone, with the
-        same operations whether the third is there or not.
+        same operations whether the third is there or not.  Every (S, n+1)
+        array is a view of this thread's scratch; gtsv destroys the bands,
+        so they are written anew before each solve.
         """
         model = self.model
+        S, n1 = M.shape[0], model.grid_cells + 1
+        k = 2 if dTheta is None else 3
+        scratch = _SCRATCH.take((6 + k, S, n1))
+        # the first four (S, n+1) arrays hold the bands and a work array through
+        # the solves, and A_m^T lambda and the weighted sensitivities after them
+        late, bump, u, columns = scratch[:4], scratch[4], scratch[5], scratch[6:]
+        bands, work = late[:3], late[3]
         kappa, v = M.T[:, :, None]
         a, c, alpha = Theta.T[:, :, None]
-        lower, diag, upper = _flat(bands)
-        # source(a, c) is a * bump exactly, since bump = 1.0 * exp(...)
-        bump = model.source(1.0, c)
-        u = _solve_tridiagonal(lower, diag, upper, (a * bump).ravel()).reshape(bump.shape)
-        dA = (model._dA_dkappa, model._dA_dv)
-        columns = [-op(u[..., None], kappa, v, alpha) for op in dA]
+        model._bump(c, bump, work)
+        np.multiply(a, bump, out=u)
+        u = _solve_tridiagonal(*model._bands(entries, bands), u.ravel()).reshape(S, n1)
+        # the sensitivity right-hand side (S (n+1), k) in Fortran order: column j
+        # is columns[j], an (S, n+1) array, and gtsv solves it in place
+        u3 = u[..., None]
+        for op, column in zip((model._dA_dkappa, model._dA_dv), columns[:, :, :, None]):
+            np.negative(op(u3, kappa, v, alpha, column), out=column)
         if dTheta is not None:
             da, dc, dalpha = dTheta.T[:, :, None]
-            source_dtheta = da * bump + dc * (400.0 * a * (model.nodes - c) * bump)
-            A_alpha_u = model._dA_dalpha(u[..., None], kappa, v, alpha)
-            columns.append(source_dtheta[..., None] - dalpha[..., None] * A_alpha_u)
-        rhs = np.concatenate(columns, axis=-1)
-        U = _solve_tridiagonal(lower, diag, upper, rhs.reshape(-1, len(columns)))
-        U = U.reshape(rhs.shape)
-        # A^T has the off-diagonal bands swapped
-        residual = u - self.u_obs
-        lam = _solve_tridiagonal(upper, diag, lower, (self._trap * residual).ravel())
-        lam = lam.reshape(u.shape)
-
+            # source_dtheta = da * bump + dc * (400.0 * a * (model.nodes - c) * bump)
+            source_dtheta = np.multiply(da, bump, out=columns[2])
+            np.subtract(model.nodes, c, out=work)
+            np.multiply(400.0 * a, work, out=work)
+            np.multiply(work, bump, out=work)
+            np.multiply(dc, work, out=work)
+            np.add(source_dtheta, work, out=source_dtheta)
+            # minus dalpha A_alpha u
+            A_alpha_u = model._dA_dalpha(u3, kappa, v, alpha, work[..., None])
+            np.multiply(dalpha[..., None], A_alpha_u, out=A_alpha_u)
+            np.subtract(source_dtheta, work, out=source_dtheta)
+        U = _solve_tridiagonal(*model._bands(entries, bands), columns.reshape(k, S * n1).T)
+        U = U.reshape(S, n1, k)
+        # the adjoint's right-hand side W (u - u_obs), in the bump's array
+        residual = np.subtract(u, self.u_obs, out=work)
+        lam = np.multiply(self._trap, residual, out=bump)
         # Um are the sensitivities of u to m, so
         # g = Um^T W (u - u_obs) + beta (m - m_prior)
         Um = U[:, :, :2]
-        g = ((self._trap * residual)[:, None] @ Um)[:, 0] + self.beta * (M - self.m_prior)
+        g = (lam[:, None] @ Um)[:, 0] + self.beta * (M - self.m_prior)
+        J = self._objective(residual, M)
+        # A^T has the off-diagonal bands swapped
+        lower, diag, upper = model._bands(entries, bands)
+        lam = _solve_tridiagonal(upper, diag, lower, lam.ravel()).reshape(S, n1)
+
         # LT[:, k] = (A_k^T lambda)^T for k in m, so that
         # P[:, k, j] = lambda^T A_k u_j = LT[:, k] @ u_j
         lam3 = lam[..., None]
-        LT = np.concatenate(
-            [model._dAT_dkappa(lam3, kappa, v, alpha), model._dAT_dv(lam3, kappa, v, alpha)],
-            axis=-1,
-        ).swapaxes(1, 2)
+        LT = late[:2].reshape(S, n1, 2)
+        model._dAT_dkappa(lam3, kappa, v, alpha, LT[..., :1])
+        model._dAT_dv(lam3, kappa, v, alpha, LT[..., 1:])
+        LT = LT.swapaxes(1, 2)
         P = LT @ Um
         # lambda^T A_ij u: only the boundary diagonal terms +-v alpha / kappa
         # have second derivatives, each a multiple of this boundary term
         boundary = lam[:, 0] * u[:, 0] - lam[:, -1] * u[:, -1]
         kappa, v, alpha = kappa[:, 0], v[:, 0], alpha[:, 0]
         kappa2 = _powers(kappa, 2)
-        curvature = np.zeros((M.shape[0], 2, 2))
+        curvature = np.zeros((S, 2, 2))
         curvature[:, 0, 0] = 2.0 * v * alpha / _powers(kappa, 3)
         curvature[:, 0, 1] = curvature[:, 1, 0] = -alpha / kappa2
         curvature *= boundary[:, None, None]
         UmT = Um.swapaxes(1, 2)
-        H = UmT @ (self._trap[:, None] * Um) - P - P.swapaxes(1, 2) - curvature
+        # W Um, in the layout of Um
+        W_Um = np.multiply(self._trap[:, None], Um, out=late[2:].transpose(1, 2, 0))
+        H = UmT @ W_Um - P - P.swapaxes(1, 2) - curvature
         H = H + self.beta * np.eye(2)
-        outputs = self._objective(u, M), g, 0.5 * (H + H.swapaxes(1, 2))
+        outputs = J, g, 0.5 * (H + H.swapaxes(1, 2))
         if dTheta is None:
             return outputs
         # b_i = u_i^T W u_dtheta - lambda^T (A_i u_dtheta + A_dtheta u_i + A_i,dtheta u),
@@ -428,12 +539,11 @@ class AdvDiffInverseProblem(Problem):
         # nonzero entries are the first and last diagonal ones, 2/dx +- v/kappa,
         # and lambda^T A_i,alpha u is -v/kappa^2 and 1/kappa times the boundary term
         ud = U[:, :, 2:]
+        W_ud = np.multiply(self._trap[:, None], ud, out=late[2].reshape(S, n1, 1))
         first, last = (2.0 / model.dx + v / kappa)[:, None], (2.0 / model.dx - v / kappa)[:, None]
         lam_A_alpha_Um = first * lam[:, :1] * Um[:, 0] + last * lam[:, -1:] * Um[:, -1]
         lam_A_alpha_i_u = np.stack([-v / kappa2, 1.0 / kappa], axis=1) * boundary[:, None]
-        b = (UmT @ (self._trap[:, None] * ud) - LT @ ud)[:, :, 0] - dalpha * (
-            lam_A_alpha_Um + lam_A_alpha_i_u
-        )
+        b = (UmT @ W_ud - LT @ ud)[:, :, 0] - dalpha * (lam_A_alpha_Um + lam_A_alpha_i_u)
         return (*outputs, b)
 
     def initial_guess(self):

@@ -1,3 +1,6 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -120,7 +123,8 @@ def test_dA_operators_match_differences_of_apply_operator(index, name):
 
     h = 1e-6
     diff = (operator_at(h) - operator_at(-h)) / (2.0 * h)
-    exact = getattr(model, f"_dA_d{name}")(y[None, :, None], *coeffs)[0, :, 0]
+    y3 = y[None, :, None]
+    exact = getattr(model, f"_dA_d{name}")(y3, *coeffs, np.empty_like(y3))[0, :, 0]
     np.testing.assert_allclose(exact, diff, rtol=1e-7, atol=1e-8 * np.max(np.abs(diff)))
 
 
@@ -130,8 +134,8 @@ def test_transposed_dA_operators_are_the_transposes(name):
     model = AdvectionDiffusionModel(16)
     identity = np.eye(17)[None]
     coeffs = (np.array([[0.07]]), np.array([[0.3]]), np.array([[1.1]]))
-    A = getattr(model, f"_dA_d{name}")(identity, *coeffs)[0]
-    AT = getattr(model, f"_dAT_d{name}")(identity, *coeffs)[0]
+    A = getattr(model, f"_dA_d{name}")(identity, *coeffs, np.empty_like(identity))[0]
+    AT = getattr(model, f"_dAT_d{name}")(identity, *coeffs, np.empty_like(identity))[0]
     assert np.array_equal(AT, A.T)
 
 
@@ -248,6 +252,72 @@ def test_stacked_solves_take_at_most_stack_rows(advdiff, advdiff_box, monkeypatc
     rows = [diag.size // (advdiff.model.grid_cells + 1) for _, diag, _ in bands]
     assert rows == [3] * 6 + [1] * 3
     assert all(np.array_equal(a, b) for a, b in zip(chunked, expected))
+
+
+# tracemalloc peak per row of one 100-row call when every call allocated its
+# own (S, n+1) temporaries: derivatives with and without directions, values
+ALLOCATING_PEAK_PER_ROW = {"directions": 35.4e3, "no directions": 27.6e3, "values": 12.6e3}
+
+
+def stack_calls(problem, box, S, seed):
+    """Zero-argument calls of derivatives with and without directions and of values."""
+    M, Theta = random_stack(problem, box, S, seed)
+    dTheta = random_directions(box, S, seed)
+    return {
+        "directions": lambda: problem.derivatives(M, Theta, dTheta),
+        "no directions": lambda: problem.derivatives(M, Theta),
+        "values": lambda: (problem.values(M, Theta),),
+    }
+
+
+@pytest.mark.parametrize("call", list(ALLOCATING_PEAK_PER_ROW))
+def test_steady_calls_allocate_a_third_of_the_allocating_peak(advdiff, advdiff_box, call):
+    """A call of the size of the one before it works in that call's buffers."""
+    S = 100
+    evaluate = stack_calls(advdiff, advdiff_box, S, seed=11)[call]
+    evaluate()
+    tracemalloc.start()
+    try:
+        evaluate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ALLOCATING_PEAK_PER_ROW[call] * S / 3
+
+
+@pytest.mark.parametrize("later_rows", [20, 60])
+@pytest.mark.parametrize("call", list(ALLOCATING_PEAK_PER_ROW))
+def test_results_do_not_alias_the_buffers(advdiff, advdiff_box, call, later_rows):
+    """A 20-row result is unchanged by a later call with other inputs, of as many rows or more.
+
+    A call of the later size comes first, so that all three share one buffer.
+    """
+    stack_calls(advdiff, advdiff_box, later_rows, seed=12)[call]()
+    results = stack_calls(advdiff, advdiff_box, 20, seed=13)[call]()
+    kept = [None if r is None else r.copy() for r in results]
+    stack_calls(advdiff, advdiff_box, later_rows, seed=14)[call]()
+    assert all(a is b is None or np.array_equal(a, b) for a, b in zip(results, kept))
+
+
+def test_scratch_grows_and_shrinks_below_a_quarter():
+    """The buffer grows to a larger call and is replaced only for a call under a quarter of it."""
+    scratch = advdiff_module._Scratch()
+    first = scratch.take((2, 100))
+    assert scratch.buffer.size == 200 and first.base is scratch.buffer
+    kept = scratch.buffer
+    scratch.take((50,))
+    assert scratch.buffer is kept
+    scratch.take((49,))
+    assert scratch.buffer.size == 49
+
+
+def test_pickled_problem_carries_no_buffers(advdiff_box):
+    """Workers receive the problem pickled; what its evaluations left is not in it."""
+    problem = mm.make_advdiff_problem()
+    fresh = len(pickle.dumps(problem))
+    for evaluate in stack_calls(problem, advdiff_box, 30, seed=15).values():
+        evaluate()
+    assert len(pickle.dumps(problem)) == fresh
 
 
 def assert_only_row_failed(problem, M, Theta, bad):

@@ -10,8 +10,11 @@ them, and writes under OUT/parent and OUT/change (OUT must be new or empty):
 - ``minmarch study`` for every problem, scheme (euler, heun, rk4), worker
   count (1, 2, 3: one block, or the calling process and one or two worker
   processes) and oracle setting (on, off), with a small sample count and
-  the step counts 1, 3, 6; and one more study with more workers than
-  samples, whose ``manifest.json`` counts the blocks it was split into;
+  the step counts 1, 3, 6; and two more studies: one with more workers
+  than samples, whose ``manifest.json`` counts the blocks it was split
+  into, and one advdiff study whose single block has more samples than
+  the kernel's ``STACK_ROWS``, so that its stacked calls come in chunks of
+  other sizes than its first;
 - ``minmarch trajectory`` for every problem and scheme, with 1 and 4 steps,
   at the first three sampled parameters of the parent's study;
 - ``minmarch check`` once, with its default seed and 3 random points; its
@@ -46,8 +49,12 @@ TRAJECTORY_STEPS = (1, 4)
 TRAJECTORY_SAMPLES = 3
 SEED = 7
 IGNORED_KEYS = {"timings_sec", "output_dir"}
-# (problem, sample count), scheme, workers, oracle of the study with more workers than samples
-FEW_SAMPLES = (("quadratic", 3), "euler", 5, "--oracle")
+# (problem, sample count), scheme, workers, oracle of the studies past the matrix:
+# more workers than samples, and more samples in one block than advdiff's STACK_ROWS
+EXTRA_STUDIES = [
+    (("quadratic", 3), "euler", 5, "--oracle"),
+    (("advdiff", 300), "euler", 1, "--oracle"),
+]
 
 # imports minmarch and checks that it comes from the tree on PYTHONPATH
 IMPORT = """\
@@ -73,10 +80,12 @@ def run(src: Path, args: list[str], ok=(0,), code: str = CHILD) -> str:
 
 
 def study_runs():
-    """(directory name, study arguments) over the whole matrix, then FEW_SAMPLES."""
+    """(directory name, study arguments) over the whole matrix, then EXTRA_STUDIES."""
     matrix = itertools.product(PROBLEMS.items(), SCHEMES, WORKERS, ORACLE)
-    for (problem, samples), scheme, workers, oracle in [*matrix, FEW_SAMPLES]:
+    for (problem, samples), scheme, workers, oracle in [*matrix, *EXTRA_STUDIES]:
         name = f"study-{problem}-{scheme}-w{workers}-{oracle.lstrip('-')}"
+        if samples != PROBLEMS[problem]:
+            name += f"-n{samples}"
         args = [
             "study", "--problem", problem, "--samples", str(samples), "--seed", str(SEED),
             "--steps", STEPS, "--scheme", scheme, "--workers", str(workers), oracle,
