@@ -44,7 +44,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # the advdiff names load scipy.linalg, so they are imported on first use
+    # the advdiff names load scipy.linalg, the package's only scipy import,
+    # so they are imported on first use
     if name in _ADVDIFF_NAMES:
         from . import problems
 

@@ -3,8 +3,9 @@
 from .analytic import DoubleWellProblem, LogisticWellProblem, QuadraticProblem
 from .base import ParameterBox, Problem, as_vector
 
-# the advdiff module imports scipy.linalg, about 0.1 s of set-up that only
-# advdiff studies need, so its names are resolved on first use
+# the advdiff module imports scipy.linalg, the package's only scipy module,
+# which takes about 0.2 s to import and 0.04 s to tear down; only advdiff
+# needs it, so its names are resolved on first use
 _ADVDIFF_NAMES = (
     "AdvDiffInverseProblem",
     "AdvectionDiffusionModel",

@@ -83,6 +83,19 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return x
 
 
+def _finite_rhs(rhs) -> np.ndarray:
+    """rhs, once it is finite; a row whose state overflows raises BvpSolveError.
+
+    The right-hand sides after the state solve are built from the state, so
+    they are not finite where it overflowed.  ``_solve_tridiagonal`` would
+    raise ValueError on them, which ``_evaluate`` does not take for a
+    failed row.
+    """
+    if not np.isfinite(rhs).all():
+        raise BvpSolveError("the state overflows")
+    return rhs
+
+
 def _powers(x, exponent):
     """x ** exponent by Python's float power, entry by entry for an array.
 
@@ -379,8 +392,7 @@ class AdvDiffInverseProblem(Problem):
 
     def values(self, M, Theta):
         """J at S points from one stacked state solve; +inf where it cannot be evaluated."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            J = self._evaluate(self._values, M, Theta, [((), np.inf)])[0]
+        J = self._evaluate(self._values, M, Theta, [((), np.inf)])[0]
         J[~np.isfinite(J)] = np.inf
         return J
 
@@ -402,8 +414,9 @@ class AdvDiffInverseProblem(Problem):
         rows left in and their ``_band_entries`` and returns one array per
         entry of ``fills``, which gives that output's shape past the row axis
         and its value for the rows left out.  It gets at most STACK_ROWS rows
-        at a time.  If a stacked solve meets a zero pivot, its rows are
-        solved one at a time, so that only the singular row is left out.
+        at a time.  If a stacked solve meets a zero pivot or a state that
+        overflows, its rows are solved one at a time, so that only the
+        failing row is left out.
         """
         # contiguous, so that a slice of rows has the layout of a gathered copy
         M = np.ascontiguousarray(M, dtype=float)
@@ -422,17 +435,20 @@ class AdvDiffInverseProblem(Problem):
                 out[rows] = value
 
         solvable = np.flatnonzero(solvable)
-        for start in range(0, solvable.size, STACK_ROWS):
-            rows = solvable[start : start + STACK_ROWS]
-            try:
-                # views, not copies, when every row is solvable
-                fill(slice(start, start + rows.size) if solvable.size == len(M) else rows)
-            except BvpSolveError:
-                for s in rows:
-                    try:
-                        fill(slice(s, s + 1))
-                    except BvpSolveError:
-                        pass
+        # a row whose state overflows warns in the kernels: values makes it
+        # +inf, and derivatives leaves it out
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, solvable.size, STACK_ROWS):
+                rows = solvable[start : start + STACK_ROWS]
+                try:
+                    # views, not copies, when every row is solvable
+                    fill(slice(start, start + rows.size) if solvable.size == len(M) else rows)
+                except BvpSolveError:
+                    for s in rows:
+                        try:
+                            fill(slice(s, s + 1))
+                        except BvpSolveError:
+                            pass
         return outs
 
     def _objective(self, r, M):
@@ -495,7 +511,8 @@ class AdvDiffInverseProblem(Problem):
             A_alpha_u = model._dA_dalpha(u3, kappa, v, alpha, work[..., None])
             np.multiply(dalpha[..., None], A_alpha_u, out=A_alpha_u)
             np.subtract(source_dtheta, work, out=source_dtheta)
-        U = _solve_tridiagonal(*model._bands(entries, bands), columns.reshape(k, S * n1).T)
+        rhs = _finite_rhs(columns.reshape(k, S * n1).T)
+        U = _solve_tridiagonal(*model._bands(entries, bands), rhs)
         U = U.reshape(S, n1, k)
         # the adjoint's right-hand side W (u - u_obs), in the bump's array
         residual = np.subtract(u, self.u_obs, out=work)
@@ -507,7 +524,7 @@ class AdvDiffInverseProblem(Problem):
         J = self._objective(residual, M)
         # A^T has the off-diagonal bands swapped
         lower, diag, upper = model._bands(entries, bands)
-        lam = _solve_tridiagonal(upper, diag, lower, lam.ravel()).reshape(S, n1)
+        lam = _solve_tridiagonal(upper, diag, lower, _finite_rhs(lam.ravel())).reshape(S, n1)
 
         # LT[:, k] = (A_k^T lambda)^T for k in m, so that
         # P[:, k, j] = lambda^T A_k u_j = LT[:, k] @ u_j

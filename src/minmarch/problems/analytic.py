@@ -6,17 +6,30 @@ import abc
 
 import numpy as np
 
-# expit stays, although loading scipy.special is most of the package's import
-# time: it rounds as libm's exp does, and the logistic1d artifacts depend on
-# those bits.  numpy's SIMD exp differs from libm in 4.7% of 200k uniform
-# inputs on [-10, 10], and longdouble exp rounded to double in 0.096%.  An
-# exact element-wise 1 / (1 + math.exp(-x)) costs about 180 ns per element
-# against 12-28 ns for expit, and a 3000-sample logistic1d study evaluates
-# 182,870 (Euler with the oracle) to 714,040 (RK4) elements, 33-128 ms more
-# than its whole 40-90 ms propagate (2-core x86-64, Python 3.11, numpy 2.4).
-from scipy.special import expit
-
 from .base import Problem, mixed_action
+
+
+# numpy's exp, not scipy.special.expit: loading scipy.special took about
+# 0.24 s of import and 0.04 s of teardown at exit, more than a 5000-sample
+# logistic1d study spends after its nominal solve, and advdiff, which is
+# imported on first use, is then the only module that needs scipy.  numpy's
+# SIMD exp differs from libm's, which expit calls, by at most 1 ULP on 4.6%
+# of arguments: 1561 of the 80000 cells of the shipped logistic1d study's
+# samples.csv moved, by at most 5.5e-16 relative, and no status, iteration
+# count or fitted slope.  Its bits do not depend on an element's position
+# in a contiguous array, and -y is always a fresh contiguous one, so a row's
+# value still does not depend on its stack (numpy's exp of a negative-stride
+# view takes another path, with other bits).  The libm-exact route without
+# scipy, the real part of numpy's complex exp (glibc's cexp, with math.exp
+# past 709), kept every bit but took 82 us for the pair of sigmoids of 3000
+# rows, against 40 us for expit and 18 us for numpy's exp, and made a
+# 3000-row RK4 march with N = 16 take 15.8-17.0 ms, against 13.4-13.9 ms
+# with expit and 13.1-13.2 ms with numpy's exp (2-core x86-64, Python 3.11,
+# numpy 2.4).
+def _sigmoid(y):
+    """1 / (1 + exp(-y)): 0 where exp(-y) overflows, 1 where it underflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-y))
 
 
 class _ClosedFormProblem(Problem):
@@ -121,8 +134,8 @@ class LogisticWellProblem(_ClosedFormProblem):
 
     def _formulas(self, x, t):
         t1, t2, t3 = t
-        sp = expit(t2 * x)
-        sm = expit(-t2 * x)
+        sp = _sigmoid(t2 * x)
+        sm = _sigmoid(-t2 * x)
         s = sp * sm
         J = t1 * sm + t3 * x**2
         g = -t1 * t2 * s + 2.0 * t3 * x

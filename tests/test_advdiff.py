@@ -363,28 +363,54 @@ def test_stack_row_with_singular_system_is_nan(monkeypatch):
     assert len(bands) > 3
 
 
-def test_values_is_inf_on_every_failing_row():
-    """A line search backtracks from any point the state solve cannot take.
+def stack_with_failing_rows():
+    """A problem on 16 cells and an 11-row stack whose odd rows cannot be evaluated.
 
     The rows: kappa <= 0, bands that overflow ([1e305, 0.3]), a NaN
     parameter, an exactly zero pivot (see the test above) and a state that
-    overflows (a = 1e308).  Each is +inf; the healthy rows between them
-    keep their S = 1 values.
+    overflows (a = 1e308).
     """
     problem = mm.make_advdiff_problem(grid_cells=16)
     box = mm.ParameterBox.relative(THETA_ADVDIFF, 0.2)
     M, Theta = random_stack(problem, box, 11, seed=8)
-    bad = [1, 3, 5, 7, 9]
     M[1, 0] = -0.01
     M[3] = (1e305, 0.3)
     Theta[5, 1] = np.nan
     M[7], Theta[7] = (0.0625, -2.0), (10.0, 0.05, 0.0)
     M[9, 0], Theta[9, 0] = 1e-3, 1e308
+    return problem, M, Theta, [1, 3, 5, 7, 9]
+
+
+def test_values_is_inf_on_every_failing_row():
+    """A line search backtracks from any point the state solve cannot take.
+
+    Each failing row is +inf; the healthy rows between them keep their
+    S = 1 values.
+    """
+    problem, M, Theta, bad = stack_with_failing_rows()
     J = problem.values(M, Theta)
     assert np.all(J[bad] == np.inf)
     for s in sorted(set(range(11)) - set(bad)):
         assert np.isfinite(J[s])
         assert J[s] == problem.values(M[s : s + 1], Theta[s : s + 1])[0]
+
+
+@pytest.mark.parametrize("directions", [False, True], ids=["no directions", "directions"])
+def test_derivatives_is_nan_on_every_failing_row(directions):
+    """Each failing row is NaN in every output, without a warning (pytest makes one an error).
+
+    The healthy rows between them keep their S = 1 values bit for bit.
+    """
+    problem, M, Theta, bad = stack_with_failing_rows()
+    box = mm.ParameterBox.relative(THETA_ADVDIFF, 0.2)
+    dTheta = random_directions(box, len(M), seed=9) if directions else None
+    outs = [out for out in problem.derivatives(M, Theta, dTheta) if out is not None]
+    assert all(np.isnan(out[bad]).all() for out in outs)
+    for s in sorted(set(range(len(M))) - set(bad)):
+        rows = slice(s, s + 1)
+        single = problem.derivatives(M[rows], Theta[rows], dTheta[rows] if directions else None)
+        assert all(np.isfinite(out[s]).all() for out in outs)
+        assert all(np.array_equal(out[s], one[0]) for out, one in zip(outs, single))
 
 
 @pytest.mark.parametrize("columns", [None, 1, 5])

@@ -49,6 +49,25 @@ def test_logistic_gradient_sign_structure(logistic):
     assert logistic.gradient(np.array([3.0]), theta)[0] > 0.0
 
 
+def test_logistic_far_out_gives_the_sigmoid_limits(logistic):
+    """Where |theta_2 m| >= 710, exp(theta_2 m) overflows, and no warning may escape.
+
+    The sigmoid is then exactly 0 or 1 and its slope 0, so every output is
+    that of the quadratic penalty alone, plus theta_1 on the left.
+    """
+    t1, t2, t3 = theta = np.array([1.0, 3.0, 0.1])
+    M = np.array([[-300.0], [300.0], [-237.0], [250.0]])
+    m = M[:, 0]
+    Theta = np.tile(theta, (len(M), 1))
+    dTheta = np.array([[1.0, 1.0, 1.0], [0.5, -2.0, 3.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    J, g, H, b = logistic.derivatives(M, Theta, dTheta)
+    np.testing.assert_array_equal(J, t1 * (m < 0.0) + t3 * m**2)
+    np.testing.assert_array_equal(g[:, 0], 2.0 * t3 * m)
+    np.testing.assert_array_equal(H[:, 0, 0], np.full(len(M), 2.0 * t3))
+    np.testing.assert_array_equal(b[:, 0], 2.0 * m * dTheta[:, 2])
+    np.testing.assert_array_equal(logistic.values(M, Theta), J)
+
+
 def test_initial_guesses_are_finite(quadratic, double_well, logistic, advdiff):
     for prob in (quadratic, double_well, logistic, advdiff):
         m0 = prob.initial_guess()

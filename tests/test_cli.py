@@ -363,15 +363,19 @@ class TestStudy:
         assert err == f"config error: box has {len(nominal)} parameters, but {problem} takes {p}\n"
         assert os.listdir(tmp_path) == ["bad.json"]
 
-    def test_analytic_studies_do_not_import_advdiff(self, tmp_path):
-        # advdiff's scipy.linalg costs about 0.1 s of set-up the other problems skip
+    def test_analytic_commands_load_no_scipy(self, tmp_path):
+        # scipy takes about 0.2 s to import and 0.04 s to tear down, more than
+        # the rest of a logistic1d study after its nominal solve; advdiff alone
+        # needs it
         script = (
             "import sys\n"
             "from minmarch.cli import main\n"
             "for name in ('quadratic', 'cubic', 'logistic1d'):\n"
             "    argv = ['study', '--problem', name, '--samples', '40', '--workers', '1']\n"
             "    assert main(argv + ['--out', sys.argv[1] + name]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg') or 'advdiff' in m))\n"
+            "argv = ['trajectory', '--problem', 'logistic1d', '--theta', '1.0,3.0,0.1']\n"
+            "assert main(argv + ['--out', sys.argv[1] + 'trajectory']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or 'advdiff' in m))\n"
         )
         src = str(Path(mm.__file__).resolve().parents[1])
         result = subprocess.run(
