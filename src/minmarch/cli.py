@@ -32,7 +32,6 @@ from .problems import (
 )
 from .reporting import (
     json_value,
-    save_study,
     write_errors_csv,
     write_kde_csv,
     write_manifest,
@@ -313,7 +312,7 @@ def _study_kde_files(study: SampleStudy, mask: np.ndarray, out_dir: str) -> list
     d = study.d
     sources: dict[str, np.ndarray] = {}
     if study.with_oracle:
-        sources["oracle"] = study.oracle_minimizers()[mask]
+        sources["oracle"] = study.oracle.minimizer[mask]
     for N in study.N_list:
         sources[f"N{N}"] = study.finals(N)[mask]
 
@@ -388,7 +387,6 @@ def cmd_study(args) -> int:
     write_samples_csv(os.path.join(out_dir, "samples.csv"), study)
     if summary is not None:
         write_errors_csv(os.path.join(out_dir, "errors_vs_N.csv"), summary)
-    save_study(os.path.join(out_dir, "study.json"), study)
     timings["write"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_total
 

@@ -47,8 +47,6 @@ def json_value(value):
 
 _FLOAT = "%.17g"  # fmt's rendering of every float, nan and inf included
 ROWS_PER_CHUNK = 512  # rows the writers render at once
-# the keys of study.json before its records, in order
-_HEAD_KEYS = "box seed num_samples N_list scheme with_oracle newton_config nominal".split()
 
 
 def _csv_cells(chunk) -> list:
@@ -57,34 +55,30 @@ def _csv_cells(chunk) -> list:
     return np.where(chunk, "true", "false").tolist() if chunk.dtype == bool else chunk.tolist()
 
 
-def _json_cells(chunk) -> list[str]:
-    """json.dumps's text of each entry of a column chunk; no entry's text may hold ", "."""
-    return json.dumps(chunk.tolist())[1:-1].split(", ")
-
-
-def _write_rows(path, head, row, columns, render=_csv_cells, sep="", tail=""):
-    """Write head, then ``row % cells`` for each row with sep between rows, then tail.
-
-    Each column holds one entry per row, and ``render`` turns ROWS_PER_CHUNK
-    rows of a column at a time into the values ``row`` consumes.  A CSV row
-    has one conversion per column: _FLOAT for floats, "%d" for integers,
-    "%s" for text and bools, or "" for a column left empty.  Every cell is
-    then ``fmt``'s text, and none needs csv quoting, so the bytes are those
-    of ``csv.writer`` on ``fmt`` cells, written several times faster.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(head)
-        for a in range(0, len(columns[0]), ROWS_PER_CHUNK):
-            cells = [render(column[a : a + ROWS_PER_CHUNK]) for column in columns]
-            fh.write((sep if a else "") + sep.join([row % values for values in zip(*cells)]))
-        fh.write(tail)
-
-
 def _write_csv(path, header, cells, columns):
-    _write_rows(path, ",".join(header) + "\n", ",".join(cells) + "\n", columns)
+    """Write the header, then one row per entry of the columns, ROWS_PER_CHUNK rows at a time.
+
+    ``cells`` holds one conversion per column: _FLOAT for floats, "%d" for
+    integers, "%s" for text and bools, or "" for a column left empty.  Every
+    cell is then ``fmt``'s text, and none needs csv quoting, so the bytes are
+    those of ``csv.writer`` on ``fmt`` cells, written several times faster.
+    """
+    row = ",".join(cells) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for a in range(0, len(columns[0]), ROWS_PER_CHUNK):
+            chunks = [_csv_cells(column[a : a + ROWS_PER_CHUNK]) for column in columns]
+            fh.write("".join([row % values for values in zip(*chunks)]))
+
+
+# the oracle's fields beyond oracle_m_* and oracle_converged, in SolveResult's order
+_ORACLE_TAIL = {
+    "objective": _FLOAT, "grad_norm": _FLOAT, "iterations": "%d", "hessian_min_eigenvalue": _FLOAT
+}
 
 
 def write_samples_csv(path, study: SampleStudy) -> None:
+    """One row per sample; the left_basin and _ORACLE_TAIL columns follow all others."""
     d, p = study.d, study.box.p
     header = ["sample_index"] + [f"theta_{k + 1}" for k in range(p)]
     cells = ["%d"] + [_FLOAT] * p
@@ -94,11 +88,17 @@ def write_samples_csv(path, study: SampleStudy) -> None:
         cells += [_FLOAT] * d + ["%s"]
         columns += [*finals.T, status]
     header += [f"oracle_m_{j + 1}" for j in range(d)] + ["oracle_converged"]
-    if study.with_oracle:
-        cells += [_FLOAT] * d + ["%s"]
-        columns += [*study.oracle.minimizer.T, study.oracle.converged]
+    header += [f"N{N}_left_basin" for N in study.N_list]
+    header += [f"oracle_{name}" for name in _ORACLE_TAIL]
+    oracle_head, oracle_tail = [_FLOAT] * d + ["%s"], list(_ORACLE_TAIL.values())
+    solve = study.oracle
+    if solve is None:  # the oracle's cells are left empty
+        oracle_head, oracle_tail = [""] * len(oracle_head), [""] * len(oracle_tail)
+        columns += [*study.left_basin]
     else:
-        cells += [""] * (d + 1)
+        columns += [*solve.minimizer.T, solve.converged, *study.left_basin]
+        columns += [getattr(solve, name) for name in _ORACLE_TAIL]
+    cells += oracle_head + ["%s"] * len(study.N_list) + oracle_tail
     _write_csv(path, header, cells, columns)
 
 
@@ -138,45 +138,6 @@ def write_sensitivity_csv(path, traj: Trajectory, rhs) -> None:
     header = ["sample_index", "step", "t", "f_norm"] + [f"f_{j + 1}" for j in range(d)]
     columns = [np.zeros(n, int), np.arange(n), traj.times[:n], [np.linalg.norm(f) for f in rhs]]
     _write_csv(path, header, ["%d", "%d"] + [_FLOAT] * (d + 2), [*columns, *rhs.T])
-
-
-def _json_object(fields) -> tuple[str, list]:
-    """A ``%`` template of one JSON object per row, and the columns that fill it.
-
-    ``fields`` are (key, value) pairs.  A value is a column, a 2-d array (a
-    list per row) or the (template, columns) pair of a nested object.
-    """
-    parts, columns = [], []
-    for key, value in fields:
-        if isinstance(value, tuple):
-            template, value_columns = value
-        elif value.ndim == 2:
-            template, value_columns = "[" + ", ".join(["%s"] * value.shape[1]) + "]", list(value.T)
-        else:
-            template, value_columns = "%s", [value]
-        parts.append(f"{json.dumps(key)}: {template}")
-        columns += value_columns
-    return "{" + ", ".join(parts) + "}", columns
-
-
-def save_study(path, study: SampleStudy) -> None:
-    """Write study.json a chunk of records at a time: json.dumps's bytes of it as one dict."""
-    by_N = zip(study.N_list, study.march_finals, study.march_status, study.left_basin)
-    outcomes = _json_object(
-        (str(N), _json_object([("final_state", finals), ("status", status), ("left_basin", left)]))
-        for N, finals, status, left in by_N
-    )
-    oracle = ("null", [])
-    if study.with_oracle:
-        solve = study.oracle
-        oracle = _json_object((f.name, getattr(solve, f.name)) for f in dataclasses.fields(solve))
-    index = np.arange(len(study.theta))
-    fields = [("index", index), ("theta", study.theta), ("outcomes", outcomes), ("oracle", oracle)]
-    record, columns = _json_object(fields)
-    head = {key: getattr(study, key) for key in _HEAD_KEYS} | {"records": []}
-    # the head goes through json_value, in field order; the records through _write_rows
-    head = json.dumps(head, default=json_value)
-    _write_rows(path, head[:-2], record, columns, _json_cells, ", ", "]}")
 
 
 def write_manifest(path, manifest: dict) -> None:

@@ -32,14 +32,13 @@ class SampleStudy:
     statuses with ``MarchStatus.COMPLETED.value``, since numpy renders a
     member by its name.  ``oracle`` is the Newton re-solve of every sample
     as one stacked ``SolveResult`` (see ``newton_solve_block``), or None for
-    a study run without the oracle.
+    a study run without the oracle.  ``write_samples_csv`` renders every
+    column, one row per sample; ``manifest.json`` holds ``newton_config``,
+    ``nominal`` and ``counters``.
     """
 
     box: ParameterBox
-    seed: int
-    num_samples: int
     N_list: list[int]
-    scheme: Scheme
     newton_config: NewtonConfig
     nominal: SolveResult
     theta: np.ndarray
@@ -47,7 +46,7 @@ class SampleStudy:
     march_status: np.ndarray
     left_basin: np.ndarray
     oracle: SolveResult | None
-    # work done by the run that produced the study; not part of study.json
+    # work done by the run that produced the study, as manifest.json reports it
     counters: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -60,9 +59,6 @@ class SampleStudy:
 
     def finals(self, N: int) -> np.ndarray:
         return self.march_finals[self.N_list.index(N)]
-
-    def oracle_minimizers(self) -> np.ndarray:
-        return self.oracle.minimizer
 
     def valid_mask(self) -> np.ndarray:
         """Samples where every march completed and the oracle (if any) converged."""
@@ -264,10 +260,7 @@ def propagate_study(
     }
     return SampleStudy(
         box=box,
-        seed=seed,
-        num_samples=num_samples,
         N_list=N_list,
-        scheme=scheme,
         newton_config=newton_config,
         nominal=nominal,
         theta=thetas,
@@ -413,7 +406,7 @@ def summary_errors(study: SampleStudy) -> StudyErrorSummary:
     if mask.sum() < 2:
         raise ValueError("not enough valid samples to form statistics")
 
-    oracle = study.oracle_minimizers()[mask]
+    oracle = study.oracle.minimizer[mask]
     o_mean = oracle.mean(axis=0)
     o_std = oracle.std(axis=0, ddof=1)
 

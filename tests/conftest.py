@@ -9,22 +9,12 @@ THETA_LOGISTIC = np.array([1.0, 3.0, 0.1])
 THETA_ADVDIFF = np.array([10.0, 0.05, 1.0])
 
 
-def records(study_json: str) -> list[str]:
-    """study.json text split before each record after the first, losslessly.
+def rendered(study, directory) -> list[str]:
+    """The lines of samples.csv of study, written under directory."""
+    from minmarch.reporting import write_samples_csv
 
-    Lists of short strings keep pytest's report of a mismatch readable.
-    """
-    return study_json.split(', {"index": ')
-
-
-def rendered(study, directory) -> tuple[list[str], list[str]]:
-    """The records of study.json and the lines of samples.csv of study, written under directory."""
-    from minmarch.reporting import save_study, write_samples_csv
-
-    save_study(directory / "study.json", study)
     write_samples_csv(directory / "samples.csv", study)
-    samples = (directory / "samples.csv").read_text().splitlines(keepends=True)
-    return records((directory / "study.json").read_text()), samples
+    return (directory / "samples.csv").read_text().splitlines(keepends=True)
 
 
 def march_one(problem, start, theta_bar, theta_end, num_steps, scheme=mm.Scheme.FORWARD_EULER):

@@ -77,9 +77,7 @@ def test_criterion_2_oracle_equivalence_at_large_N(logistic_study):
     """At N=128 the marched minimizers agree with the Newton oracle."""
     mask = logistic_study.valid_mask()
     errors = np.linalg.norm(
-        logistic_study.finals(128)[mask]
-        - logistic_study.oracle_minimizers()[mask],
-        axis=1,
+        logistic_study.finals(128)[mask] - logistic_study.oracle.minimizer[mask], axis=1
     )
     passed = errors.mean() <= 5e-3 and errors.max() <= 5e-2
     _report(

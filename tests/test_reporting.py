@@ -1,16 +1,15 @@
 import csv
 import json
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import minmarch as mm
 from minmarch import reporting
-from minmarch.reporting import json_value
 
-from conftest import THETA_LOGISTIC, march_one, records, rendered
+from conftest import THETA_LOGISTIC, march_one, rendered
 
 
 def read_header(path):
@@ -34,28 +33,49 @@ def small_study(logistic, logistic_box):
     return mm.propagate_study(logistic, logistic_box, 40, [1, 2], seed=3)
 
 
-def test_samples_csv_schema(tmp_path, small_study):
+SAMPLES_HEADER = [
+    "sample_index",
+    "theta_1",
+    "theta_2",
+    "theta_3",
+    "N1_m_1",
+    "N1_status",
+    "N2_m_1",
+    "N2_status",
+    "oracle_m_1",
+    "oracle_converged",
+    "N1_left_basin",
+    "N2_left_basin",
+    "oracle_objective",
+    "oracle_grad_norm",
+    "oracle_iterations",
+    "oracle_hessian_min_eigenvalue",
+]
+
+
+def test_samples_csv_schema(tmp_path, small_study, no_oracle_study):
     path = tmp_path / "samples.csv"
-    reporting.write_samples_csv(path, small_study)
-    assert read_header(path) == [
-        "sample_index",
-        "theta_1",
-        "theta_2",
-        "theta_3",
-        "N1_m_1",
-        "N1_status",
-        "N2_m_1",
-        "N2_status",
-        "oracle_m_1",
-        "oracle_converged",
-    ]
+    left_basin = small_study.left_basin.copy()
+    left_basin[1, 7] = True  # no march of the study leaves the basin
+    reporting.write_samples_csv(path, replace(small_study, left_basin=left_basin))
+    assert read_header(path) == SAMPLES_HEADER
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 40
     assert rows[0]["N1_status"] == "completed"
     assert rows[0]["oracle_converged"] == "true"
+    assert [rows[7]["N1_left_basin"], rows[7]["N2_left_basin"]] == ["false", "true"]
+    assert int(rows[0]["oracle_iterations"]) == small_study.oracle.iterations[0] > 0
     # values round-trip to the study's floats exactly
     assert float(rows[7]["theta_2"]) == small_study.theta[7, 1]
+    assert float(rows[7]["oracle_objective"]) == small_study.oracle.objective[7]
+
+    reporting.write_samples_csv(path, no_oracle_study)
+    assert read_header(path) == SAMPLES_HEADER
+    with open(path) as fh:
+        row = next(csv.DictReader(fh))
+    assert row["N1_left_basin"] == "false"
+    assert [row[name] for name in SAMPLES_HEADER if name.startswith("oracle_")] == [""] * 6
 
 
 def test_errors_csv_schema(tmp_path, small_study):
@@ -116,38 +136,8 @@ def test_kde_writers_match_the_general_row_writer(tmp_path):
     assert b",-inf\n" in (tmp_path / "joint.csv").read_bytes()
 
 
-def study_layout(study):
-    """The study.json layout built as one dict tree: the reference for save_study."""
-    columns = (study.march_finals, study.march_status, study.left_basin)
-    by_N = list(zip(map(str, study.N_list), *(c.tolist() for c in columns)))
-    if study.with_oracle:
-        names = [f.name for f in fields(mm.SolveResult)]
-        solves = zip(*(getattr(study.oracle, name).tolist() for name in names))
-        oracles = [dict(zip(names, solve)) for solve in solves]
-    else:
-        oracles = [None] * len(study.theta)
-    return {
-        "box": json_value(study.box),
-        "seed": study.seed,
-        "num_samples": study.num_samples,
-        "N_list": [int(N) for N in study.N_list],
-        "scheme": study.scheme.value,
-        "with_oracle": study.with_oracle,
-        "newton_config": json_value(study.newton_config),
-        "nominal": json_value(study.nominal),
-        "records": [
-            {
-                "index": s,
-                "theta": theta,
-                "outcomes": {
-                    key: {"final_state": finals[s], "status": status[s], "left_basin": left[s]}
-                    for key, finals, status, left in by_N
-                },
-                "oracle": oracle,
-            }
-            for s, (theta, oracle) in enumerate(zip(study.theta.tolist(), oracles))
-        ],
-    }
+# the SolveResult fields that follow the left_basin columns, in field order
+ORACLE_TAIL = ["objective", "grad_norm", "iterations", "hessian_min_eigenvalue"]
 
 
 def samples_rows(study):
@@ -157,16 +147,17 @@ def samples_rows(study):
     for N in study.N_list:
         header += [f"N{N}_m_{j + 1}" for j in range(d)] + [f"N{N}_status"]
     header += [f"oracle_m_{j + 1}" for j in range(d)] + ["oracle_converged"]
+    header += [f"N{N}_left_basin" for N in study.N_list]
+    header += [f"oracle_{name}" for name in ORACLE_TAIL]
     rows = []
     for s in range(len(study.theta)):
         row = [s, *study.theta[s]]
         for finals, status in zip(study.march_finals, study.march_status):
             row += [*finals[s], status[s]]
-        if study.with_oracle:
-            row += [*study.oracle.minimizer[s], study.oracle.converged[s]]
-        else:
-            row += [None] * (d + 1)
-        rows.append(row)
+        oracle = study.oracle
+        head = [*oracle.minimizer[s], oracle.converged[s]] if oracle else [None] * (d + 1)
+        tail = [getattr(oracle, name)[s] for name in ORACLE_TAIL] if oracle else [None] * 4
+        rows.append(row + head + [left[s] for left in study.left_basin] + tail)
     return header, rows
 
 
@@ -180,22 +171,6 @@ def fragile_study(fragile_problem):
     # half the box inverts the well: aborted marches and unconverged oracles
     box = mm.ParameterBox(np.array([1.0]), np.array([1.5]))
     return mm.propagate_study(fragile_problem, box, 40, [2, 4], seed=2)
-
-
-@pytest.mark.parametrize(
-    "fixture",
-    ["small_study", "no_oracle_study", "fragile_study"],
-    ids=["oracle", "no_oracle", "fragile"],
-)
-def test_study_json_round_trips(tmp_path, request, fixture):
-    """study.json holds json.dumps's bytes of the study's layout."""
-    study = request.getfixturevalue(fixture)
-    if fixture == "fragile_study":
-        counts = study.failure_counts()
-        assert counts["march_aborted"][4] > 0 and counts["newton_not_converged"] > 0
-    reporting.save_study(tmp_path / "study.json", study)
-    with open(tmp_path / "study.json") as fh:
-        assert records(fh.read()) == records(json.dumps(study_layout(study)))
 
 
 def nonfinite_oracle(study):
@@ -213,7 +188,7 @@ def nonfinite_oracle(study):
 def test_streamed_outputs_equal_one_shot_renderings(
     tmp_path, request, logistic, logistic_box, case
 ):
-    """save_study writes json.dumps of the whole layout, samples.csv fmt of every cell.
+    """samples.csv holds fmt of every cell of the study.
 
     small_study (40 samples) is below one chunk of rows; chunk_plus_one
     leaves one row for a second chunk, chunks_plus_one for a third.
@@ -222,22 +197,28 @@ def test_streamed_outputs_equal_one_shot_renderings(
         study = nonfinite_oracle(request.getfixturevalue("small_study"))
     elif case in ("fragile", "no_oracle"):
         study = request.getfixturevalue(f"{case}_study")
+        if case == "fragile":
+            counts = study.failure_counts()
+            assert counts["march_aborted"][4] > 0 and counts["newton_not_converged"] > 0
     else:
         chunks = {"one_sample": 0, "chunk_plus_one": 1, "chunks_plus_one": 2}[case]
         S = chunks * reporting.ROWS_PER_CHUNK + 1
         study = mm.propagate_study(logistic, logistic_box, S, [1, 2], seed=3)
-    json_records, csv_lines = rendered(study, tmp_path)
-    assert json_records == records(json.dumps(study_layout(study)))
+    csv_lines = rendered(study, tmp_path)
     write_fmt_rows(tmp_path / "samples_ref.csv", *samples_rows(study))
     assert csv_lines == (tmp_path / "samples_ref.csv").read_text().splitlines(keepends=True)
     if case == "nonfinite_oracle":
-        json_text = "".join(json_records)
-        assert '"objective": NaN' in json_text and '"grad_norm": Infinity' in json_text
-        assert '"objective": -Infinity' in json_text
+        rows = list(csv.DictReader(csv_lines))
+        for name in ("objective", "grad_norm"):
+            cells = [row[f"oracle_{name}"] for row in rows]
+            assert {"nan", "inf"} <= set(cells)
+            parsed = np.array([float(cell) for cell in cells])
+            assert np.array_equal(parsed, getattr(study.oracle, name), equal_nan=True)
+        assert rows[5]["oracle_objective"] == "-inf"
 
 
 def test_output_phase_memory_does_not_grow_with_the_samples(tmp_path, logistic, logistic_box):
-    """A 20000-sample 1-d kde, samples.csv and study.json each trace under 4 MB.
+    """A 20000-sample 1-d kde and samples.csv each trace under 4 MB.
 
     One (256, 20000) kernel matrix alone is 41 MB.
     """
@@ -247,7 +228,6 @@ def test_output_phase_memory_does_not_grow_with_the_samples(tmp_path, logistic, 
     steps = {
         "kde": lambda: mm.kde(column, grid=(grid,)),
         "samples.csv": lambda: reporting.write_samples_csv(tmp_path / "samples.csv", study),
-        "study.json": lambda: reporting.save_study(tmp_path / "study.json", study),
     }
     for name, step in steps.items():
         tracemalloc.start()

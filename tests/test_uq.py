@@ -86,7 +86,7 @@ from pathlib import Path
 import numpy as np
 
 import minmarch as mm
-from minmarch.reporting import save_study, write_samples_csv
+from minmarch.reporting import write_samples_csv
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn", force=True)
@@ -96,7 +96,6 @@ if __name__ == "__main__":
     for workers in (1, 3):
         study = mm.propagate_study(problem, box, 40, [1, 4], seed=5, workers=workers)
         assert study.counters["march_blocks"] == workers
-        save_study(out / f"study-w{workers}.json", study)
         write_samples_csv(out / f"samples-w{workers}.csv", study)
     assert multiprocessing.get_start_method() == "spawn"
     assert not multiprocessing.active_children()
@@ -196,7 +195,7 @@ class TestPropagateStudy:
         nominal = study.nominal.minimizer
         for N in (1, 4):
             assert np.array_equal(study.finals(N), [nominal])
-        assert np.array_equal(study.oracle_minimizers(), [nominal])
+        assert np.array_equal(study.oracle.minimizer, [nominal])
 
     def test_nominal_failure_aborts(self, concave_problem):
         box = mm.ParameterBox.relative([0.5], 0.1)
@@ -237,7 +236,7 @@ class TestPropagateStudy:
         assert np.array_equal(serial.theta, parallel.theta)
         for N in (1, 4):
             assert np.array_equal(serial.finals(N), parallel.finals(N))
-        assert np.array_equal(serial.oracle_minimizers(), parallel.oracle_minimizers())
+        assert np.array_equal(serial.oracle.minimizer, parallel.oracle.minimizer)
 
     def test_more_workers_than_samples(self, tmp_path, logistic, logistic_box):
         # one block per sample, and the records of the serial study; the
@@ -380,10 +379,8 @@ class TestPropagateStudy:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        for name in ("study-w{}.json", "samples-w{}.csv"):
-            assert (tmp_path / name.format(3)).read_bytes() == (
-                tmp_path / name.format(1)
-            ).read_bytes()
+        samples = tmp_path / "samples-w3.csv"
+        assert samples.read_bytes() == (tmp_path / "samples-w1.csv").read_bytes()
 
     def test_bad_n_list(self, logistic, logistic_box):
         with pytest.raises(ValueError):
@@ -431,9 +428,7 @@ class TestSummaryErrors:
         study = mm.propagate_study(logistic, logistic_box, 100, [128], seed=21, workers=2)
         mask = study.valid_mask()
         assert mask.all()
-        errs = np.linalg.norm(
-            study.finals(128) - study.oracle_minimizers(), axis=1
-        )
+        errs = np.linalg.norm(study.finals(128) - study.oracle.minimizer, axis=1)
         assert errs.max() <= 5e-3
 
 

@@ -20,13 +20,17 @@ them, and writes under OUT/parent and OUT/change (OUT must be new or empty):
 - ``minmarch check`` once, with its default seed and 3 random points; its
   stdout, the command's only output, is saved as ``check/stdout.txt``.
 
-Every file that differs, or exists on one side only, is listed.  In
+Every file that differs, or exists on one side only, is listed, with
+``differs:``, ``parent only:`` or ``change only:``.  In
 ``manifest.json`` the keys ``timings_sec`` and ``output_dir`` are ignored;
-everything else, the work counters included, must match.  Before the
-summary line, each tree's size is printed: its source lines, as
-``cat src/minmarch/*.py src/minmarch/problems/*.py | wc -l`` counts them,
-and ``len(minmarch.__all__)``.  The exit status is 0 when every file
-matches and 1 otherwise.
+everything else, the work counters included, must match.  A ``samples.csv``
+of the change that has the parent's lines, each followed by ``,`` and more
+cells, has gained columns and lost nothing: it is listed as extended, not
+as differing.  Before the summary line, each tree's size is printed: its
+source lines, as ``cat src/minmarch/*.py src/minmarch/problems/*.py | wc -l``
+counts them, and ``len(minmarch.__all__)``.  The summary counts identical
+and extended files apart.  The exit status is 0 when every file matches or
+is extended and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -139,16 +143,29 @@ def same_file(a: Path, b: Path) -> bool:
     return a.read_bytes() == b.read_bytes()
 
 
-def differing_files(parent: Path, change: Path) -> tuple[int, list[str]]:
-    """The number of files compared and the relative paths of those that differ."""
+def extended(a: Path, b: Path) -> bool:
+    """Whether samples.csv b is a with one or more cells appended to every line."""
+    if a.name != "samples.csv":
+        return False
+    old, new = a.read_bytes().splitlines(), b.read_bytes().splitlines()
+    appended = all(line.startswith(base + b",") for base, line in zip(old, new))
+    return len(old) == len(new) and appended
+
+
+def unmatched_files(parent: Path, change: Path) -> tuple[int, list[tuple[str, Path]]]:
+    """The number of files compared and (how, relative path) of each one not identical."""
     files = {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
     files |= {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
-    differ = []
+    unmatched = []
     for rel in sorted(files):
         a, b = parent / rel, change / rel
-        if not (a.is_file() and b.is_file() and same_file(a, b)):
-            differ.append(str(rel))
-    return len(files), differ
+        if not b.is_file():
+            unmatched.append(("parent only", rel))
+        elif not a.is_file():
+            unmatched.append(("change only", rel))
+        elif not same_file(a, b):
+            unmatched.append(("extended" if extended(a, b) else "differs", rel))
+    return len(files), unmatched
 
 
 def main(argv: list[str]) -> int:
@@ -168,13 +185,14 @@ def main(argv: list[str]) -> int:
         # a check that fails (status 1) still prints its report, compared like a file
         (out / side / "check").mkdir()
         (out / side / "check" / "stdout.txt").write_text(run(src, ["check"], ok=(0, 1)))
-    count, differ = differing_files(out / "parent", out / "change")
-    for rel in differ:
-        print(f"differs: {rel}")
+    count, unmatched = unmatched_files(out / "parent", out / "change")
+    for how, rel in unmatched:
+        print(f"{how}: {rel}")
     for side, src in trees.items():
         print(f"{side}: {size(src)}")
-    print(f"{count - len(differ)} of {count} files identical")
-    return 1 if differ else 0
+    extend = sum(how == "extended" for how, _ in unmatched)
+    print(f"{count - len(unmatched)} of {count} files identical, {extend} extended")
+    return 1 if len(unmatched) > extend else 0
 
 
 if __name__ == "__main__":
