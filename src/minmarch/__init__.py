@@ -8,7 +8,7 @@ displacement.  Only one optimization solve (at the nominal parameters) is
 required; a Newton re-solve oracle is included for validation.
 """
 
-from .derivatives import DerivativeCheckReport, check_derivatives
+from .derivatives import check_derivatives
 from .exceptions import (
     BvpSolveError,
     ConfigError,
@@ -20,46 +20,21 @@ from .exceptions import (
 from .marching import MarchStatus, Scheme, Trajectory, march_block
 from .newton import NewtonConfig, SolveResult, newton_solve, solve_nominal
 from .problems import (
-    _ADVDIFF_NAMES,
     DoubleWellProblem,
     LogisticWellProblem,
     ParameterBox,
     Problem,
     QuadraticProblem,
 )
-from .sensitivity import SensitivityApply, post_optimality_apply
-from .uq import (
-    ConvergenceReport,
-    DensityEstimate,
-    SampleStudy,
-    StudyErrorSummary,
-    fit_loglog_slope,
-    kde,
-    propagate_study,
-    silverman_bandwidth,
-    summary_errors,
-)
+from .sensitivity import post_optimality_apply
+from .uq import SampleStudy, fit_loglog_slope, kde, propagate_study, summary_errors
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # the advdiff names load scipy.linalg, the package's only scipy import,
-    # so they are imported on first use
-    if name in _ADVDIFF_NAMES:
-        from . import problems
-
-        return getattr(problems, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "AdvDiffInverseProblem",
-    "AdvectionDiffusionModel",
     "BvpSolveError",
     "ConfigError",
     "DegenerateBandwidthError",
-    "DerivativeCheckReport",
     "DoubleWellProblem",
     "LogisticWellProblem",
     "MarchStatus",
@@ -69,25 +44,18 @@ __all__ = [
     "ParameterBox",
     "Problem",
     "QuadraticProblem",
+    "SampleStudy",
     "Scheme",
-    "SensitivityApply",
     "SolveResult",
     "StationarityError",
     "Trajectory",
-    "ConvergenceReport",
-    "DensityEstimate",
-    "SampleStudy",
-    "StudyErrorSummary",
     "check_derivatives",
     "fit_loglog_slope",
     "kde",
-    "make_advdiff_problem",
     "march_block",
     "newton_solve",
     "post_optimality_apply",
     "propagate_study",
-    "silverman_bandwidth",
     "solve_nominal",
     "summary_errors",
-    "synthesize_observations",
 ]

@@ -317,28 +317,21 @@ def _study_kde_files(study: SampleStudy, mask: np.ndarray, out_dir: str) -> list
         sources[f"N{N}"] = study.finals(N)[mask]
 
     written = []
-    for k in range(d):
-        columns = {label: data[:, k] for label, data in sources.items()}
-        axis = shared_axis(columns.values(), 1, 256)
-        for label, col in columns.items():
-            try:
-                est = kde(col, grid=(axis,))
-            except DegenerateBandwidthError:
-                continue
-            path = os.path.join(out_dir, f"kde_marginal_{k + 1}_{label}.csv")
-            write_kde_csv(path, est)
-            written.append(os.path.basename(path))
-
-    if d == 2:
+    # each coordinate's marginal density, then the joint density of a d = 2 study
+    for coords in [(k,) for k in range(d)] + [(0, 1)] * (d == 2):
+        clouds = {label: data[:, coords] for label, data in sources.items()}
+        points = 256 if len(coords) == 1 else 101
         axes = tuple(
-            shared_axis([data[:, k] for data in sources.values()], 2, 101) for k in range(2)
+            shared_axis([cloud[:, j] for cloud in clouds.values()], len(coords), points)
+            for j in range(len(coords))
         )
-        for label, data in sources.items():
+        name = f"marginal_{coords[0] + 1}" if len(coords) == 1 else "joint"
+        for label, cloud in clouds.items():
             try:
-                est = kde(data, grid=axes)
+                est = kde(cloud, grid=axes)
             except DegenerateBandwidthError:
                 continue
-            path = os.path.join(out_dir, f"kde_joint_{label}.csv")
+            path = os.path.join(out_dir, f"kde_{name}_{label}.csv")
             write_kde_csv(path, est)
             written.append(os.path.basename(path))
     return written

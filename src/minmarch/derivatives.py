@@ -89,13 +89,9 @@ def check_derivatives(
     m = np.asarray(m, dtype=float)
     theta = np.asarray(theta, dtype=float)
 
-    g = problem.gradient(m, theta)
+    _, g, H, B = derivatives_at(problem, m, theta)
     g_fd = fd_jacobian(lambda mm: np.atleast_1d(problem.objective(mm, theta)), m, fd_step)[0]
-
-    H = problem.hessian(m, theta)
     H_fd = _richardson_jacobian(lambda mm: problem.gradient(mm, theta), m, fd_step)
-
-    B = derivatives_at(problem, m, theta)[3]
     B_fd = _richardson_jacobian(lambda tt: problem.gradient(m, tt), theta, fd_step)
 
     return DerivativeCheckReport(

@@ -79,7 +79,7 @@ _ORACLE_TAIL = {
 
 def write_samples_csv(path, study: SampleStudy) -> None:
     """One row per sample; the left_basin and _ORACLE_TAIL columns follow all others."""
-    d, p = study.d, study.box.p
+    d, p = study.d, study.theta.shape[1]
     header = ["sample_index"] + [f"theta_{k + 1}" for k in range(p)]
     cells = ["%d"] + [_FLOAT] * p
     columns = [np.arange(len(study.theta)), *study.theta.T]

@@ -34,10 +34,10 @@ class SampleStudy:
     as one stacked ``SolveResult`` (see ``newton_solve_block``), or None for
     a study run without the oracle.  ``write_samples_csv`` renders every
     column, one row per sample; ``manifest.json`` holds ``newton_config``,
-    ``nominal`` and ``counters``.
+    ``nominal`` and ``counters``, and its config the box the samples were
+    drawn from.
     """
 
-    box: ParameterBox
     N_list: list[int]
     newton_config: NewtonConfig
     nominal: SolveResult
@@ -259,7 +259,6 @@ def propagate_study(
         "derivative_rows": {"march": march_rows, "oracle": oracle_rows},
     }
     return SampleStudy(
-        box=box,
         N_list=N_list,
         newton_config=newton_config,
         nominal=nominal,

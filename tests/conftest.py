@@ -83,7 +83,9 @@ def logistic():
 
 @pytest.fixture(scope="session")
 def advdiff():
-    return mm.make_advdiff_problem()
+    from minmarch.problems.advdiff import make_advdiff_problem
+
+    return make_advdiff_problem()
 
 
 @pytest.fixture(scope="session")

@@ -82,7 +82,7 @@ def test_perfect_fit_at_prior_gives_zero_objective_and_gradient():
     model = AdvectionDiffusionModel(100)
     m0 = np.array([0.055, 0.35])
     u_obs = model.solve(m0, THETA_ADVDIFF)
-    problem = mm.AdvDiffInverseProblem(model, u_obs, m0, beta=1e-3)
+    problem = advdiff_module.AdvDiffInverseProblem(model, u_obs, m0, beta=1e-3)
     value, g = problem.objective_gradient(m0, THETA_ADVDIFF)
     assert value == 0.0
     np.testing.assert_allclose(g, 0.0, atol=1e-15)
@@ -313,7 +313,7 @@ def test_scratch_grows_and_shrinks_below_a_quarter():
 
 def test_pickled_problem_carries_no_buffers(advdiff_box):
     """Workers receive the problem pickled; what its evaluations left is not in it."""
-    problem = mm.make_advdiff_problem()
+    problem = advdiff_module.make_advdiff_problem()
     fresh = len(pickle.dumps(problem))
     for evaluate in stack_calls(problem, advdiff_box, 30, seed=15).values():
         evaluate()
@@ -350,7 +350,7 @@ def test_stack_row_with_singular_system_is_nan(monkeypatch):
     The sub-diagonal -kappa/dx^2 - v/(2 dx) is then 0 except in the last
     row, and elimination leaves 64 alpha = 0 in the last diagonal entry.
     """
-    problem = mm.make_advdiff_problem(grid_cells=16)
+    problem = advdiff_module.make_advdiff_problem(grid_cells=16)
     box = mm.ParameterBox.relative(THETA_ADVDIFF, 0.2)
     M, Theta = random_stack(problem, box, 4, seed=5)
     M[1], Theta[1] = (0.0625, -2.0), (10.0, 0.05, 0.0)
@@ -370,7 +370,7 @@ def stack_with_failing_rows():
     parameter, an exactly zero pivot (see the test above) and a state that
     overflows (a = 1e308).
     """
-    problem = mm.make_advdiff_problem(grid_cells=16)
+    problem = advdiff_module.make_advdiff_problem(grid_cells=16)
     box = mm.ParameterBox.relative(THETA_ADVDIFF, 0.2)
     M, Theta = random_stack(problem, box, 11, seed=8)
     M[1, 0] = -0.01
@@ -436,7 +436,7 @@ def test_large_regularization_pulls_to_prior():
     model = AdvectionDiffusionModel(100)
     u_obs = model.solve(M_TRUE, THETA_ADVDIFF)
     m_prior = np.array([0.06, 0.32])
-    problem = mm.AdvDiffInverseProblem(model, u_obs, m_prior, beta=1e3)
+    problem = advdiff_module.AdvDiffInverseProblem(model, u_obs, m_prior, beta=1e3)
     result = mm.newton_solve(problem, THETA_ADVDIFF, m_prior)
     assert result.converged
     assert np.linalg.norm(result.minimizer - m_prior) <= 1e-3
@@ -447,8 +447,10 @@ def test_regularizer_contributes_identity_to_hessian():
     u_obs = model.solve(M_TRUE, THETA_ADVDIFF)
     m = np.array([0.06, 0.32])
     delta = 0.5
-    h_small = mm.AdvDiffInverseProblem(model, u_obs, m, beta=1e-3).hessian(m, THETA_ADVDIFF)
-    h_large = mm.AdvDiffInverseProblem(model, u_obs, m, beta=1e-3 + delta).hessian(
+    h_small = advdiff_module.AdvDiffInverseProblem(model, u_obs, m, beta=1e-3).hessian(
+        m, THETA_ADVDIFF
+    )
+    h_large = advdiff_module.AdvDiffInverseProblem(model, u_obs, m, beta=1e-3 + delta).hessian(
         m, THETA_ADVDIFF
     )
     np.testing.assert_allclose(np.diag(h_large - h_small), delta, atol=1e-6)
@@ -504,7 +506,7 @@ def test_nominal_minimizer_near_truth_grid_oracle(advdiff, advdiff_box):
 def test_near_exact_recovery_with_vanishing_regularization():
     model = AdvectionDiffusionModel(100)
     u_obs = model.solve(M_TRUE, THETA_ADVDIFF)
-    problem = mm.AdvDiffInverseProblem(model, u_obs, np.array([0.06, 0.32]), beta=1e-8)
+    problem = advdiff_module.AdvDiffInverseProblem(model, u_obs, np.array([0.06, 0.32]), beta=1e-8)
     result = mm.newton_solve(problem, THETA_ADVDIFF, np.array([0.06, 0.32]))
     assert result.converged
     assert np.linalg.norm(result.minimizer - M_TRUE) / np.linalg.norm(M_TRUE) <= 1e-4
@@ -513,14 +515,14 @@ def test_near_exact_recovery_with_vanishing_regularization():
 class TestSynthesizeObservations:
     def test_noiseless_matches_forward_solve(self):
         model = AdvectionDiffusionModel(100)
-        u_obs = mm.synthesize_observations(model, M_TRUE, THETA_ADVDIFF)
+        u_obs = advdiff_module.synthesize_observations(model, M_TRUE, THETA_ADVDIFF)
         assert np.array_equal(u_obs, model.solve(M_TRUE, THETA_ADVDIFF))
 
     def test_noisy_is_reproducible_bitwise(self):
         model = AdvectionDiffusionModel(100)
-        a = mm.synthesize_observations(model, M_TRUE, THETA_ADVDIFF, 0.01, seed=3)
-        b = mm.synthesize_observations(model, M_TRUE, THETA_ADVDIFF, 0.01, seed=3)
-        c = mm.synthesize_observations(model, M_TRUE, THETA_ADVDIFF, 0.01, seed=4)
+        a = advdiff_module.synthesize_observations(model, M_TRUE, THETA_ADVDIFF, 0.01, seed=3)
+        b = advdiff_module.synthesize_observations(model, M_TRUE, THETA_ADVDIFF, 0.01, seed=3)
+        c = advdiff_module.synthesize_observations(model, M_TRUE, THETA_ADVDIFF, 0.01, seed=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -528,6 +530,6 @@ class TestSynthesizeObservations:
 def test_u_obs_shape_validated():
     model = AdvectionDiffusionModel(100)
     with pytest.raises(ValueError):
-        mm.AdvDiffInverseProblem(model, np.zeros(50), np.array([0.06, 0.32]), 1e-3)
+        advdiff_module.AdvDiffInverseProblem(model, np.zeros(50), np.array([0.06, 0.32]), 1e-3)
     with pytest.raises(ValueError):
-        mm.AdvDiffInverseProblem(model, np.zeros(101), np.array([0.06, 0.32]), 0.0)
+        advdiff_module.AdvDiffInverseProblem(model, np.zeros(101), np.array([0.06, 0.32]), 0.0)

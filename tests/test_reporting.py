@@ -8,6 +8,7 @@ import pytest
 
 import minmarch as mm
 from minmarch import reporting
+from minmarch.uq import DensityEstimate
 
 from conftest import THETA_LOGISTIC, march_one, rendered
 
@@ -118,8 +119,8 @@ def test_kde_writers_match_the_general_row_writer(tmp_path):
     special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-310, 0.1]
     density = rng.uniform(0.0, 1.0, (7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
     density.flat[: len(special)] = special
-    joint = mm.DensityEstimate(2, (xs, ys), density, np.ones(2))
-    marginal = mm.DensityEstimate(1, (xs,), density[:, 0], np.ones(1))
+    joint = DensityEstimate(2, (xs, ys), density, np.ones(2))
+    marginal = DensityEstimate(1, (xs,), density[:, 0], np.ones(1))
 
     reporting.write_kde_csv(tmp_path / "joint.csv", joint)
     write_fmt_rows(
@@ -142,7 +143,7 @@ ORACLE_TAIL = ["objective", "grad_norm", "iterations", "hessian_min_eigenvalue"]
 
 def samples_rows(study):
     """The samples.csv header and rows, one fmt cell per value."""
-    d, p = study.d, study.box.p
+    d, p = study.d, study.theta.shape[1]
     header = ["sample_index"] + [f"theta_{k + 1}" for k in range(p)]
     for N in study.N_list:
         header += [f"N{N}_m_{j + 1}" for j in range(d)] + [f"N{N}_status"]

@@ -149,13 +149,13 @@ class TestKde:
         x = rng.standard_normal(500)
         q75, q25 = np.percentile(x, [75, 25])
         expected = 0.9 * min(np.std(x, ddof=1), (q75 - q25) / 1.34) * 500 ** (-0.2)
-        assert mm.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
+        assert uq.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_iqr_with_spread_falls_back_to_the_std(self):
         # more than three quarters of the samples tie, so the IQR is 0
         x = np.concatenate([np.zeros(80), np.random.default_rng(5).uniform(1.0, 2.0, 20)])
         expected = 0.9 * np.std(x, ddof=1) * 100 ** (-0.2)
-        assert mm.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
+        assert uq.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
         assert integral(mm.kde(x)) == pytest.approx(1.0, abs=1e-3)
 
 
