@@ -359,6 +359,7 @@ def cmd_study(args) -> int:
         workers=cfg.workers,
     )
     timings["propagate"] = time.perf_counter() - t0
+    timings.update(study.timings)
 
     t0 = time.perf_counter()
     summary = slopes = None
@@ -508,7 +509,7 @@ def make_parser() -> argparse.ArgumentParser:
         dest="with_oracle",
         help="re-solve each sample with Newton as ground truth",
     )
-    p_study.add_argument("--workers", type=int)
+    p_study.add_argument("--workers", type=int, help="the most processes a study uses")
     p_study.set_defaults(func=cmd_study)
 
     p_traj = sub.add_parser("trajectory", help="march a single parameter sample")

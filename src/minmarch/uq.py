@@ -5,19 +5,24 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import pickle
+import time
 import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .exceptions import DegenerateBandwidthError
-from .marching import MarchStatus, Scheme, march_block
+from .marching import TABLEAUX, MarchStatus, Scheme, march_block
 from .newton import NewtonConfig, SolveResult, newton_solve_block, solve_nominal
 from .problems.base import ParameterBox
 
 SLOPE_FLOOR = 1e-13  # errors at roundoff level carry no rate information
 KDE_PADDING = 4.0  # default kde grids extend this many bandwidths past the data
 KDE_BLOCK_ELEMENTS = 2**14  # kernel values a 1-d kde evaluates at once: 128 kB, cache-sized
+# the estimated march time of one block below which a study starts no worker
+# process: below it, a worker's start-up and its contention for the cores
+# cost more than the split saves (README gives the measurements, on 2 cores)
+WORKER_MIN_BLOCK_S = 0.05
 
 
 @dataclass
@@ -48,6 +53,8 @@ class SampleStudy:
     oracle: SolveResult | None
     # work done by the run that produced the study, as manifest.json reports it
     counters: dict = field(default_factory=dict, compare=False)
+    # seconds of the run's steps that manifest.json adds to its timings_sec
+    timings: dict = field(default_factory=dict, compare=False)
 
     @property
     def d(self) -> int:
@@ -73,11 +80,12 @@ class SampleStudy:
 
 
 class _RowCounter:
-    """A problem whose ``derivatives`` calls are tallied by the rows they pass."""
+    """A problem whose ``derivatives`` and ``values`` calls are tallied by the rows they pass."""
 
     def __init__(self, problem):
         self.problem = problem
         self.rows = 0
+        self.value_rows = 0
 
     def __getattr__(self, name):
         return getattr(self.problem, name)
@@ -85,6 +93,10 @@ class _RowCounter:
     def derivatives(self, M, Theta, dTheta=None):
         self.rows += len(M)
         return self.problem.derivatives(M, Theta, dTheta)
+
+    def values(self, M, Theta):
+        self.value_rows += len(M)
+        return self.problem.values(M, Theta)
 
 
 def _propagate_block(
@@ -94,9 +106,10 @@ def _propagate_block(
 
     Returns ``march_finals``, ``march_status``, ``left_basin`` and ``oracle``
     in ``SampleStudy``'s layout for the block, and the work it did: its RHS
-    evaluations and the rows it passed to ``problem.derivatives`` while
-    marching and in the oracle.  The block is marched in lockstep once per
-    step count, and the Newton oracle re-solves it in lockstep once.
+    evaluations, the rows it passed to ``problem.derivatives`` while marching
+    and in the oracle, and the rows the oracle passed to ``problem.values``
+    (a march calls ``derivatives`` only).  The block is marched in lockstep
+    once per step count, and the Newton oracle re-solves it in lockstep once.
     """
     finals, statuses, left_basin = [], [], []
     rhs_evals = 0
@@ -112,7 +125,7 @@ def _propagate_block(
     oracle = (
         newton_solve_block(oracle_problem, thetas, start, newton_config) if with_oracle else None
     )
-    work = (rhs_evals, march_problem.rows, oracle_problem.rows)
+    work = (rhs_evals, march_problem.rows, oracle_problem.rows, oracle_problem.value_rows)
     return np.array(finals), np.array(statuses), np.array(left_basin), oracle, work
 
 
@@ -191,6 +204,20 @@ def _run_blocks(run, tasks) -> list:
             child.join()
 
 
+def _block_estimate(problem, minimizer, thetas, N_list, scheme: Scheme) -> float:
+    """Seconds the marches of one block of samples thetas are estimated to take.
+
+    One ``problem.derivatives`` call over the block's rows, at the nominal
+    minimizer and without directions, is timed and multiplied by the RHS
+    evaluations a sample makes: the stages of ``scheme`` times sum(N_list).
+    """
+    M = np.repeat(minimizer[None], len(thetas), axis=0)
+    t0 = time.perf_counter()
+    problem.derivatives(M, thetas)
+    seconds = time.perf_counter() - t0
+    return seconds * len(TABLEAUX[scheme].nodes) * sum(N_list)
+
+
 def propagate_study(
     problem,
     box: ParameterBox,
@@ -207,26 +234,40 @@ def propagate_study(
     Every sample marches from the single nominal minimizer with each step
     count in ``N_list``; with ``with_oracle`` each sample is also re-solved by
     Newton as ground truth, warm-started from the nominal minimizer.
-    Samples are taken in ``min(workers, num_samples)`` contiguous blocks of
-    near-equal size.  This process marches the first block, and each other
-    block runs meanwhile in a process of its own.  Each block is marched in
-    lockstep once per step count (``march_block``) and re-solved in lockstep
-    once (``newton_solve_block``), and returns its results as arrays; the
-    study's columns are their concatenation in sample order.  A sample's
-    march and re-solve do not depend on its block, so the output is
-    independent of the worker count and of scheduling.  Each worker process
-    receives the problem and the block's other arguments pickled, whatever
-    the platform's start method, so with more than one block the problem
-    must pickle.  An exception in a worker is raised here.
+    Samples are taken in B contiguous blocks of near-equal size, B being
+    ``min(workers, num_samples)`` or 1.  This process marches the first
+    block, and each other block runs meanwhile in a process of its own.
+    Each block is marched in lockstep once per step count (``march_block``)
+    and re-solved in lockstep once (``newton_solve_block``), and returns its
+    results as arrays; the study's columns are their concatenation in sample
+    order.  A sample's march and re-solve do not depend on its block, so the
+    output is independent of the worker count and of scheduling.
+
+    With more than one block in prospect, one ``problem.derivatives`` call
+    over the first block's rows, at the nominal minimizer and without
+    directions, is timed before any worker starts; times the RHS evaluations
+    per sample it estimates one block's marches (``_block_estimate``).  Below
+    WORKER_MIN_BLOCK_S the study marches all samples as one block in this
+    process, since starting and running worker processes would cost more
+    than the split saves.  The choice follows a timing, so near the threshold
+    ``counters["march_blocks"]`` can differ between runs of one config;
+    the study's columns never do.  ``SampleStudy.timings`` holds the seconds
+    of the nominal solve and, when it was made, the estimate
+    (``block_estimate``).
+
+    Each worker process receives the problem and the block's other arguments
+    pickled, whatever the platform's start method, so with more than one
+    block the problem must pickle.  An exception in a worker is raised here.
     ``SampleStudy.counters`` reports the RHS evaluations (stage evaluations
     summed over samples and step counts), the number of sample blocks, the
-    total oracle iterations and ``derivative_rows``, the rows passed to
-    ``problem.derivatives`` while marching and by the oracle; the rows the
-    oracle's line search passes to ``problem.values`` are not counted (3.1
-    per sample on the shipped advdiff study, beside 7.2 counted).  Each march
-    evaluates its first stage of step 0 from one p-row call at the nominal
-    point shared by its block (see ``march_block``), so with B blocks,
-    K = len(N_list) step counts and p parameters
+    total oracle iterations and ``derivative_rows``: the rows passed to
+    ``problem.derivatives`` while marching and by the oracle, and the rows
+    the oracle's line search passes to ``problem.values`` (``oracle_values``;
+    3.1 per sample on the shipped advdiff study, none on logistic1d).  The
+    sizing call is not counted.  Each march evaluates its first stage of
+    step 0 from one p-row call at the nominal point shared by its block (see
+    ``march_block``), so with B blocks, K = len(N_list) step counts and p
+    parameters
 
         derivative_rows["march"] = rhs_evaluations - K (num_samples - B p)
 
@@ -240,23 +281,33 @@ def propagate_study(
         raise ValueError("workers must be >= 1")
     scheme = Scheme(scheme)
 
+    t0 = time.perf_counter()
     nominal = solve_nominal(problem, box, newton_config)
+    timings = {"nominal": time.perf_counter() - t0}
     thetas = box.sample(seed, num_samples)
+    blocks = min(workers, num_samples)
+    if blocks > 1:
+        first = thetas[: num_samples // blocks]
+        estimate = _block_estimate(problem, nominal.minimizer, first, N_list, scheme)
+        timings["block_estimate"] = estimate
+        if estimate < WORKER_MIN_BLOCK_S:
+            blocks = 1
     run = functools.partial(
         _propagate_block,
         problem, box.nominal, nominal.minimizer, tuple(N_list), scheme, with_oracle, newton_config,
     )
-    blocks = min(workers, num_samples)
     bounds = [num_samples * k // blocks for k in range(blocks + 1)]
     tasks = [thetas[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     results = _run_blocks(run, tasks) if len(tasks) > 1 else [run(tasks[0])]
-    columns, (rhs_evals, march_rows, oracle_rows) = _join_blocks(results)
+    columns, (rhs_evals, march_rows, oracle_rows, value_rows) = _join_blocks(results)
     oracle = columns["oracle"]
     counters = {
         "rhs_evaluations": rhs_evals,
         "march_blocks": len(tasks),
         "oracle_iterations": int(oracle.iterations.sum()) if oracle is not None else 0,
-        "derivative_rows": {"march": march_rows, "oracle": oracle_rows},
+        "derivative_rows": {
+            "march": march_rows, "oracle": oracle_rows, "oracle_values": value_rows
+        },
     }
     return SampleStudy(
         N_list=N_list,
@@ -264,6 +315,7 @@ def propagate_study(
         nominal=nominal,
         theta=thetas,
         counters=counters,
+        timings=timings,
         **columns,
     )
 

@@ -88,6 +88,14 @@ def advdiff():
     return make_advdiff_problem()
 
 
+@pytest.fixture
+def forked_blocks(monkeypatch):
+    """Studies split into blocks start their worker processes, however cheap a block is."""
+    from minmarch import uq
+
+    monkeypatch.setattr(uq, "WORKER_MIN_BLOCK_S", 0.0)
+
+
 @pytest.fixture(scope="session")
 def quadratic_box():
     return mm.ParameterBox.relative(np.array([0.4]), 0.40)

@@ -114,6 +114,7 @@ class TestStudy:
             assert float(row["N1_m_1"]) == pytest.approx(float(row["theta_1"]), abs=1e-12)
             assert float(row["oracle_m_1"]) == pytest.approx(float(row["theta_1"]), abs=1e-12)
 
+    @pytest.mark.usefixtures("forked_blocks")
     @pytest.mark.parametrize("workers,blocks", [(1, 1), (2, 2)])
     def test_manifest_counters(self, tmp_path, workers, blocks):
         out = tmp_path / "counted"
@@ -413,6 +414,7 @@ class TestStudy:
         for name in names:
             assert read_bytes(out1 / name) == read_bytes(out2 / name), name
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         args = ["study", "--problem", "logistic1d", "--samples", "60", "--steps", "1,4", "--seed", "11"]
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -421,6 +423,7 @@ class TestStudy:
         for name in out_files(out1):
             assert read_bytes(out1 / name) == read_bytes(out2 / name), name
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_advdiff_options_and_workers(self, tmp_path):
         cfg = tmp_path / "adv.json"
         cfg.write_text(

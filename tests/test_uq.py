@@ -60,12 +60,13 @@ class DiesInChild(mm.LogisticWellProblem):
 class InterruptedInCaller(mm.LogisticWellProblem):
     """Logistic well interrupted while the calling process marches its block.
 
-    The nominal solve passes single rows and goes through; a stacked call of
-    the calling process raises KeyboardInterrupt, as Ctrl-C would.
+    The nominal solve passes single rows and the block sizing call passes no
+    directions, so both go through; a stacked march call of the calling
+    process raises KeyboardInterrupt, as Ctrl-C would.
     """
 
     def derivatives(self, M, Theta, dTheta=None):
-        if len(M) > 3 and multiprocessing.parent_process() is None:
+        if len(M) > 3 and dTheta is not None and multiprocessing.parent_process() is None:
             raise KeyboardInterrupt
         return super().derivatives(M, Theta, dTheta)
 
@@ -86,10 +87,12 @@ from pathlib import Path
 import numpy as np
 
 import minmarch as mm
+from minmarch import uq
 from minmarch.reporting import write_samples_csv
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn", force=True)
+    uq.WORKER_MIN_BLOCK_S = 0.0  # worker processes however cheap the blocks
     out = Path(sys.argv[1])
     problem = mm.LogisticWellProblem()
     box = mm.ParameterBox.relative(np.array([1.0, 3.0, 0.1]), 0.40)
@@ -230,6 +233,7 @@ class TestPropagateStudy:
             "newton_not_converged": 0,
         }
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_workers_do_not_change_results(self, logistic, logistic_box):
         serial = mm.propagate_study(logistic, logistic_box, 30, [1, 4], seed=9, workers=1)
         parallel = mm.propagate_study(logistic, logistic_box, 30, [1, 4], seed=9, workers=2)
@@ -238,6 +242,7 @@ class TestPropagateStudy:
             assert np.array_equal(serial.finals(N), parallel.finals(N))
         assert np.array_equal(serial.oracle.minimizer, parallel.oracle.minimizer)
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_more_workers_than_samples(self, tmp_path, logistic, logistic_box):
         # one block per sample, and the records of the serial study; the
         # split never makes more blocks than samples, so a huge worker count
@@ -250,6 +255,7 @@ class TestPropagateStudy:
             assert rendered(parallel, tmp_path) == rendered(serial, tmp_path)
             assert_same_oracles(parallel.oracle, serial.oracle)
 
+    @pytest.mark.usefixtures("forked_blocks")
     @pytest.mark.parametrize("name", ["logistic1d", "fragile"])
     def test_blocks_do_not_change_records(
         self, tmp_path, name, logistic, logistic_box, fragile_problem
@@ -276,7 +282,7 @@ class TestPropagateStudy:
             assert parallel.counters["march_blocks"] == workers
             assert rendered(parallel, tmp_path) == expected
             # each block makes one p-row call at the nominal point per step count
-            shared = {"march": rows["march"] + 3 * box.p * (workers - 1), "oracle": rows["oracle"]}
+            shared = {**rows, "march": rows["march"] + 3 * box.p * (workers - 1)}
             assert {**parallel.counters, "march_blocks": 1} == {
                 **serial.counters, "derivative_rows": shared
             }
@@ -297,6 +303,7 @@ class TestPropagateStudy:
                 serial.counters["rhs_evaluations"],
                 rows["march"] + 3 * box.p * (blocks - 1),
                 rows["oracle"],
+                rows["oracle_values"],
             ]
 
     @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
@@ -326,12 +333,14 @@ class TestPropagateStudy:
         assert_same_oracles(a[3], b[3])
         assert a[4] == b[4]
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_worker_exception_is_raised_in_the_caller(self, logistic_box):
         # the caller marches block 0 fine; the two children raise
         with pytest.raises(ValueError, match="^derivatives failed in a worker$"):
             mm.propagate_study(FailsInChild(), logistic_box, 30, [1, 4], seed=9, workers=3)
         assert not multiprocessing.active_children()
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_worker_exception_keeps_its_traceback(self, logistic_box):
         with pytest.raises(ValueError) as raised:
             mm.propagate_study(FailsInChild(), logistic_box, 30, [1, 4], seed=9, workers=2)
@@ -340,6 +349,7 @@ class TestPropagateStudy:
         assert f'{__file__}", line' in text and ", in derivatives\n" in text
         assert 'raise ValueError("derivatives failed in a worker")' in text
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_worker_exception_that_does_not_unpickle(self, logistic_box):
         with pytest.raises(RuntimeError, match="TwoArgError: boom$") as raised:
             mm.propagate_study(RaisesTwoArgError(), logistic_box, 30, [1, 4], seed=9, workers=2)
@@ -347,11 +357,13 @@ class TestPropagateStudy:
         text = "".join(traceback.format_exception(raised.value))
         assert 'raise TwoArgError("boom", 7)' in text
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_worker_that_dies_names_its_exit_code(self, logistic_box):
         with pytest.raises(RuntimeError, match="exited with code 3"):
             mm.propagate_study(DiesInChild(), logistic_box, 30, [1, 4], seed=9, workers=2)
         assert not multiprocessing.active_children()
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_interrupt_in_the_callers_block_stops_every_worker(self, logistic_box):
         with pytest.raises(KeyboardInterrupt):
             mm.propagate_study(
@@ -359,6 +371,7 @@ class TestPropagateStudy:
             )
         assert not multiprocessing.active_children()
 
+    @pytest.mark.usefixtures("forked_blocks")
     def test_blocks_reach_workers_pickled(self, logistic_box):
         # also under fork, where a child could inherit the problem unpickled
         problem = Unpicklable()
@@ -381,6 +394,42 @@ class TestPropagateStudy:
         assert done.returncode == 0, done.stderr
         samples = tmp_path / "samples-w3.csv"
         assert samples.read_bytes() == (tmp_path / "samples-w1.csv").read_bytes()
+
+    def test_cheap_blocks_march_in_the_calling_process(self, tmp_path, logistic, logistic_box):
+        # a 20-row logistic1d block marches in about a millisecond, far below
+        # WORKER_MIN_BLOCK_S, so two workers make one block and no process
+        args = (logistic, logistic_box, 40, [1, 2, 4, 8, 16], 7)
+        serial = mm.propagate_study(*args, workers=1)
+        assert set(serial.timings) == {"nominal"}
+        study = mm.propagate_study(*args, workers=2)
+        assert not multiprocessing.active_children()
+        assert study.counters == serial.counters
+        assert study.counters["march_blocks"] == 1
+        assert set(study.timings) == {"nominal", "block_estimate"}
+        assert 0.0 < study.timings["block_estimate"] < uq.WORKER_MIN_BLOCK_S
+        assert rendered(study, tmp_path) == rendered(serial, tmp_path)
+        assert_same_oracles(study.oracle, serial.oracle)
+
+    @pytest.mark.parametrize("name", ["logistic1d", "advdiff"])
+    def test_oracle_values_rows_are_counted(self, name, logistic_box, advdiff_box):
+        # advdiff's line search backtracks and calls values; logistic1d's never does
+        from minmarch.problems.advdiff import make_advdiff_problem
+
+        if name == "advdiff":
+            problem, box = make_advdiff_problem(), advdiff_box
+        else:
+            problem, box = mm.LogisticWellProblem(), logistic_box
+        passed, values = [], problem.values
+
+        def counted(M, Theta):
+            passed.append(len(M))
+            return values(M, Theta)
+
+        problem.values = counted
+        study = mm.propagate_study(problem, box, 20, [1], seed=3)
+        rows = study.counters["derivative_rows"]["oracle_values"]
+        assert rows == sum(passed)
+        assert (rows > 0) == (name == "advdiff")
 
     def test_bad_n_list(self, logistic, logistic_box):
         with pytest.raises(ValueError):

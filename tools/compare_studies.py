@@ -8,13 +8,17 @@ Each command runs in a fresh interpreter with ``PYTHONPATH`` set to one of
 them, and writes under OUT/parent and OUT/change (OUT must be new or empty):
 
 - ``minmarch study`` for every problem, scheme (euler, heun, rk4), worker
-  count (1, 2, 3: one block, or the calling process and one or two worker
-  processes) and oracle setting (on, off), with a small sample count and
-  the step counts 1, 3, 6; and two more studies: one with more workers
-  than samples, whose ``manifest.json`` counts the blocks it was split
-  into, and one advdiff study whose single block has more samples than
-  the kernel's ``STACK_ROWS``, so that its stacked calls come in chunks of
-  other sizes than its first;
+  count (1, 2, 3) and oracle setting (on, off), with a small sample count and
+  the step counts 1, 3, 6.  At these sample counts most blocks are estimated
+  to march in less than ``uq.WORKER_MIN_BLOCK_S``, so most of these studies
+  run as one block whatever their worker count, and near that threshold
+  their ``march_blocks`` can differ between runs.  Three more studies: one
+  with more workers than samples; one advdiff study whose single block has
+  more samples than the kernel's ``STACK_ROWS``, so that its stacked calls
+  come in chunks of other sizes than its first; and one advdiff study whose
+  blocks cost far more than the threshold, so that it runs the calling
+  process and one worker process, and its ``manifest.json`` counts two
+  blocks;
 - ``minmarch trajectory`` for every problem and scheme, with 1 and 4 steps,
   at the first three sampled parameters of the parent's study;
 - ``minmarch check`` once, with its default seed and 3 random points; its
@@ -54,10 +58,12 @@ TRAJECTORY_SAMPLES = 3
 SEED = 7
 IGNORED_KEYS = {"timings_sec", "output_dir"}
 # (problem, sample count), scheme, workers, oracle of the studies past the matrix:
-# more workers than samples, and more samples in one block than advdiff's STACK_ROWS
+# more workers than samples, more samples in one block than advdiff's STACK_ROWS,
+# and blocks that cost far more than uq.WORKER_MIN_BLOCK_S
 EXTRA_STUDIES = [
     (("quadratic", 3), "euler", 5, "--oracle"),
     (("advdiff", 300), "euler", 1, "--oracle"),
+    (("advdiff", 600), "rk4", 2, "--oracle"),
 ]
 
 # imports minmarch and checks that it comes from the tree on PYTHONPATH
