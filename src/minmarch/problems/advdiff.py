@@ -62,18 +62,30 @@ _SCRATCH = _Scratch()
 def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """x with A x = rhs for the tridiagonal A with these three bands.
 
+    Non-finite input raises ValueError, as ``check_finite`` does in
+    ``solve_banded``; the solve is ``_gtsv``'s.
+    """
+    for band in (lower, diag, upper, rhs):
+        if not np.isfinite(band).all():
+            raise ValueError("array must not contain infs or NaNs")
+    return _gtsv(lower, diag, upper, rhs)
+
+
+def _gtsv(lower, diag, upper, rhs) -> np.ndarray:
+    """x with A x = rhs for the tridiagonal A with these finite bands and finite rhs.
+
     Calls LAPACK gtsv, the routine ``solve_banded((1, 1), ...)`` calls, so
-    the result is the same bit for bit without its argument handling.
-    Non-finite input raises ValueError, as ``check_finite`` does there, and a
+    the result is the same bit for bit without its argument handling.  A
     zero pivot raises BvpSolveError.  The kernels pass views of the buffers
     they reuse (``_Scratch``), and those are solved in place: gtsv destroys
     the bands and writes x over a Fortran-contiguous rhs, which it returns.
-    Any other array is left unchanged, and x is new.
+    Any other array is left unchanged, and x is new.  The kernels call it
+    without ``_solve_tridiagonal``'s checks: ``_evaluate`` gives them only
+    rows whose band entries, parameters and directions are finite, so the
+    bands and the state's right-hand side a * bump are finite, and the
+    later right-hand sides pass ``_finite_rhs``.
     """
     arrays = (lower, diag, upper, rhs)
-    for band in arrays:
-        if not np.isfinite(band).all():
-            raise ValueError("array must not contain infs or NaNs")
     scratch = _SCRATCH.buffer
     *_, x, info = _GTSV(*arrays, *[a.base is scratch for a in arrays])
     if info > 0:
@@ -87,9 +99,8 @@ def _finite_rhs(rhs) -> np.ndarray:
     """rhs, once it is finite; a row whose state overflows raises BvpSolveError.
 
     The right-hand sides after the state solve are built from the state, so
-    they are not finite where it overflowed.  ``_solve_tridiagonal`` would
-    raise ValueError on them, which ``_evaluate`` does not take for a
-    failed row.
+    they are not finite where it overflowed.  ``_gtsv`` must not get them,
+    and a ValueError would not be taken by ``_evaluate`` for a failed row.
     """
     if not np.isfinite(rhs).all():
         raise BvpSolveError("the state overflows")
@@ -468,7 +479,7 @@ class AdvDiffInverseProblem(Problem):
         # source(a, c) is a * bump
         bump = model._bump(Theta[:, 1:2], work, u)
         np.multiply(Theta[:, :1], bump, out=u)
-        u = _solve_tridiagonal(*model._bands(entries, bands), u.ravel()).reshape(S, n1)
+        u = _gtsv(*model._bands(entries, bands), u.ravel()).reshape(S, n1)
         return (self._objective(np.subtract(u, self.u_obs, out=work), M),)
 
     def _derivatives(self, M, Theta, entries, dTheta=None):
@@ -492,7 +503,7 @@ class AdvDiffInverseProblem(Problem):
         a, c, alpha = Theta.T[:, :, None]
         model._bump(c, bump, work)
         np.multiply(a, bump, out=u)
-        u = _solve_tridiagonal(*model._bands(entries, bands), u.ravel()).reshape(S, n1)
+        u = _gtsv(*model._bands(entries, bands), u.ravel()).reshape(S, n1)
         # the sensitivity right-hand side (S (n+1), k) in Fortran order: column j
         # is columns[j], an (S, n+1) array, and gtsv solves it in place
         u3 = u[..., None]
@@ -512,7 +523,7 @@ class AdvDiffInverseProblem(Problem):
             np.multiply(dalpha[..., None], A_alpha_u, out=A_alpha_u)
             np.subtract(source_dtheta, work, out=source_dtheta)
         rhs = _finite_rhs(columns.reshape(k, S * n1).T)
-        U = _solve_tridiagonal(*model._bands(entries, bands), rhs)
+        U = _gtsv(*model._bands(entries, bands), rhs)
         U = U.reshape(S, n1, k)
         # the adjoint's right-hand side W (u - u_obs), in the bump's array
         residual = np.subtract(u, self.u_obs, out=work)
@@ -524,7 +535,7 @@ class AdvDiffInverseProblem(Problem):
         J = self._objective(residual, M)
         # A^T has the off-diagonal bands swapped
         lower, diag, upper = model._bands(entries, bands)
-        lam = _solve_tridiagonal(upper, diag, lower, _finite_rhs(lam.ravel())).reshape(S, n1)
+        lam = _gtsv(upper, diag, lower, _finite_rhs(lam.ravel())).reshape(S, n1)
 
         # LT[:, k] = (A_k^T lambda)^T for k in m, so that
         # P[:, k, j] = lambda^T A_k u_j = LT[:, k] @ u_j

@@ -46,17 +46,31 @@ def json_value(value):
 
 
 _FLOAT = "%.17g"  # fmt's rendering of every float, nan and inf included
-ROWS_PER_CHUNK = 512  # rows the writers render at once
+ROWS_PER_CHUNK = 128  # rows the writers render at once
 
 
 def _csv_cells(chunk) -> list:
-    """The values a column chunk's ``%`` conversions consume: fmt's text for bools."""
+    """The values a column chunk's ``%`` conversions consume: fmt's text for bools.
+
+    A list is taken as it is: the writers pass lists of floats and of text only.
+    """
+    if isinstance(chunk, list):
+        return chunk
     chunk = np.asarray(chunk)
     return np.where(chunk, "true", "false").tolist() if chunk.dtype == bool else chunk.tolist()
 
 
 def _write_csv(path, header, cells, columns):
-    """Write the header, then one row per entry of the columns, ROWS_PER_CHUNK rows at a time.
+    """Write the header, then one row per entry of the columns, ROWS_PER_CHUNK rows at a time."""
+    chunks = (
+        [column[a : a + ROWS_PER_CHUNK] for column in columns]
+        for a in range(0, len(columns[0]), ROWS_PER_CHUNK)
+    )
+    _write_chunks(path, header, cells, chunks)
+
+
+def _write_chunks(path, header, cells, chunks):
+    """Write the header, then each chunk's rows: a chunk is a list of equal-length columns.
 
     ``cells`` holds one conversion per column: _FLOAT for floats, "%d" for
     integers, "%s" for text and bools, or "" for a column left empty.  Every
@@ -66,9 +80,8 @@ def _write_csv(path, header, cells, columns):
     row = ",".join(cells) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for a in range(0, len(columns[0]), ROWS_PER_CHUNK):
-            chunks = [_csv_cells(column[a : a + ROWS_PER_CHUNK]) for column in columns]
-            fh.write("".join([row % values for values in zip(*chunks)]))
+        for chunk in chunks:
+            fh.write("".join([row % values for values in zip(*map(_csv_cells, chunk))]))
 
 
 # the oracle's fields beyond oracle_m_* and oracle_converged, in SolveResult's order
@@ -116,12 +129,19 @@ def write_errors_csv(path, summary: StudyErrorSummary) -> None:
 
 
 def write_kde_csv(path, estimate: DensityEstimate) -> None:
-    """One row per grid point: x (then y), then the density; axis cells are rendered once."""
-    axes = [np.array([f"{value:.17g}" for value in axis.tolist()]) for axis in estimate.axes]
-    if len(axes) == 2:
-        axes = [np.repeat(axes[0], axes[1].size), np.tile(axes[1], axes[0].size)]
+    """One row per grid point: x (then y), then the density; axis cells are rendered once.
+
+    A joint density is written one x value's row of the grid at a time.
+    """
+    axes = [[f"{value:.17g}" for value in axis.tolist()] for axis in estimate.axes]
     header = ["x", "y"][: len(axes)] + ["density"]
-    _write_csv(path, header, ["%s"] * len(axes) + [_FLOAT], [*axes, estimate.density.ravel()])
+    cells = ["%s"] * len(axes) + [_FLOAT]
+    if len(axes) == 1:
+        _write_csv(path, header, cells, [axes[0], estimate.density])
+    else:
+        xs, ys = axes
+        rows = ([[x] * len(ys), ys, row] for x, row in zip(xs, estimate.density))
+        _write_chunks(path, header, cells, rows)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -5,6 +5,7 @@ lines; the two study fixtures dominate the runtime (about 25 s for the
 whole test suite on two cores, 11 s of it the advdiff study).
 """
 
+import json
 import os
 import time
 
@@ -197,6 +198,7 @@ def test_criterion_7_derivative_check_command():
     _report("CRITERION 7", code == 0, f"`minmarch check` exit status {code}")
 
 
+@pytest.mark.usefixtures("forked_blocks")
 def test_criterion_8_bitwise_reproducibility(tmp_path):
     """Identical config and seed give byte-identical CSVs, any worker count."""
     base = [
@@ -210,6 +212,10 @@ def test_criterion_8_bitwise_reproducibility(tmp_path):
     }
     for argv in runs.values():
         assert main(argv) == 0
+    # a block this small would be marched serially: forked_blocks makes the
+    # --workers 2 run march in two blocks, so that block counts are compared
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert manifest["counters"]["march_blocks"] == 2
     names = sorted(f for f in os.listdir(tmp_path / "a") if f.endswith(".csv"))
     identical = True
     for name in names:

@@ -173,15 +173,18 @@ def test_hessian_and_mixed_agree_with_single_evaluators(advdiff):
 
 
 def counting_solves(monkeypatch):
-    """Record the bands of every tridiagonal solve the advdiff module makes."""
+    """Record the bands of every tridiagonal solve the advdiff module makes.
+
+    Every solve goes through ``_gtsv``; ``_solve_tridiagonal`` checks its input first.
+    """
     bands = []
-    solve = advdiff_module._solve_tridiagonal
+    solve = advdiff_module._gtsv
 
     def counting_solve(lower, diag, upper, rhs):
         bands.append((lower.copy(), diag.copy(), upper.copy()))
         return solve(lower, diag, upper, rhs)
 
-    monkeypatch.setattr(advdiff_module, "_solve_tridiagonal", counting_solve)
+    monkeypatch.setattr(advdiff_module, "_gtsv", counting_solve)
     return bands
 
 

@@ -33,6 +33,36 @@ def read_bytes(path):
         return fh.read()
 
 
+@pytest.fixture(scope="module")
+def analytic_command_modules(tmp_path_factory):
+    """The modules a fresh interpreter holds after one-block studies and a trajectory.
+
+    The studies are of quadratic, cubic and logistic1d with one worker, and
+    of logistic1d with two, whose block is too cheap to start a worker for.
+    """
+    script = (
+        "import sys\n"
+        "from minmarch.cli import main\n"
+        "studies = [('quadratic', 1), ('cubic', 1), ('logistic1d', 1), ('logistic1d', 2)]\n"
+        "for name, workers in studies:\n"
+        "    argv = ['study', '--problem', name, '--samples', '40', '--workers', str(workers)]\n"
+        "    assert main(argv + ['--out', f'{sys.argv[1]}{name}{workers}']) == 0\n"
+        "argv = ['trajectory', '--problem', 'logistic1d', '--theta', '1.0,3.0,0.1']\n"
+        "assert main(argv + ['--out', sys.argv[1] + 'trajectory']) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    src = str(Path(mm.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path_factory.mktemp("commands") / "out_")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1].split()
+
+
 class TestCheck:
     def test_default_passes(self, capsys):
         assert run(["check", "--random-points", "1"]) == 0
@@ -364,30 +394,22 @@ class TestStudy:
         assert err == f"config error: box has {len(nominal)} parameters, but {problem} takes {p}\n"
         assert os.listdir(tmp_path) == ["bad.json"]
 
-    def test_analytic_commands_load_no_scipy(self, tmp_path):
+    def test_analytic_commands_load_no_scipy(self, analytic_command_modules):
         # scipy takes about 0.2 s to import and 0.04 s to tear down, more than
         # the rest of a logistic1d study after its nominal solve; advdiff alone
         # needs it
-        script = (
-            "import sys\n"
-            "from minmarch.cli import main\n"
-            "for name in ('quadratic', 'cubic', 'logistic1d'):\n"
-            "    argv = ['study', '--problem', name, '--samples', '40', '--workers', '1']\n"
-            "    assert main(argv + ['--out', sys.argv[1] + name]) == 0\n"
-            "argv = ['trajectory', '--problem', 'logistic1d', '--theta', '1.0,3.0,0.1']\n"
-            "assert main(argv + ['--out', sys.argv[1] + 'trajectory']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or 'advdiff' in m))\n"
-        )
-        src = str(Path(mm.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "out_")],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]"
+        loaded = [m for m in analytic_command_modules if m.split(".")[0] == "scipy"]
+        assert loaded + [m for m in analytic_command_modules if "advdiff" in m] == []
+
+    def test_one_block_commands_load_neither_numpy_ma_nor_multiprocessing(
+        self, analytic_command_modules
+    ):
+        # np.percentile imports numpy.ma (12 ms, 1.3 MB) and a worker process
+        # needs multiprocessing (7 ms, 0.7 MB): a study of one block uses neither
+        assert [
+            m for m in analytic_command_modules
+            if m.split(".")[0] == "multiprocessing" or m.split(".")[:2] == ["numpy", "ma"]
+        ] == []
 
     def test_no_oracle_skips_error_table(self, tmp_path):
         out = tmp_path / "no_oracle"

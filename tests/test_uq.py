@@ -148,11 +148,29 @@ class TestKde:
             mm.kde(np.arange(10.0))
 
     def test_silverman_matches_hand_formula(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(500)
-        q75, q25 = np.percentile(x, [75, 25])
-        expected = 0.9 * min(np.std(x, ddof=1), (q75 - q25) / 1.34) * 500 ** (-0.2)
-        assert uq.silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
+        samples = [
+            *(
+                np.random.default_rng(n).standard_normal(n)
+                for n in (30, 31, 101, 1000, 4999, 70000)
+            ),
+            # 60 of 100 tied at 0, spanning both quartiles: the IQR is 0
+            np.random.default_rng(6).permutation(
+                np.concatenate([np.zeros(60), np.random.default_rng(7).uniform(-1.0, 1.0, 40)])
+            ),
+            # q75 lies halfway from 0.1 to 0.7, where numpy's 0.7 - 0.6 / 2 is
+            # 0.39999999999999997 and 0.1 + 0.6 / 2 would be 0.4; q25 is 0
+            np.random.default_rng(8).permutation(
+                np.concatenate([np.full(7, -1.0), np.zeros(2), np.full(14, 0.1), [0.7], np.ones(7)])
+            ),
+            np.concatenate([np.random.default_rng(8).standard_normal(99), [np.nan]]),
+        ]
+        for x in samples:
+            # bit for bit, NaN for NaN, what np.percentile's quartiles give
+            q75, q25 = np.percentile(x, [75, 25])
+            std = float(np.std(x, ddof=1))
+            expected = 0.9 * (min(std, (q75 - q25) / 1.34) or std) * x.size ** (-0.2)
+            assert np.array_equal(uq._interquartile_range(x), q75 - q25, equal_nan=True)
+            assert np.array_equal(uq.silverman_bandwidth(x), expected, equal_nan=True)
 
     def test_zero_iqr_with_spread_falls_back_to_the_std(self):
         # more than three quarters of the samples tie, so the IQR is 0
