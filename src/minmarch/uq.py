@@ -17,6 +17,11 @@ from .problems.base import ParameterBox
 SLOPE_FLOOR = 1e-13  # errors at roundoff level carry no rate information
 KDE_PADDING = 4.0  # default kde grids extend this many bandwidths past the data
 KDE_BLOCK_ELEMENTS = 2**14  # kernel values a 1-d kde evaluates at once: 128 kB, cache-sized
+# samples a 2-d kde sums at once: on the default 101-point grid, two
+# kernel matrices of 101 kB each; the density's bits depend on this value
+KDE_JOINT_SAMPLES = 128
+# most rows of the derivatives call that sizes a study's blocks (_block_estimate)
+BLOCK_ESTIMATE_ROWS = 256
 # the estimated march time of one block below which a study starts no worker
 # process: below it, a worker's start-up and its contention for the cores
 # cost more than the split saves (README gives the measurements, on 2 cores)
@@ -212,15 +217,28 @@ def _run_blocks(run, tasks) -> list:
 def _block_estimate(problem, minimizer, thetas, N_list, scheme: Scheme) -> float:
     """Seconds the marches of one block of samples thetas are estimated to take.
 
-    One ``problem.derivatives`` call over the block's rows, at the nominal
-    minimizer and without directions, is timed and multiplied by the RHS
-    evaluations a sample makes: the stages of ``scheme`` times sum(N_list).
+    A ``problem.derivatives`` call at the nominal minimizer, without
+    directions, is timed and multiplied by the RHS evaluations a sample
+    makes: the stages of ``scheme`` times sum(N_list).  The call takes the
+    block's first BLOCK_ESTIMATE_ROWS rows at most, its time scaled to the
+    block's rows.  A call's fixed cost is scaled too, so for a cheap problem
+    the scaled time overestimates: when it reaches WORKER_MIN_BLOCK_S and
+    the unscaled time does not, the call is timed over the whole block.
     """
-    M = np.repeat(minimizer[None], len(thetas), axis=0)
-    t0 = time.perf_counter()
-    problem.derivatives(M, thetas)
-    seconds = time.perf_counter() - t0
-    return seconds * len(TABLEAUX[scheme].nodes) * sum(N_list)
+    evaluations = len(TABLEAUX[scheme].nodes) * sum(N_list)
+
+    def seconds(rows):
+        M = np.repeat(minimizer[None], len(rows), axis=0)
+        t0 = time.perf_counter()
+        problem.derivatives(M, rows)
+        return (time.perf_counter() - t0) * evaluations
+
+    rows = thetas[:BLOCK_ESTIMATE_ROWS]
+    estimate = seconds(rows)
+    scaled = estimate * len(thetas) / len(rows)
+    if estimate < WORKER_MIN_BLOCK_S <= scaled:
+        return seconds(thetas)
+    return scaled
 
 
 def propagate_study(
@@ -248,10 +266,12 @@ def propagate_study(
     order.  A sample's march and re-solve do not depend on its block, so the
     output is independent of the worker count and of scheduling.
 
-    With more than one block in prospect, one ``problem.derivatives`` call
-    over the first block's rows, at the nominal minimizer and without
-    directions, is timed before any worker starts; times the RHS evaluations
-    per sample it estimates one block's marches (``_block_estimate``).  Below
+    With more than one block in prospect, a ``problem.derivatives`` call
+    over the first block's first BLOCK_ESTIMATE_ROWS rows at most, at the
+    nominal minimizer and without directions, is timed before any worker
+    starts; scaled to the block and times the RHS evaluations per sample,
+    it estimates one block's marches (``_block_estimate``, which times the
+    whole block when the scaling alone would cross the threshold).  Below
     WORKER_MIN_BLOCK_S the study marches all samples as one block in this
     process, since starting and running worker processes would cost more
     than the split saves.  The choice follows a timing, so near the threshold
@@ -404,7 +424,10 @@ def kde(values: np.ndarray, grid: tuple[np.ndarray, ...] | None = None) -> Densi
     coordinate; the default grid extends KDE_PADDING bandwidths beyond the
     sample range so the estimate integrates to one on the grid.  A 1d
     estimate holds KDE_BLOCK_ELEMENTS kernel values (or one grid row) at a
-    time, a 2d one a (grid, n) kernel matrix per axis.
+    time.  A 2d one sums the product kernels of KDE_JOINT_SAMPLES samples
+    at a time with ``np.einsum`` (no BLAS call), so its memory does not grow
+    with n and its bits depend on the samples, the grid and that constant
+    only, not on the BLAS thread count.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
@@ -436,9 +459,14 @@ def kde(values: np.ndarray, grid: tuple[np.ndarray, ...] | None = None) -> Densi
         for a in range(0, axis.size, rows):
             density[a : a + rows] = _gauss_kernels(axis[a : a + rows], values[:, 0], bw[0]).mean(1)
     else:
-        kx = _gauss_kernels(axes[0], values[:, 0], bw[0])
-        ky = _gauss_kernels(axes[1], values[:, 1], bw[1])
-        density = (kx @ ky.T) / n
+        density = np.zeros((axes[0].size, axes[1].size))
+        for a in range(0, n, KDE_JOINT_SAMPLES):
+            block = values[a : a + KDE_JOINT_SAMPLES]
+            kx = _gauss_kernels(axes[0], block[:, 0], bw[0])
+            ky = _gauss_kernels(axes[1], block[:, 1], bw[1])
+            # einsum's default optimize=False sums in its own loop, never through BLAS
+            density += np.einsum("is,js->ij", kx, ky)
+        density /= n
     return DensityEstimate(d, axes, density, bw)
 
 
@@ -471,13 +499,21 @@ class StudyErrorSummary:
 
 
 def fit_loglog_slope(h, errors, floor: float = SLOPE_FLOOR) -> float:
-    """Least-squares slope of log(error) vs log(h); NaN when under-determined."""
+    """Least-squares slope of log(error) vs log(h); NaN when under-determined.
+
+    Only finite errors above ``floor`` count, and fewer than three of them
+    give NaN.  The slope is the closed form sum(x y) / sum(x^2) of the
+    centred x = log h and y = log error, with no LAPACK call.
+    """
     h = np.asarray(h, dtype=float)
     errors = np.asarray(errors, dtype=float)
     mask = np.isfinite(errors) & (errors > floor)
     if mask.sum() < 3:
         return float("nan")
-    return float(np.polyfit(np.log(h[mask]), np.log(errors[mask]), 1)[0])
+    x, y = np.log(h[mask]), np.log(errors[mask])
+    x -= x.mean()
+    y -= y.mean()
+    return float((x * y).sum() / (x * x).sum())
 
 
 def summary_errors(study: SampleStudy) -> StudyErrorSummary:

@@ -507,6 +507,32 @@ def test_output_directory_that_cannot_be_made_is_an_error_line(tmp_path, argv, o
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
+def test_advdiff_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Every CSV of a 2-d study is the same under one and two OpenBLAS threads.
+
+    At 60 samples a BLAS product of the joint density's kernel matrices is
+    large enough for OpenBLAS to split over threads, which changes its bits.
+    """
+    argv = ["study", "--problem", "advdiff", "--samples", "60", "--workers", "1"]
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "minmarch.cli", *argv, "--out", str(tmp_path / threads)],
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(mm.__file__).resolve().parents[1]),
+                "OPENBLAS_NUM_THREADS": threads,
+            },
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+    names = out_files(tmp_path / "1")
+    assert "kde_joint_oracle.csv" in names and names == out_files(tmp_path / "2")
+    for name in names:
+        assert read_bytes(tmp_path / "1" / name) == read_bytes(tmp_path / "2" / name), name
+
+
 def test_readme_example_config_is_the_advdiff_default():
     """README's example config states advdiff's defaults, but for the worker count."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,11 +1,14 @@
 import csv
+import math
 import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import threading
+import time
 import traceback
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -199,6 +202,40 @@ class TestKde:
         whole = mm.kde(x, grid=(grid,)).density
         monkeypatch.setattr(uq, "KDE_BLOCK_ELEMENTS", rows * x.size)
         assert np.array_equal(mm.kde(x, grid=(grid,)).density, whole)
+
+    def test_2d_kde_matches_an_fsum_reference(self):
+        # three blocks of KDE_JOINT_SAMPLES, the last one partial
+        n = 2 * uq.KDE_JOINT_SAMPLES + 37
+        values = np.random.default_rng(9).standard_normal((n, 2)) * [1.0, 0.3]
+        axes = (np.linspace(-4.0, 4.0, 7), np.linspace(-1.0, 1.5, 9))
+        est = mm.kde(values, grid=axes)
+
+        def kernel(g, x, h):
+            return math.exp(-0.5 * ((g - x) / h) ** 2) / (h * math.sqrt(2.0 * math.pi))
+
+        hx, hy = est.bandwidth
+        expected = np.array(
+            [
+                [
+                    math.fsum(kernel(gx, x, hx) * kernel(gy, y, hy) for x, y in values) / n
+                    for gy in axes[1]
+                ]
+                for gx in axes[0]
+            ]
+        )
+        assert np.max(np.abs(est.density - expected)) <= 1e-14 * expected.max()
+
+    def test_2d_kde_memory_does_not_grow_with_the_samples(self):
+        # the (101, 20000) kernel matrix of one axis alone would be 16 MB
+        values = np.random.default_rng(10).standard_normal((20000, 2))
+        tracemalloc.start()
+        try:
+            mm.kde(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 def assert_same_oracles(oracle, expected):
     """Every column of two stacked oracle results agrees bit for bit."""
@@ -428,6 +465,27 @@ class TestPropagateStudy:
         assert rendered(study, tmp_path) == rendered(serial, tmp_path)
         assert_same_oracles(study.oracle, serial.oracle)
 
+    @pytest.mark.parametrize(
+        "block, call_s, rows",
+        [
+            (100, 0.0, [100]),  # a block within the bound is timed whole, once
+            (2560, 0.0, [256]),  # scaled, it stays below the threshold
+            (2560, 0.06, [256]),  # its first rows alone reach the threshold
+            (2560, 0.01, [256, 2560]),  # only the scaled time reaches it: timed whole
+        ],
+    )
+    def test_block_estimate_times_at_most_the_bounded_rows(self, block, call_s, rows):
+        passed = []
+
+        class FixedCost:
+            def derivatives(self, M, Theta):
+                passed.append(len(M))
+                time.sleep(call_s)
+
+        thetas = np.zeros((block, 3))
+        uq._block_estimate(FixedCost(), np.zeros(1), thetas, [1], Scheme.FORWARD_EULER)
+        assert uq.BLOCK_ESTIMATE_ROWS == 256 and passed == rows
+
     @pytest.mark.parametrize("name", ["logistic1d", "advdiff"])
     def test_oracle_values_rows_are_counted(self, name, logistic_box, advdiff_box):
         # advdiff's line search backtracks and calls values; logistic1d's never does
@@ -539,3 +597,10 @@ def test_fit_loglog_slope_edge_cases():
     assert np.isnan(mm.fit_loglog_slope(h[:2], 0.3 * h[:2]))
     with_nan = np.array([0.3, np.nan, 0.075, 0.0375])
     assert mm.fit_loglog_slope(h, with_nan) == pytest.approx(1.0, abs=1e-12)
+    # the closed form against numpy's least squares, on random points
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        steps = 1.0 / rng.choice([1, 2, 4, 8, 16, 32], size=rng.integers(3, 7), replace=False)
+        errors = steps ** rng.uniform(0.5, 4.0) * np.exp(rng.normal(0.0, 1.0, steps.size))
+        expected = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+        assert mm.fit_loglog_slope(steps, errors) == pytest.approx(expected, abs=1e-12)

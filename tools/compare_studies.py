@@ -25,9 +25,19 @@ them, and writes under OUT/parent and OUT/change (OUT must be new or empty):
   stdout, the command's only output, is saved as ``check/stdout.txt``.
 
 Every file that differs, or exists on one side only, is listed, with
-``differs:``, ``parent only:`` or ``change only:``.  In
-``manifest.json`` the keys ``timings_sec`` and ``output_dir`` are ignored;
-everything else, the work counters included, must match.  A ``samples.csv``
+``differs:``, ``parent only:`` or ``change only:``.  A differing CSV file
+with the parent's header and shape is listed with the largest relative
+difference |a - b| / max(|a|, |b|) over its numeric cells, so that a
+last-bit change can be sized; a differing cell that is not numeric, or
+NaN or infinite on one side, makes it ``inf``.  In ``manifest.json`` the
+keys ``timings_sec`` and ``output_dir`` are ignored; everything else, the
+work counters included, must match, but for the block count: the study
+chooses it from a timing, so two
+manifests that differ only in ``counters.march_blocks`` and
+``counters.derivative_rows.march`` match when each side's counters obey
+``uq.propagate_study``'s formula ``derivative_rows.march ==
+rhs_evaluations - K (num_samples - march_blocks p)``, K being the number
+of step counts and p the number of parameters.  A ``samples.csv``
 of the change that has the parent's lines, each followed by ``,`` and more
 cells, has gained columns and lost nothing: it is listed as extended, not
 as differing.  Before the summary line, each tree's size is printed: its
@@ -42,6 +52,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -141,12 +152,50 @@ def without_ignored(value):
     return value
 
 
+def without_block_count(manifest: dict) -> dict:
+    """The manifest without its block count, if its march rows follow from that count."""
+    config, counters = manifest["config"], manifest["counters"]
+    K, p = len(config["N_list"]), len(config["box"]["nominal"])
+    shared = counters["march_blocks"] * p
+    rows = counters["rhs_evaluations"] - K * (config["num_samples"] - shared)
+    if counters["derivative_rows"]["march"] != rows:
+        return manifest
+    derivative_rows = {**counters["derivative_rows"], "march": None}
+    counters = {**counters, "march_blocks": None, "derivative_rows": derivative_rows}
+    return {**manifest, "counters": counters}
+
+
 def same_file(a: Path, b: Path) -> bool:
     if a.name == "manifest.json":
-        return without_ignored(json.loads(a.read_text())) == without_ignored(
-            json.loads(b.read_text())
-        )
+        old, new = (without_ignored(json.loads(f.read_text())) for f in (a, b))
+        return old == new or without_block_count(old) == without_block_count(new)
     return a.read_bytes() == b.read_bytes()
+
+
+def relative_difference(a: Path, b: Path) -> float | None:
+    """The largest relative difference of the cells of two CSV files of one header and shape.
+
+    None when the files are not CSV or differ in header or shape.
+    """
+    if a.suffix != ".csv":
+        return None
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        old, new = list(csv.reader(fa)), list(csv.reader(fb))
+    if old[:1] != new[:1] or [len(row) for row in old] != [len(row) for row in new]:
+        return None
+    largest = 0.0
+    for x, y in zip(itertools.chain(*old[1:]), itertools.chain(*new[1:])):
+        if x == y:
+            continue
+        try:
+            u, v = float(x), float(y)
+        except ValueError:
+            return math.inf
+        if u != v:
+            difference = abs(u - v) / max(abs(u), abs(v))
+            # NaN against a number, or an infinity, is no last-bit change
+            largest = max(largest, difference if math.isfinite(difference) else math.inf)
+    return largest
 
 
 def extended(a: Path, b: Path) -> bool:
@@ -193,7 +242,11 @@ def main(argv: list[str]) -> int:
         (out / side / "check" / "stdout.txt").write_text(run(src, ["check"], ok=(0, 1)))
     count, unmatched = unmatched_files(out / "parent", out / "change")
     for how, rel in unmatched:
-        print(f"{how}: {rel}")
+        change = None
+        if how == "differs":
+            change = relative_difference(out / "parent" / rel, out / "change" / rel)
+        note = "" if change is None else f" (largest relative difference {change:.2g})"
+        print(f"{how}: {rel}{note}")
     for side, src in trees.items():
         print(f"{side}: {size(src)}")
     extend = sum(how == "extended" for how, _ in unmatched)
