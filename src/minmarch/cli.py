@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .derivatives import check_derivatives
 from .exceptions import ConfigError, DegenerateBandwidthError, MinmarchError
-from .marching import Scheme, march_block
+from .marching import Scheme, anchor, march_block
 from .newton import solve_nominal
 from .problems import (
     DoubleWellProblem,
@@ -432,7 +432,8 @@ def cmd_trajectory(args) -> int:
     N = cfg.N_list[0] if args.N_list else max(cfg.N_list)
 
     nominal = solve_nominal(problem, cfg.box)
-    block = march_block(problem, nominal.minimizer, cfg.box.nominal, theta[None], N, cfg.scheme)
+    start = anchor(problem, nominal.minimizer, cfg.box.nominal)
+    block = march_block(problem, start, theta[None], N, cfg.scheme)
     traj = block.trajectory(0)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     # the RHS at (m_n, theta(t_n)) of each completed step, theta(t_n) by the march's arithmetic

@@ -114,51 +114,66 @@ class BlockMarch:
         )
 
 
-def march_block(
-    problem, start_minimizer, theta_start, thetas, num_steps: int, scheme=Scheme.FORWARD_EULER
-) -> BlockMarch:
-    """March the minimizer from theta_start to each row of thetas in lockstep.
+@dataclass(frozen=True)
+class Anchor:
+    """``minimizer`` (d,), stationary at ``theta`` (p,), with H0 and B0 there: (d, d), (d, p)."""
 
-    ``thetas`` is a stack (S, p) of sampled parameters; sample s moves along
-    the segment theta_start + t (thetas[s] - theta_start), t in [0, 1],
-    from ``start_minimizer``, which must already be stationary at
-    theta_start: the marcher refuses to repair a bad initial condition
-    silently.  Each of the num_steps (>= 1) steps of length h = 1/num_steps
-    runs the stages of the tableau of ``scheme`` (a ``Scheme`` or its value)
-    on the samples still marching; forward Euler applies exactly
-    m_{n+1} = m_n + h f(t_n, m_n), and a stage at t = 1 is at thetas[s]
-    itself.  A sample whose Hessian turns indefinite (ABORTED_INDEFINITE) or
-    whose right-hand side or next state is non-finite (ABORTED_NONFINITE)
-    stops at its last good state and is not evaluated again; the others
-    march on.  Every operation is row-wise, so a sample's march does not
-    depend on its blockmates.
+    minimizer: np.ndarray
+    theta: np.ndarray
+    hessian: np.ndarray
+    mixed: np.ndarray
 
-    The stationarity check makes one p-row ``derivatives`` call at
-    (start_minimizer, theta_start) (see ``derivatives_at``), which also
-    gives the Hessian H0 and the full mixed derivative B0 there.  Every
-    march's first stage of step 0 is at that point, so it is
-    -H0^{-1} B0 dtheta_s with one eigendecomposition of H0; every later
-    stage is one ``post_optimality_apply`` call on the samples still
-    marching, whose states and segments are kept as compact rows.
+
+def anchor(problem, start_minimizer, theta_start) -> Anchor:
+    """The ``Anchor`` at (start_minimizer, theta_start), from one p-row ``derivatives_at``.
+
+    Its gradient norm must not exceed STATIONARITY_TOL (1 + |J|): the marcher
+    refuses to repair a bad initial condition silently.
     """
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
-    tableau = TABLEAUX[Scheme(scheme)]
     m0 = as_vector(start_minimizer, "start_minimizer")
     theta0 = as_vector(theta_start, "theta_start")
-    thetas = np.asarray(thetas, dtype=float)
     for name, x, n in (("start_minimizer", m0, problem.d), ("theta_start", theta0, problem.p)):
         if x.size != n:
             raise ValueError(f"{name} must have length {n}, got {x.size}")
-    if thetas.shape[1:] != (problem.p,) or not len(thetas):
-        raise ValueError(f"thetas must have shape (S, {problem.p}) with S >= 1, got {thetas.shape}")
-    as_vector(thetas.ravel(), "thetas")  # rejects non-finite entries
     value, g, H0, B0 = derivatives_at(problem, m0, theta0)
     if np.linalg.norm(g) > STATIONARITY_TOL * (1.0 + abs(value)):
         raise StationarityError(
             f"start_minimizer is not stationary at theta_start: ||g||={np.linalg.norm(g)!r} "
             f"exceeds {STATIONARITY_TOL!r}*(1+|J|)"
         )
+    return Anchor(m0, theta0, H0, B0)
+
+
+def march_block(
+    problem, start: Anchor, thetas, num_steps: int, scheme=Scheme.FORWARD_EULER
+) -> BlockMarch:
+    """March the minimizer from the anchor ``start`` to each row of thetas in lockstep.
+
+    ``thetas`` is a stack (S, p) of sampled parameters; sample s moves along
+    the segment start.theta + t (thetas[s] - start.theta), t in [0, 1], from
+    start.minimizer (see ``anchor``, which checks it).  Each of the
+    num_steps (>= 1) steps of length h = 1/num_steps runs the stages of the
+    tableau of ``scheme`` (a ``Scheme`` or its value) on the samples still
+    marching; forward Euler applies exactly m_{n+1} = m_n + h f(t_n, m_n),
+    and a stage at t = 1 is at thetas[s] itself.  A sample whose Hessian
+    turns indefinite (ABORTED_INDEFINITE) or whose right-hand side or next
+    state is non-finite (ABORTED_NONFINITE) stops at its last good state and
+    is not evaluated again; the others march on.  Every operation is
+    row-wise, so a sample's march does not depend on its blockmates.
+
+    Every march's first stage of step 0 is at the anchor: -H0^{-1} B0 dtheta_s,
+    with one eigendecomposition of H0 and no ``derivatives`` call; every later
+    stage is one ``post_optimality_apply`` call on the samples still marching,
+    whose states and segments are kept as compact rows.
+    """
+    if num_steps < 1:
+        raise ValueError("num_steps must be >= 1")
+    tableau = TABLEAUX[Scheme(scheme)]
+    m0, theta0, H0, B0 = start.minimizer, start.theta, start.hessian, start.mixed
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.shape[1:] != (problem.p,) or not len(thetas):
+        raise ValueError(f"thetas must have shape (S, {problem.p}) with S >= 1, got {thetas.shape}")
+    as_vector(thetas.ravel(), "thetas")  # rejects non-finite entries
 
     N, h, S = num_steps, 1.0 / num_steps, len(thetas)
     direction = thetas - theta0

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .exceptions import DegenerateBandwidthError
-from .marching import TABLEAUX, MarchStatus, Scheme, march_block
+from .marching import TABLEAUX, Anchor, MarchStatus, Scheme, anchor, march_block
 from .newton import NewtonConfig, SolveResult, newton_solve_block, solve_nominal
 from .problems.base import ParameterBox
 
@@ -103,7 +103,7 @@ class _RowCounter:
 
 
 def _propagate_block(
-    problem, nominal_theta, start, N_list, scheme, with_oracle, newton_config, thetas
+    problem, start: Anchor, N_list, scheme, with_oracle, newton_config, thetas
 ) -> tuple:
     """Columns of one contiguous block of samples, thetas of shape (S, p).
 
@@ -112,22 +112,23 @@ def _propagate_block(
     evaluations, the rows it passed to ``problem.derivatives`` while marching
     and in the oracle, and the rows the oracle passed to ``problem.values``
     (a march calls ``derivatives`` only).  The block is marched in lockstep
-    once per step count, and the Newton oracle re-solves it in lockstep once.
+    from ``start`` once per step count, and the Newton oracle re-solves it
+    in lockstep once.
     """
     finals, statuses, left_basin = [], [], []
     rhs_evals = 0
     march_problem = _RowCounter(problem)
     for N in N_list:
-        block = march_block(march_problem, start, nominal_theta, thetas, N, scheme)
+        block = march_block(march_problem, start, thetas, N, scheme)
         rhs_evals += int(block.rhs_evals.sum())
         # a copy, so that the block's iterates are freed before the next step count
         finals.append(block.finals.copy())
         statuses.append(block.statuses)
         left_basin.append(block.left_basin)
     oracle_problem = _RowCounter(problem)
-    oracle = (
-        newton_solve_block(oracle_problem, thetas, start, newton_config) if with_oracle else None
-    )
+    oracle = None
+    if with_oracle:
+        oracle = newton_solve_block(oracle_problem, thetas, start.minimizer, newton_config)
     work = (rhs_evals, march_problem.rows, oracle_problem.rows, oracle_problem.value_rows)
     return np.array(finals), np.array(statuses), np.array(left_basin), oracle, work
 
@@ -254,9 +255,9 @@ def propagate_study(
 ) -> SampleStudy:
     """Run the full propagation: one nominal solve, then a march per sample.
 
-    Every sample marches from the single nominal minimizer with each step
-    count in ``N_list``; with ``with_oracle`` each sample is also re-solved by
-    Newton as ground truth, warm-started from the nominal minimizer.
+    Every sample marches from one ``Anchor`` at the nominal minimizer with
+    each step count in ``N_list``; with ``with_oracle`` each sample is also
+    re-solved by Newton as ground truth, warm-started from that minimizer.
     Samples are taken in B contiguous blocks of near-equal size, B being
     ``min(workers, num_samples)`` or 1.  This process marches the first
     block, and each other block runs meanwhile in a process of its own.
@@ -276,9 +277,9 @@ def propagate_study(
     process, since starting and running worker processes would cost more
     than the split saves.  The choice follows a timing, so near the threshold
     ``counters["march_blocks"]`` can differ between runs of one config;
-    the study's columns never do.  ``SampleStudy.timings`` holds the seconds
-    of the nominal solve and, when it was made, the estimate
-    (``block_estimate``).
+    the study's columns and other counters never do.  ``SampleStudy.timings``
+    holds the seconds of the nominal solve and, when it was made, the
+    estimate (``block_estimate``).
 
     Each worker process receives the problem and the block's other arguments
     pickled, whatever the platform's start method, so with more than one
@@ -289,15 +290,10 @@ def propagate_study(
     ``problem.derivatives`` while marching and by the oracle, and the rows
     the oracle's line search passes to ``problem.values`` (``oracle_values``;
     3.1 per sample on the shipped advdiff study, none on logistic1d).  The
-    sizing call is not counted.  Each march evaluates its first stage of
-    step 0 from one p-row call at the nominal point shared by its block (see
-    ``march_block``), so with B blocks, K = len(N_list) step counts and p
-    parameters
-
-        derivative_rows["march"] = rhs_evaluations - K (num_samples - B p)
-
-    exactly, aborted marches included; without the sharing it would equal
-    rhs_evaluations + K B.
+    nominal solve, the anchor (see ``anchor``) and the sizing call are not
+    counted, and each march takes its first stage from the anchor, so
+    ``derivative_rows["march"] == rhs_evaluations - len(N_list) num_samples``
+    exactly, aborted marches included, whatever the block count.
     """
     N_list = [int(N) for N in N_list]
     if not N_list or any(N < 1 for N in N_list) or len(set(N_list)) < len(N_list):
@@ -309,6 +305,7 @@ def propagate_study(
     t0 = time.perf_counter()
     nominal = solve_nominal(problem, box, newton_config)
     timings = {"nominal": time.perf_counter() - t0}
+    start = anchor(problem, nominal.minimizer, box.nominal)
     thetas = box.sample(seed, num_samples)
     blocks = min(workers, num_samples)
     if blocks > 1:
@@ -318,8 +315,7 @@ def propagate_study(
         if estimate < WORKER_MIN_BLOCK_S:
             blocks = 1
     run = functools.partial(
-        _propagate_block,
-        problem, box.nominal, nominal.minimizer, tuple(N_list), scheme, with_oracle, newton_config,
+        _propagate_block, problem, start, tuple(N_list), scheme, with_oracle, newton_config
     )
     bounds = [num_samples * k // blocks for k in range(blocks + 1)]
     tasks = [thetas[a:b] for a, b in zip(bounds[:-1], bounds[1:])]

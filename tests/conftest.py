@@ -3,6 +3,7 @@ import pytest
 
 import minmarch as mm
 from minmarch.derivatives import fd_jacobian
+from minmarch.marching import anchor
 from minmarch.problems.base import mixed_action
 
 THETA_LOGISTIC = np.array([1.0, 3.0, 0.1])
@@ -18,8 +19,9 @@ def rendered(study, directory) -> list[str]:
 
 
 def march_one(problem, start, theta_bar, theta_end, num_steps, scheme=mm.Scheme.FORWARD_EULER):
-    """The march of one sample to theta_end: a one-row ``march_block``."""
-    return mm.march_block(problem, start, theta_bar, theta_end[None], num_steps, scheme)
+    """The march of one sample to theta_end: a one-row ``march_block`` from (start, theta_bar)."""
+    start = anchor(problem, start, theta_bar)
+    return mm.march_block(problem, start, theta_end[None], num_steps, scheme)
 
 
 def fd_gradient(func, x):
@@ -155,6 +157,25 @@ class FragileProblem(mm.Problem):
 
     def initial_guess(self):
         return np.array([0.0])
+
+
+class Recording(mm.Problem):
+    """A problem that records the rows and directions of every ``derivatives`` call."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.d, self.p, self.basin_hint = problem.d, problem.p, problem.basin_hint
+        self.calls = []
+
+    def values(self, M, Theta):
+        return self.problem.values(M, Theta)
+
+    def derivatives(self, M, Theta, dTheta=None):
+        self.calls.append((M.copy(), Theta.copy(), None if dTheta is None else dTheta.copy()))
+        return self.problem.derivatives(M, Theta, dTheta)
+
+    def initial_guess(self):
+        return self.problem.initial_guess()
 
 
 @pytest.fixture

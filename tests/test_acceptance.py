@@ -14,7 +14,7 @@ import pytest
 
 import minmarch as mm
 from minmarch.cli import main
-from minmarch.marching import MarchStatus
+from minmarch.marching import MarchStatus, anchor
 
 ACCEPT_SEED = 7
 WORKERS = min(4, os.cpu_count() or 1)
@@ -98,10 +98,10 @@ def test_criterion_3_exactness_on_affine_minimizer_maps(
         (quadratic, quadratic_box, lambda th: np.array([th[0]])),
         (double_well, cubic_box, lambda th: np.array([th[1]])),
     ):
-        start = argmin(box.nominal)
+        start = anchor(problem, argmin(box.nominal), box.nominal)
         thetas = box.sample(seed=ACCEPT_SEED, count=20)
         for N in [1, 2, 3, 4, 8, 16, 64]:
-            block = mm.march_block(problem, start, box.nominal, thetas, N)
+            block = mm.march_block(problem, start, thetas, N)
             for final, status, theta_end in zip(block.finals, block.statuses, thetas):
                 completed = status == MarchStatus.COMPLETED.value
                 err = float(np.linalg.norm(final - argmin(theta_end))) if completed else np.nan

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.marching import TABLEAUX, MarchStatus, Scheme, march_block
+from minmarch.marching import TABLEAUX, MarchStatus, Scheme, anchor, march_block
 from minmarch.problems.base import mixed_action
 
-from conftest import THETA_LOGISTIC, FragileProblem, march_one
+from conftest import THETA_LOGISTIC, FragileProblem, Recording, march_one
 
 
 def test_zero_direction_trajectory_is_constant(logistic, logistic_box):
@@ -68,11 +68,10 @@ def test_first_order_convergence_average_slope(logistic, logistic_box):
     N_list = [2, 4, 8, 16, 32]
     h = np.array([1.0 / N for N in N_list])
     thetas = logistic_box.sample(seed=31, count=50)
+    start = anchor(logistic, nominal.minimizer, logistic_box.nominal)
     oracles = [mm.newton_solve(logistic, t, nominal.minimizer).minimizer for t in thetas]
     errors = np.array([
-        march_errors(
-            march_block(logistic, nominal.minimizer, logistic_box.nominal, thetas, N), oracles
-        )
+        march_errors(march_block(logistic, start, thetas, N), oracles)
         for N in N_list
     ])
     slopes = []
@@ -181,10 +180,8 @@ def test_nonfinite_hessian_aborts_a_one_dimensional_march():
 
 
 def test_stationarity_precondition(logistic):
-    with pytest.raises(mm.StationarityError):
-        march_one(
-            logistic, np.array([0.5]), THETA_LOGISTIC, np.array([1.2, 2.9, 0.11]), 4
-        )
+    with pytest.raises(mm.StationarityError, match="^start_minimizer is not stationary"):
+        anchor(logistic, np.array([0.5]), THETA_LOGISTIC)
 
 
 def test_basin_exit_sets_flag_but_continues(quadratic):
@@ -219,29 +216,28 @@ def test_march_errors_record_nan_on_failure(fragile_problem):
 
 
 def test_march_config_validation(quadratic, logistic):
-    start, theta_bar, thetas = np.array([0.4]), np.array([0.4]), np.array([[0.7]])
+    start, thetas = anchor(quadratic, np.array([0.4]), np.array([0.4])), np.array([[0.7]])
     with pytest.raises(ValueError):
-        march_block(quadratic, start, theta_bar, thetas, 0)
-    heun = march_block(quadratic, start, theta_bar, thetas, 4, "heun")
+        march_block(quadratic, start, thetas, 0)
+    heun = march_block(quadratic, start, thetas, 4, "heun")
     assert heun.rhs_evals[0] == 4 * len(TABLEAUX[Scheme.HEUN].nodes)
     with pytest.raises(ValueError):
-        march_block(quadratic, start, theta_bar, thetas, 4, "midpoint")
-    # every argument must fit the problem's d and p
+        march_block(quadratic, start, thetas, 4, "midpoint")
+    # the anchor's start must fit the problem's d and p (thetas: see the next test)
     mismatched = [
-        (quadratic, "start_minimizer", np.array([0.4, 5.0]), theta_bar, thetas),
-        (logistic, "start_minimizer", np.array([0.5, 5.0]), THETA_LOGISTIC, THETA_LOGISTIC[None]),
-        (quadratic, "theta_start", start, np.array([0.4, 0.4]), thetas),
-        (logistic, "theta_start", np.array([0.5]), THETA_LOGISTIC[:2], THETA_LOGISTIC[None]),
-        (logistic, "thetas", np.array([0.5]), THETA_LOGISTIC, THETA_LOGISTIC[None, :2]),
+        (quadratic, "start_minimizer", np.array([0.4, 5.0]), np.array([0.4])),
+        (logistic, "start_minimizer", np.array([0.5, 5.0]), THETA_LOGISTIC),
+        (quadratic, "theta_start", np.array([0.4]), np.array([0.4, 0.4])),
+        (logistic, "theta_start", np.array([0.5]), THETA_LOGISTIC[:2]),
     ]
     for problem, name, *args in mismatched:
         with pytest.raises(ValueError, match=f"^{name} "):
-            march_block(problem, *args, 4)
+            anchor(problem, *args)
 
 
 def test_march_rejects_malformed_thetas(quadratic):
     # thetas is a finite, non-empty stack (S, p), one sample included
-    start, theta_bar = np.array([0.4]), np.array([0.4])
+    start = anchor(quadratic, np.array([0.4]), np.array([0.4]))
     malformed = [
         np.array([[1.0, 2.0]]),
         np.array([1.0]),
@@ -250,7 +246,7 @@ def test_march_rejects_malformed_thetas(quadratic):
     ]
     for thetas in malformed:
         with pytest.raises(ValueError, match="^thetas "):
-            march_block(quadratic, start, theta_bar, thetas, 4)
+            march_block(quadratic, start, thetas, 4)
 
 
 class _SinhProblem(mm.Problem):
@@ -333,7 +329,7 @@ def test_block_march_equals_single_marches(
     start = mm.solve_nominal(problem, box).minimizer
     thetas = box.sample(seed=13, count=count)
     for N in N_list:
-        block = march_block(problem, start, box.nominal, thetas, N, scheme)
+        block = march_block(problem, anchor(problem, start, box.nominal), thetas, N, scheme)
         for s, theta in enumerate(thetas):
             single = march_one(problem, start, box.nominal, theta, N, scheme)
             _assert_same_march(block, s, single, 0)
@@ -376,7 +372,7 @@ def test_mixed_block_abort_accounting(scheme, failure_steps):
         MarchStatus.ABORTED_INDEFINITE,
     ]
     N = 8
-    block = march_block(problem, start, theta_bar, ends, N, scheme)
+    block = march_block(problem, anchor(problem, start, theta_bar), ends, N, scheme)
 
     for s, (status, step) in enumerate(zip(statuses, failure_steps)):
         traj = block.trajectory(s)
@@ -391,7 +387,7 @@ def test_mixed_block_abort_accounting(scheme, failure_steps):
 
     # failing rows neither stop nor perturb their blockmates
     healthy = [0, 4]
-    alone = march_block(problem, start, theta_bar, ends[healthy], N, scheme)
+    alone = march_block(problem, anchor(problem, start, theta_bar), ends[healthy], N, scheme)
     for k, s in enumerate(healthy):
         _assert_same_march(block, s, alone, k)
 
@@ -425,7 +421,7 @@ def test_block_row_solver_failure_aborts_only_that_row():
     problem = _BowlWithSolverFailure()
     start, theta_bar = np.array([1.0, 1.0]), np.array([1.0])
     ends = np.array([[0.5], [3.0], [1.4]])
-    block = march_block(problem, start, theta_bar, ends, 8)
+    block = march_block(problem, anchor(problem, start, theta_bar), ends, 8)
     assert block.statuses.tolist() == [
         MarchStatus.COMPLETED.value,
         MarchStatus.ABORTED_NONFINITE.value,
@@ -439,33 +435,20 @@ def test_block_row_solver_failure_aborts_only_that_row():
         _assert_same_march(block, s, march_one(problem, start, theta_bar, end, 8), 0)
 
 
-class _Recording(mm.Problem):
-    """A problem that records the rows and directions of every ``derivatives`` call."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.d, self.p, self.basin_hint = problem.d, problem.p, problem.basin_hint
-        self.calls = []
-
-    def values(self, M, Theta):
-        return self.problem.values(M, Theta)
-
-    def derivatives(self, M, Theta, dTheta=None):
-        self.calls.append((M.copy(), Theta.copy(), None if dTheta is None else dTheta.copy()))
-        return self.problem.derivatives(M, Theta, dTheta)
-
-
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize("name", ["logistic1d", "advdiff"])
 def test_block_march_evaluates_its_start_once(
     name, scheme, logistic, advdiff, logistic_box, advdiff_box
 ):
-    """One p-row call at (m0, theta0) serves the stationarity check and every first stage."""
+    """The anchor's one p-row call at (m0, theta0) serves the stationarity check and
+    every first stage: the march itself makes no call there."""
     problem, box = {"logistic1d": (logistic, logistic_box), "advdiff": (advdiff, advdiff_box)}[name]
     start = mm.solve_nominal(problem, box).minimizer
-    recording = _Recording(problem)
+    recording = Recording(problem)
     N = 3
-    block = march_block(recording, start, box.nominal, box.sample(seed=21, count=6), N, scheme)
+    at = anchor(recording, start, box.nominal)
+    assert len(recording.calls) == 1
+    block = march_block(recording, at, box.sample(seed=21, count=6), N, scheme)
     assert (block.statuses == MarchStatus.COMPLETED.value).all()
     at_start = [
         np.all((M == start) & (Theta == box.nominal).all(axis=1, keepdims=True), axis=1)
@@ -487,9 +470,12 @@ def _record_fragile_march(scheme):
     nodes 2 / 8 and 2.5 / 8, so RK4 aborts that row in the middle of a step),
     and the ends 4 and 3.5 reach the pole at t = 1 / 3 and 0.4.
     """
-    recording = _Recording(_FragileWithPole())
+    problem = _FragileWithPole()
+    recording = Recording(problem)
     ends = np.array([[0.5], [-3.0], [-1.0], [4.0], [1.5], [-0.6], [-2.5], [3.5]])
-    block = march_block(recording, np.array([0.0]), np.array([1.0]), ends, 8, scheme)
+    # the anchor is built on the unrecorded problem: its call is not the march's
+    at = anchor(problem, np.array([0.0]), np.array([1.0]))
+    block = march_block(recording, at, ends, 8, scheme)
     return recording, ends, block
 
 
@@ -502,7 +488,7 @@ def test_compact_march_passes_the_stage_parameters_of_the_rows_marching(scheme):
     N, start = block.num_steps, np.array([1.0])
     direction = ends - start
     marching = np.ones(len(ends), dtype=bool)
-    calls = iter(recording.calls[1:])  # after the p-row call at the start
+    calls = iter(recording.calls)
     for n in range(N):
         for i, c in enumerate(TABLEAUX[scheme].nodes):
             t = (n + c) / N
@@ -526,20 +512,19 @@ def test_stage_at_t_one_is_at_the_sampled_rows_themselves(scheme, quadratic):
     # so the last stage sees them only if it takes the rows of thetas as given
     theta_bar, ends = np.array([0.3]), np.array([[-1.8975812444104436], [-0.49660633350713024]])
     assert np.all(theta_bar + 1.0 * (ends - theta_bar) != ends)
-    recording = _Recording(quadratic)
-    march_block(recording, theta_bar, theta_bar, ends, 2, scheme)
+    recording = Recording(quadratic)
+    march_block(recording, anchor(quadratic, theta_bar, theta_bar), ends, 2, scheme)
     assert np.array_equal(recording.calls[-1][1], ends)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_derivative_rows_under_aborts(scheme):
-    # the propagate_study identity with one block and one step count: every
-    # counted stage evaluation is one row passed, but for the S shared first
-    # stages, which cost one p-row call; so no row is evaluated after it aborts
+    # the propagate_study identity with one step count: every counted stage
+    # evaluation is one row passed, but for the S first stages, taken from the
+    # anchor; so no row is evaluated after it aborts
     recording, ends, block = _record_fragile_march(scheme)
-    S, p = ends.shape
     rows = sum(len(M) for M, _, _ in recording.calls)
-    assert rows == block.rhs_evals.sum() - S + p
+    assert rows == block.rhs_evals.sum() - len(ends)
 
 
 @pytest.mark.parametrize("name", ["quadratic", "cubic", "logistic1d", "advdiff"])
@@ -561,7 +546,7 @@ def test_shared_first_stage_is_the_sensitivity_at_the_start(
     }[name]
     start = mm.solve_nominal(problem, box).minimizer
     thetas = box.sample(seed=22, count=8)
-    final = march_block(problem, start, box.nominal, thetas, 1).finals
+    final = march_block(problem, anchor(problem, start, box.nominal), thetas, 1).finals
     S = len(thetas)
     expected = start + mm.post_optimality_apply(
         problem, np.tile(start, (S, 1)), np.tile(box.nominal, (S, 1)), thetas - box.nominal

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 import minmarch as mm
-from minmarch.marching import MarchStatus, Scheme
+from minmarch.marching import MarchStatus, Scheme, anchor
 from minmarch import uq
 from minmarch.cli import main
 from minmarch.uq import _gauss_kernels, _join_blocks, _propagate_block
 
-from conftest import THETA_LOGISTIC, integral, rendered
+from conftest import THETA_LOGISTIC, Recording, integral, rendered
 
 BLOCK = uq.KDE_BLOCK_ELEMENTS
 
@@ -336,28 +336,22 @@ class TestPropagateStudy:
             assert not multiprocessing.active_children()
             assert parallel.counters["march_blocks"] == workers
             assert rendered(parallel, tmp_path) == expected
-            # each block makes one p-row call at the nominal point per step count
-            shared = {**rows, "march": rows["march"] + 3 * box.p * (workers - 1)}
-            assert {**parallel.counters, "march_blocks": 1} == {
-                **serial.counters, "derivative_rows": shared
-            }
+            # every block marches from the study's one anchor: no counter but
+            # the block count depends on the blocks
+            assert {**parallel.counters, "march_blocks": 1} == serial.counters
             assert_same_oracles(parallel.oracle, serial.oracle)
 
+        start = anchor(problem, serial.nominal.minimizer, box.nominal)
         run = partial(
-            _propagate_block,
-            problem, box.nominal, serial.nominal.minimizer, (1, 3, 8), Scheme.HEUN, True,
-            mm.NewtonConfig(),
+            _propagate_block, problem, start, (1, 3, 8), Scheme.HEUN, True, mm.NewtonConfig()
         )
         thetas = box.sample(4, 37)
         for cut in ([0, 1, 37], [0, 20, 29, 37]):
             columns, work = _join_blocks([run(thetas[a:b]) for a, b in zip(cut[:-1], cut[1:])])
             assert rendered(replace(serial, **columns), tmp_path) == expected
             assert_same_oracles(columns["oracle"], serial.oracle)
-            blocks = len(cut) - 1
             assert list(work) == [
-                serial.counters["rhs_evaluations"],
-                rows["march"] + 3 * box.p * (blocks - 1),
-                rows["oracle"],
+                serial.counters["rhs_evaluations"], rows["march"], rows["oracle"],
                 rows["oracle_values"],
             ]
 
@@ -373,10 +367,9 @@ class TestPropagateStudy:
             "logistic1d": (logistic, logistic_box),
             "advdiff": (advdiff, advdiff_box),
         }[name]
-        nominal = mm.solve_nominal(problem, box)
+        start = anchor(problem, mm.solve_nominal(problem, box).minimizer, box.nominal)
         run = partial(
-            _propagate_block,
-            problem, box.nominal, nominal.minimizer, (1, 3), Scheme.HEUN, True, mm.NewtonConfig(),
+            _propagate_block, problem, start, (1, 3), Scheme.HEUN, True, mm.NewtonConfig()
         )
         thetas = box.sample(seed=2, count=1)
         a = run(thetas)
@@ -449,6 +442,20 @@ class TestPropagateStudy:
         assert done.returncode == 0, done.stderr
         samples = tmp_path / "samples-w3.csv"
         assert samples.read_bytes() == (tmp_path / "samples-w1.csv").read_bytes()
+
+    def test_study_anchors_once(self, logistic, logistic_box):
+        # one p-row call with the directions eye(p) for the whole study, not
+        # one per step count; the march rows then follow from the evaluations
+        recording = Recording(logistic)
+        study = mm.propagate_study(recording, logistic_box, 20, [1, 2, 4], seed=5, workers=1)
+        p = logistic_box.p
+        unit = [
+            dTheta for _, _, dTheta in recording.calls
+            if dTheta is not None and dTheta.shape == (p, p) and np.array_equal(dTheta, np.eye(p))
+        ]
+        assert len(unit) == 1
+        counters = study.counters
+        assert counters["derivative_rows"]["march"] == counters["rhs_evaluations"] - 3 * 20
 
     def test_cheap_blocks_march_in_the_calling_process(self, tmp_path, logistic, logistic_box):
         # a 20-row logistic1d block marches in about a millisecond, far below

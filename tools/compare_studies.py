@@ -30,21 +30,16 @@ with the parent's header and shape is listed with the largest relative
 difference |a - b| / max(|a|, |b|) over its numeric cells, so that a
 last-bit change can be sized; a differing cell that is not numeric, or
 NaN or infinite on one side, makes it ``inf``.  In ``manifest.json`` the
-keys ``timings_sec`` and ``output_dir`` are ignored; everything else, the
-work counters included, must match, but for the block count: the study
-chooses it from a timing, so two
-manifests that differ only in ``counters.march_blocks`` and
-``counters.derivative_rows.march`` match when each side's counters obey
-``uq.propagate_study``'s formula ``derivative_rows.march ==
-rhs_evaluations - K (num_samples - march_blocks p)``, K being the number
-of step counts and p the number of parameters.  A ``samples.csv``
-of the change that has the parent's lines, each followed by ``,`` and more
-cells, has gained columns and lost nothing: it is listed as extended, not
-as differing.  Before the summary line, each tree's size is printed: its
-source lines, as ``cat src/minmarch/*.py src/minmarch/problems/*.py | wc -l``
-counts them, and ``len(minmarch.__all__)``.  The summary counts identical
-and extended files apart.  The exit status is 0 when every file matches or
-is extended and 1 otherwise.
+keys ``timings_sec``, ``output_dir`` and ``counters.march_blocks`` (chosen
+from a timing) are ignored; everything else, the other work counters
+included, must match exactly.  A ``samples.csv`` of the change that has
+the parent's lines, each followed by ``,`` and more cells, has gained
+columns and lost nothing: it is listed as extended, not as differing.
+Before the summary line, each tree's size is printed: its source lines,
+as ``cat src/minmarch/*.py src/minmarch/problems/*.py | wc -l`` counts
+them, and ``len(minmarch.__all__)``.  The summary counts identical and
+extended files apart.  The exit status is 0 when every file matches or is
+extended and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -67,7 +62,8 @@ STEPS = "1,3,6"
 TRAJECTORY_STEPS = (1, 4)
 TRAJECTORY_SAMPLES = 3
 SEED = 7
-IGNORED_KEYS = {"timings_sec", "output_dir"}
+# manifest keys not compared; march_blocks follows a timing (uq._block_estimate)
+IGNORED_KEYS = {"timings_sec", "output_dir", "march_blocks"}
 # (problem, sample count), scheme, workers, oracle of the studies past the matrix:
 # more workers than samples, more samples in one block than advdiff's STACK_ROWS,
 # and blocks that cost far more than uq.WORKER_MIN_BLOCK_S
@@ -152,23 +148,10 @@ def without_ignored(value):
     return value
 
 
-def without_block_count(manifest: dict) -> dict:
-    """The manifest without its block count, if its march rows follow from that count."""
-    config, counters = manifest["config"], manifest["counters"]
-    K, p = len(config["N_list"]), len(config["box"]["nominal"])
-    shared = counters["march_blocks"] * p
-    rows = counters["rhs_evaluations"] - K * (config["num_samples"] - shared)
-    if counters["derivative_rows"]["march"] != rows:
-        return manifest
-    derivative_rows = {**counters["derivative_rows"], "march": None}
-    counters = {**counters, "march_blocks": None, "derivative_rows": derivative_rows}
-    return {**manifest, "counters": counters}
-
-
 def same_file(a: Path, b: Path) -> bool:
     if a.name == "manifest.json":
         old, new = (without_ignored(json.loads(f.read_text())) for f in (a, b))
-        return old == new or without_block_count(old) == without_block_count(new)
+        return old == new
     return a.read_bytes() == b.read_bytes()
 
 
